@@ -23,7 +23,7 @@ from .perturb import (
     plan_random_walk,
     plan_shortest_path,
 )
-from .wl_features import LabelDictionary, WlFeatureVector, wl_feature_vector, wl_kernel_matrix
+from .wl_features import WlFeatureVector, wl_feature_vector
 from .learners import (
     DegenerateData,
     DegenerateLabels,
@@ -31,10 +31,8 @@ from .learners import (
     KernelSpec,
     TrainedNaiveBayes,
     TrainedSvm,
-    kernel_eval,
     nb_predict,
     nb_train,
-    sigma_heuristic,
     svm_predict,
     svm_train,
 )

@@ -29,13 +29,14 @@ from .learners import (
 )
 from .perturb import (
     Budget,
+    BudgetExceedsPairs,
     eigencentrality,
     plan_eigencentrality,
     plan_random_walk,
     plan_shortest_path,
 )
 from .target_lcd import BlackBoxQuery, QueryBudgetExhausted, attack_loss, evaluate
-from .wl_features import LabelDictionary, wl_feature_vector
+from .wl_features import wl_feature_vector
 
 STRATEGIES = ("eigencentrality", "random_walk", "shortest_path")
 SURROGATES = ("svm_rbf", "svm_linear", "svm_poly", "naive_bayes")
@@ -44,7 +45,7 @@ SURROGATES = ("svm_rbf", "svm_linear", "svm_poly", "naive_bayes")
 @dataclass(frozen=True)
 class AttackConfig:
     """Knobs of one attack run. epochs caps the surrogate's internal training
-    passes; reserved_lambda is accepted for config-file parity but unused."""
+    passes."""
 
     r: float = 3e-4
     strategy: str = "eigencentrality"
@@ -56,7 +57,6 @@ class AttackConfig:
     wl_iters: int = 3
     oracle: str = "score"
     seed: int = 42
-    reserved_lambda: float = 0.1
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -149,8 +149,8 @@ def _train_scorer(vectors, losses, cfg: AttackConfig, seed: int):
             return (lambda vs: np.array([nb_predict(model, v)[1] for v in vs])), "trained"
         if cfg.surrogate == "svm_rbf":
             # median-distance heuristic: attack records cluster within a few
-            # flips of the original, where the sigma (distance-spread) variant
-            # collapses the Gram matrix toward the identity
+            # flips of the original, where a gamma scaled by the spread of
+            # distances collapses the Gram matrix toward the identity
             try:
                 gamma = median_heuristic_gamma(vectors)
             except DegenerateData:
@@ -213,10 +213,16 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
     clean_observation is the target's output on the unperturbed graph, which
     the attack module sees for free as it sits on the input stream; it anchors
     the surrogate's training set without consuming budget.
+
+    A graph with no room for the flip budget (a single node, say) comes back
+    unattacked: beta 0, no records, no queries.
     """
-    budget = Budget(cfg.r, g.n)
+    try:
+        budget = Budget(cfg.r, g.n)
+    except BudgetExceedsPairs:
+        return AttackOutcome(g.graph_id, int(y), 0, g, (), 0.0, False,
+                             query_iface.queries_used, (), ())
     scores = eigencentrality(g) if cfg.strategy == "eigencentrality" else None
-    surrogate_dict = LabelDictionary()
     records: list[AttackRecord] = []
     record_vectors: list[dict] = []
     losses: list[float] = []
@@ -227,7 +233,7 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
     best_flips: tuple[EdgeFlip, ...] = ()
     exhausted = False
     if clean_observation is not None:
-        record_vectors.append(wl_feature_vector(g, cfg.wl_iters, surrogate_dict).counts)
+        record_vectors.append(wl_feature_vector(g, cfg.wl_iters).counts)
         losses.append(attack_loss(clean_observation, y))
 
     def consider(candidate: LabeledGraph, flips: tuple[EdgeFlip, ...]) -> bool:
@@ -247,7 +253,7 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         rec = AttackRecord(digest, flips, observed[0], observed[1], loss,
                            success, len(records))
         records.append(rec)
-        record_vectors.append(wl_feature_vector(candidate, cfg.wl_iters, surrogate_dict).counts)
+        record_vectors.append(wl_feature_vector(candidate, cfg.wl_iters).counts)
         losses.append(loss)
         if loss > best_loss:
             best_loss = loss
@@ -277,8 +283,7 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
             scorer, note = _train_scorer(record_vectors, losses, cfg,
                                          _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
             if scorer is not None and pool:
-                child = surrogate_dict.child()
-                vecs = [wl_feature_vector(cand, cfg.wl_iters, child).counts
+                vecs = [wl_feature_vector(cand, cfg.wl_iters).counts
                         for cand, _ in pool]
                 order = np.argsort(-scorer(vecs), kind="stable")
                 pool = [pool[int(i)] for i in order]
@@ -346,9 +351,10 @@ def attack_testset(target, ds_test: GraphDataset, cfg: AttackConfig,
     """Attack every graph in ds_test with a fresh per-graph query budget.
 
     Reports clean accuracy, attacked accuracy (each graph replaced by its best
-    perturbed version), and the decline in percentage points (negative when
-    accuracy drops). Per-graph RNG streams derive from (seed, graph id), so the
-    worker count cannot change any result.
+    perturbed version), the decline in percentage points (negative when
+    accuracy drops), and the success rate over the graphs the target got right
+    before any flip (0.0 when there are none). Per-graph RNG streams derive
+    from (seed, graph id), so the worker count cannot change any result.
     """
     if len(ds_test) == 0:
         raise ValueError("test set is empty")
@@ -368,6 +374,7 @@ def attack_testset(target, ds_test: GraphDataset, cfg: AttackConfig,
     results = []
     clean_correct = 0
     attacked_correct = 0
+    successes = 0
     for (clean_label, clean_conf), outcome, y in zip(clean, outcomes, ys):
         if outcome.records:
             best = max(outcome.records, key=lambda r: r.loss)
@@ -376,6 +383,7 @@ def attack_testset(target, ds_test: GraphDataset, cfg: AttackConfig,
             attacked_label = clean_label
         clean_correct += clean_label == y
         attacked_correct += attacked_label == y
+        successes += clean_label == y and outcome.success
         results.append(GraphAttackResult(outcome.graph_id, y, clean_label,
                                          clean_conf, attacked_label, outcome))
     n = len(graphs)
@@ -386,7 +394,7 @@ def attack_testset(target, ds_test: GraphDataset, cfg: AttackConfig,
         clean_accuracy=clean_acc,
         attacked_accuracy=attacked_acc,
         decline_pp=(attacked_acc - clean_acc) * 100.0,
-        success_rate=sum(o.success for o in outcomes) / n,
+        success_rate=successes / clean_correct if clean_correct else 0.0,
         mean_queries=sum(o.queries_used for o in outcomes) / n,
         config=cfg,
     )
@@ -404,7 +412,6 @@ def summary_to_json(summary: AttackSummary, include_records: bool = True) -> dic
             "max_queries": cfg.max_queries, "k_candidates": cfg.k_candidates,
             "rounds": cfg.rounds, "epochs": cfg.epochs, "wl_iters": cfg.wl_iters,
             "oracle": cfg.oracle, "seed": cfg.seed,
-            "reserved_lambda": cfg.reserved_lambda,
         },
         "clean_accuracy": summary.clean_accuracy,
         "attacked_accuracy": summary.attacked_accuracy,

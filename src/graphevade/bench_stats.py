@@ -3,6 +3,7 @@ Friedman test, Nemenyi critical difference, and robust descriptives."""
 
 from __future__ import annotations
 
+import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -28,6 +29,9 @@ _NEMENYI_Q = {
     0.10: (1.644854, 2.052293, 2.291341, 2.459516, 2.588521,
            2.692732, 2.779884, 2.854606, 2.919889),
 }
+
+
+_TABLE_HEADER = ["row", "method", "rep", "decline"]
 
 
 @dataclass(frozen=True)
@@ -56,33 +60,41 @@ class ResultTable:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write("row,method,rep,decline\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(_TABLE_HEADER)
         for i, row in enumerate(self.row_names):
             for j, method in enumerate(self.method_names):
                 for rep in range(self.repetitions):
-                    out.write(f"{row},{method},{rep},{float(self.values[i, j, rep])!r}\n")
+                    writer.writerow([row, method, rep, repr(float(self.values[i, j, rep]))])
         return out.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":
-        rows: dict[str, dict[str, dict[int, float]]] = {}
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or lines[0] != "row,method,rep,decline":
+        """Parse to_csv output; raises ValueError on any malformed table."""
+        try:
+            records = [r for r in csv.reader(io.StringIO(text)) if any(f.strip() for f in r)]
+        except csv.Error as exc:
+            raise ValueError(str(exc)) from exc
+        if not records or records[0] != _TABLE_HEADER:
             raise ValueError("bad result-table CSV header")
-        for ln in lines[1:]:
-            row, method, rep, val = ln.split(",")
-            rows.setdefault(row, {}).setdefault(method, {})[int(rep)] = float(val)
-        row_names = tuple(rows)
-        method_names = tuple(rows[row_names[0]])
-        reps = len(rows[row_names[0]][method_names[0]])
+        cells: dict[tuple[str, str], dict[int, float]] = {}
+        for rec in records[1:]:
+            if len(rec) != 4:
+                raise ValueError(f"expected 4 fields, got {len(rec)}: {rec!r}")
+            cells.setdefault((rec[0], rec[1]), {})[int(rec[2])] = float(rec[3])
+        if not cells:
+            raise ValueError("result table has no data rows")
+        row_names = tuple(dict.fromkeys(row for row, _ in cells))
+        method_names = tuple(dict.fromkeys(method for _, method in cells))
+        reps = max(len(c) for c in cells.values())
         values = np.zeros((len(row_names), len(method_names), reps))
         for i, row in enumerate(row_names):
             for j, method in enumerate(method_names):
-                cells = rows[row][method]
-                if len(cells) != reps:
-                    raise ValueError("ragged result table")
-                for rep, val in cells.items():
-                    values[i, j, rep] = val
+                got = cells.get((row, method), {})
+                if sorted(got) != list(range(reps)):
+                    raise ValueError(f"rep indices of ({row!r}, {method!r}) must run "
+                                     f"0..{reps - 1}, got {sorted(got)}")
+                values[i, j, list(got)] = list(got.values())
         return cls(row_names, method_names, values)
 
     def to_json(self) -> dict:
@@ -137,10 +149,11 @@ class RankReport:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write("method,mean_rank,median,mad,ci_low,ci_high\n")
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["method", "mean_rank", "median", "mad", "ci_low", "ci_high"])
         for i, m in enumerate(self.method_names):
-            out.write(f"{m},{self.mean_ranks[i]!r},{self.medians[i]!r},"
-                      f"{self.mads[i]!r},{self.ci_low[i]!r},{self.ci_high[i]!r}\n")
+            writer.writerow([m] + [repr(col[i]) for col in (
+                self.mean_ranks, self.medians, self.mads, self.ci_low, self.ci_high)])
         return out.getvalue()
 
 

@@ -166,8 +166,8 @@ def cmd_attack(args) -> int:
     return 0
 
 
-_BENCH_KEYS = ("seed", "repetitions", "alpha", "lambda", "configs", "methods",
-               "budgets", "attack", "target")
+_BENCH_KEYS = ("seed", "repetitions", "alpha", "configs", "methods", "budgets",
+               "attack", "target")
 _ATTACK_KEYS = ("r", "max_queries", "k_candidates", "rounds", "epochs",
                 "wl_iters", "oracle")
 _METHOD_KEYS = ("name", "strategy", "surrogate", "r")
@@ -218,8 +218,7 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
         if key not in _ATTACK_KEYS:
             raise InvalidConfig(f"unknown key {key!r} in attack spec")
     try:
-        base = AttackConfig(seed=seed, reserved_lambda=spec.get("lambda", 0.1),
-                            **attack_raw)
+        base = AttackConfig(seed=seed, **attack_raw)
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from exc
     target_raw = dict(spec.get("target", {}))
@@ -270,7 +269,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_rank(args) -> int:
-    table = ResultTable.from_csv(Path(args.table).read_text(encoding="utf-8"))
+    try:
+        table = ResultTable.from_csv(Path(args.table).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise InvalidConfig(f"bad results table {args.table}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_doc = _write_rank_outputs(out_dir, table, args.alpha)

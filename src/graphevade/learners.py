@@ -10,7 +10,6 @@ squared-norm residual, which is carried separately.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -38,13 +37,13 @@ class DidNotConverge(Exception):
         self.max_passes = max_passes
 
 
-KERNEL_KINDS = ("rbf", "linear", "polynomial", "precomputed_wl")
+KERNEL_KINDS = ("rbf", "linear", "polynomial")
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel configuration. precomputed_wl is the WL subtree kernel realized as a
-    plain dot product over explicit WL histogram vectors."""
+    """Kernel configuration. The linear kernel over WL histogram vectors is the
+    WL subtree kernel."""
 
     kind: str
     gamma: float | None = None
@@ -116,41 +115,9 @@ def _project(vectors: Sequence, keys: tuple | None,
     return x, res
 
 
-def kernel_eval(spec: KernelSpec, a, b) -> float:
-    """Exact pairwise kernel value on two sparse maps or two dense vectors."""
-    if _is_sparse(a) and _is_sparse(b):
-        dot = 0.0
-        small, big = (a, b) if len(a) <= len(b) else (b, a)
-        for k, v in small.items():
-            if k in big:
-                dot += float(v) * float(big[k])
-        if spec.kind == "rbf":
-            sq = 0.0
-            for k in set(a) | set(b):
-                d = float(a.get(k, 0.0)) - float(b.get(k, 0.0))
-                sq += d * d
-            return math.exp(-spec.gamma * sq)
-    elif _is_sparse(a) or _is_sparse(b):
-        raise DimensionMismatch("cannot mix sparse and dense feature vectors")
-    else:
-        av = np.asarray(a, dtype=float).ravel()
-        bv = np.asarray(b, dtype=float).ravel()
-        if av.shape != bv.shape:
-            raise DimensionMismatch(f"vector lengths {av.shape[0]} vs {bv.shape[0]}")
-        dot = float(av @ bv)
-        if spec.kind == "rbf":
-            d = av - bv
-            return math.exp(-spec.gamma * float(d @ d))
-    if spec.kind in ("linear", "precomputed_wl"):
-        return float(dot)
-    if spec.kind == "polynomial":
-        return float((dot + spec.coef0) ** spec.degree)
-    raise AssertionError(spec.kind)
-
-
 def _gram(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     g = x @ x.T
-    if spec.kind in ("linear", "precomputed_wl"):
+    if spec.kind == "linear":
         return g
     if spec.kind == "polynomial":
         return (g + spec.coef0) ** spec.degree
@@ -177,27 +144,14 @@ def _pairwise_distances(vectors: Sequence, max_exact: int, seed: int) -> np.ndar
     return np.sqrt(np.sum(diff * diff, axis=1))
 
 
-def sigma_heuristic(vectors: Sequence, max_exact: int = 512, seed: int = 0) -> float:
-    """gamma = 1 / (2 sigma^2) with sigma the population standard deviation of
-    pairwise Euclidean distances among the training vectors.
-
-    Exact over all pairs for N <= max_exact, otherwise over max_exact^2 pairs
-    sampled with a fixed seed. Raises DegenerateData when all distances are
-    equal (sigma = 0), in which case the caller must supply gamma explicitly.
-    """
-    dists = _pairwise_distances(vectors, max_exact, seed)
-    sd = float(np.std(dists))
-    if sd <= 1e-12 * max(1.0, float(np.mean(dists))):
-        raise DegenerateData("all pairwise distances equal; supply gamma explicitly")
-    return 1.0 / (2.0 * sd * sd)
-
-
 def median_heuristic_gamma(vectors: Sequence, max_exact: int = 512, seed: int = 0) -> float:
     """gamma = 1 / (2 m^2) with m the median pairwise Euclidean distance.
 
-    Unlike sigma_heuristic this keeps gamma * distance^2 near 1 when the
-    vectors cluster tightly (distance spread much smaller than distance
-    scale), which is exactly the geometry of perturbed-graph features.
+    Exact over all pairs for N <= max_exact, otherwise over max_exact^2 pairs
+    sampled with a fixed seed. Scaling by the median distance (not by the
+    spread of distances) keeps gamma * distance^2 near 1 when the vectors
+    cluster tightly, which is exactly the geometry of perturbed-graph
+    features.
     """
     dists = _pairwise_distances(vectors, max_exact, seed)
     med = float(np.median(dists))
@@ -445,7 +399,7 @@ def _model_cache(model: TrainedSvm) -> dict:
         cache = {"x": x, "keys": keys, "sq": np.sum(x * x, axis=1)}
         cache["index"] = None if keys is None else {k: i for i, k in enumerate(keys)}
         cache["coef"] = model.alphas * model.sv_labels
-        if model.spec.kind in ("linear", "precomputed_wl") and keys is not None:
+        if model.spec.kind == "linear" and keys is not None:
             w = cache["coef"] @ x
             cache["w_sparse"] = {k: float(w[i]) for i, k in enumerate(keys)}
         model._cache = cache
@@ -474,7 +428,7 @@ def svm_margins(model: TrainedSvm, X: Sequence) -> np.ndarray:
         raise DimensionMismatch(f"vector length {xq.shape[1]} vs model dimension {sv.shape[1]}")
     dots = xq @ sv.T
     kind = model.spec.kind
-    if kind in ("linear", "precomputed_wl"):
+    if kind == "linear":
         kmat = dots
     elif kind == "polynomial":
         kmat = (dots + model.spec.coef0) ** model.spec.degree
@@ -627,13 +581,3 @@ def nb_predict(model: TrainedNaiveBayes, x) -> tuple[int, float]:
     p_plus = _sigmoid(ll[1] - ll[0])
     label = 1 if p_plus >= 0.5 else -1
     return label, p_plus
-
-
-def save_svm(model: TrainedSvm, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(svm_to_json(model), fh, separators=(",", ":"))
-
-
-def load_svm(path) -> TrainedSvm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return svm_from_json(json.load(fh))

@@ -71,11 +71,10 @@ class CentralityScores:
 
 @dataclass(frozen=True)
 class PerturbationPlan:
-    """An ordered, within-budget list of edge flips plus the strategy and seed that made it."""
+    """An ordered, within-budget list of edge flips plus the strategy that made it."""
 
     flips: tuple[EdgeFlip, ...]
     strategy: str
-    seed: int | None
 
 
 def adjacency_matrix(g: LabeledGraph) -> np.ndarray:
@@ -141,10 +140,10 @@ def plan_eigencentrality(
 
     Plan i covers ranked pairs offset+i .. offset+i+beta-1 (a sliding window, so
     successive candidates differ); each pair becomes a removal if the edge
-    exists in g, otherwise an addition. Ranking is deterministic; the seed is
-    only recorded, and precomputed scores may be passed to skip the power
-    iteration. Emits fewer than k_candidates plans when the pair list runs out
-    past the requested offset.
+    exists in g, otherwise an addition. Ranking is deterministic, so the seed
+    (kept for the planners' shared signature) goes unused; precomputed scores
+    may be passed to skip the power iteration. Emits fewer than k_candidates
+    plans when the pair list runs out past the requested offset.
     """
     if scores is None:
         scores = eigencentrality(g)
@@ -156,7 +155,7 @@ def plan_eigencentrality(
     for i in range(n_plans):
         window = pairs[offset + i : offset + i + budget.beta]
         flips = tuple(_flip_for_pair(g, p) for p in window)
-        plans.append(PerturbationPlan(flips, "eigencentrality", seed))
+        plans.append(PerturbationPlan(flips, "eigencentrality"))
     return plans
 
 
@@ -199,7 +198,7 @@ def plan_random_walk(
     for _ in range(k_candidates):
         pairs = _walk_pairs(g, budget.beta, steps, rng)
         flips = tuple(_flip_for_pair(g, p) for p in pairs)
-        plans.append(PerturbationPlan(flips, "random_walk", seed))
+        plans.append(PerturbationPlan(flips, "random_walk"))
     return plans
 
 
@@ -325,8 +324,8 @@ def plan_shortest_path(
         if not g.edges:
             pairs = _walk_pairs(g, budget.beta, 4 * budget.beta, rng)
             flips = tuple(_flip_for_pair(g, p) for p in pairs)
-            plans.append(PerturbationPlan(flips, "shortest_path:random_walk_fallback", seed))
+            plans.append(PerturbationPlan(flips, "shortest_path:random_walk_fallback"))
             continue
         flips = _shortest_path_flips(g, budget.beta, rng)
-        plans.append(PerturbationPlan(flips, "shortest_path", seed))
+        plans.append(PerturbationPlan(flips, "shortest_path"))
     return plans

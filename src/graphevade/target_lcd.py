@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .graph_core import GraphDataset, LabeledGraph, graph_hash
 from .learners import KernelSpec, TrainedSvm, svm_from_json, svm_margins, svm_probability, svm_to_json, svm_train
-from .wl_features import LabelDictionary, wl_feature_vectors
+from .wl_features import wl_feature_vectors
 
 
 class QueryBudgetExhausted(Exception):
@@ -23,16 +23,15 @@ class QueryBudgetExhausted(Exception):
 
 @dataclass
 class TargetModel:
-    """Frozen WL-feature SVM plus the label dictionary snapshot it was trained with.
+    """Frozen WL-feature SVM and the WL depth it was trained with.
 
-    Query-time feature extraction runs on a copy-on-write child of the
-    dictionary, so the trained model's label ids never shift. Histograms are
+    WL label ids are hashes of the graph alone, so query-time extraction lands
+    on the trained model's coordinates with nothing shared. Histograms are
     L2-normalized before the SVM (the normalized WL kernel), keeping the
     decision scale-free in the node count.
     """
 
     svm: TrainedSvm
-    dictionary: LabelDictionary
     wl_iters: int
     train_accuracy: float
     test_accuracy: float | None
@@ -78,8 +77,7 @@ class QueryLedger:
 def _predict_graphs(model: TargetModel, graphs) -> list[tuple[int, float]]:
     """(label, confidence-of-that-label) per graph; the label is the calibrated
     probability thresholded at 0.5 so confidence is always >= 0.5."""
-    child = model.dictionary.child()
-    vecs = wl_feature_vectors(list(graphs), model.wl_iters, child)
+    vecs = wl_feature_vectors(list(graphs), model.wl_iters)
     margins = svm_margins(model.svm, [_unit_counts(v.counts) for v in vecs])
     out = []
     for m in margins:
@@ -103,8 +101,7 @@ def train_target(ds: GraphDataset, wl_iters: int = 3, C: float = 10.0,
     reporting train and test accuracy."""
     train = ds.subset("train")
     test = ds.subset("test")
-    dictionary = LabelDictionary()
-    vecs = wl_feature_vectors(list(train.graphs), wl_iters, dictionary)
+    vecs = wl_feature_vectors(list(train.graphs), wl_iters)
     svm = svm_train(
         [_unit_counts(v.counts) for v in vecs],
         list(train.labels),
@@ -114,7 +111,7 @@ def train_target(ds: GraphDataset, wl_iters: int = 3, C: float = 10.0,
         max_passes=max_passes,
         seed=seed,
     )
-    model = TargetModel(svm, dictionary, wl_iters, 0.0, None)
+    model = TargetModel(svm, wl_iters, 0.0, None)
     preds = _predict_graphs(model, train.graphs)
     model.train_accuracy = sum(
         1 for (lab, _), y in zip(preds, train.labels) if lab == y
@@ -175,9 +172,8 @@ class BlackBoxQuery:
 
 def target_to_json(model: TargetModel) -> dict:
     return {
-        "version": "target-v1",
+        "version": "target-v2",
         "svm": svm_to_json(model.svm),
-        "dictionary": list(model.dictionary.snapshot()),
         "wl_iters": model.wl_iters,
         "train_accuracy": model.train_accuracy,
         "test_accuracy": model.test_accuracy,
@@ -185,11 +181,14 @@ def target_to_json(model: TargetModel) -> dict:
 
 
 def target_from_json(doc: dict) -> TargetModel:
-    if doc.get("version") != "target-v1":
-        raise ValueError(f"unsupported target version {doc.get('version')!r}")
+    """Rebuild a target-v2 model. target-v1 files keyed their histograms by a
+    stored label dictionary whose ids mean nothing to hashed WL labels, so
+    they must be retrained."""
+    if doc.get("version") != "target-v2":
+        raise ValueError(f"unsupported target version {doc.get('version')!r}; "
+                         "expected 'target-v2' (retrain target-v1 models)")
     return TargetModel(
         svm=svm_from_json(doc["svm"]),
-        dictionary=LabelDictionary(doc["dictionary"]),
         wl_iters=int(doc["wl_iters"]),
         train_accuracy=float(doc["train_accuracy"]),
         test_accuracy=None if doc["test_accuracy"] is None else float(doc["test_accuracy"]),

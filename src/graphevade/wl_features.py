@@ -1,85 +1,53 @@
-"""Weisfeiler-Lehman relabeling, per-iteration label histograms, and the subtree kernel."""
+"""Weisfeiler-Lehman relabeling and per-iteration label histograms.
+
+Label ids are 64-bit hashes that depend only on the graph, so histograms from
+different graphs, processes and saved models share coordinates without a
+shared dictionary. Level 0 hashes each node-label string with blake2b (the
+built-in str hash is salted per process); each refinement step compresses a
+node's label and the multiset of its neighbours' labels as
+mix(own * GOLDEN + sum of mix(neighbour)), with mix the splitmix64 finaliser
+(hashed colour refinement, as in Kersting et al., Power Iterated Color
+Refinement, AAAI 2014).
+"""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import lru_cache
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .graph_core import LabeledGraph
 
-
-class LabelDictionary:
-    """Append-only bidirectional map from compressed-label strings to dense ids.
-
-    Id assignment is insertion-ordered, so processing the same graphs in the
-    same order always produces the same ids. Shared across all graphs in a run
-    to keep histogram coordinates aligned.
-    """
-
-    def __init__(self, labels: Iterable[str] = ()):
-        self._labels: list[str] = []
-        self._ids: dict[str, int] = {}
-        for lab in labels:
-            self.get_or_add(lab)
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def get_or_add(self, label: str) -> int:
-        i = self._ids.get(label)
-        if i is None:
-            i = len(self._labels)
-            self._ids[label] = i
-            self._labels.append(label)
-        return i
-
-    def id_of(self, label: str) -> int | None:
-        return self._ids.get(label)
-
-    def label_of(self, i: int) -> str:
-        return self._labels[i]
-
-    def snapshot(self) -> tuple[str, ...]:
-        return tuple(self._labels)
-
-    def child(self) -> "_OverlayDictionary":
-        """A copy-on-write view: lookups fall through to this dictionary, new
-        labels land in the overlay only. Keeps query-time extraction from
-        shifting a trained model's ids."""
-        return _OverlayDictionary(self)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_M2 = np.uint64(0x94D049BB133111EB)
 
 
-class _OverlayDictionary:
-    def __init__(self, base: "LabelDictionary | _OverlayDictionary"):
-        self._base = base
-        self._offset = len(base)
-        self._labels: list[str] = []
-        self._ids: dict[str, int] = {}
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finaliser, elementwise over a uint64 array (wrapping)."""
+    x = (x ^ (x >> np.uint64(30))) * _M1
+    x = (x ^ (x >> np.uint64(27))) * _M2
+    return x ^ (x >> np.uint64(31))
 
-    def __len__(self) -> int:
-        return self._offset + len(self._labels)
 
-    def get_or_add(self, label: str) -> int:
-        i = self._base.id_of(label)
-        if i is not None:
-            return i
-        i = self._ids.get(label)
-        if i is None:
-            i = self._offset + len(self._labels)
-            self._ids[label] = i
-            self._labels.append(label)
-        return i
+@lru_cache(maxsize=4096)
+def _label_id(label: str) -> int:
+    return int.from_bytes(hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest(), "little")
 
-    def id_of(self, label: str) -> int | None:
-        i = self._base.id_of(label)
-        if i is not None:
-            return i
-        return self._ids.get(label)
 
-    def child(self) -> "_OverlayDictionary":
-        return _OverlayDictionary(self)
+def _arcs(g: LabeledGraph) -> tuple[np.ndarray, np.ndarray]:
+    """(source, destination) node arrays with each undirected edge in both directions."""
+    e = np.array([(u, v) for u, v, _ in g.edges], dtype=np.intp).reshape(-1, 2)
+    return np.concatenate((e[:, 0], e[:, 1])), np.concatenate((e[:, 1], e[:, 0]))
+
+
+def _refine(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    acc = labels * _GOLDEN
+    np.add.at(acc, dst, _mix(labels)[src])
+    return _mix(acc)
 
 
 @dataclass(frozen=True)
@@ -99,40 +67,36 @@ class WlFeatureVector:
         return sums
 
 
-def initial_labels(g: LabeledGraph, dictionary) -> list[int]:
-    return [dictionary.get_or_add(lab) for lab in g.node_labels]
+def initial_labels(g: LabeledGraph) -> np.ndarray:
+    return np.fromiter((_label_id(lab) for lab in g.node_labels), dtype=np.uint64, count=g.n)
 
 
-def wl_relabel_step(g: LabeledGraph, labels: Sequence[int], dictionary) -> list[int]:
-    """One WL iteration: each node's new label compresses its own label followed
-    by the sorted list of its neighbors' labels."""
-    neighbors = g.neighbors
-    get_or_add = dictionary.get_or_add
-    new = []
-    for v in range(g.n):
-        neigh = sorted(labels[u] for u in neighbors[v])
-        neigh.insert(0, labels[v])
-        new.append(get_or_add("|".join(map(str, neigh))))
-    return new
+def wl_relabel_step(g: LabeledGraph, labels: np.ndarray) -> np.ndarray:
+    """One WL iteration: each node's new label hashes its own label together
+    with the multiset of its neighbours' labels."""
+    return _refine(np.asarray(labels, dtype=np.uint64), *_arcs(g))
 
 
-def wl_feature_vector(g: LabeledGraph, wl_iters: int, dictionary) -> WlFeatureVector:
-    """Concatenated label histograms for h = 0..wl_iters (h=0 counts raw labels)."""
+def wl_feature_vector(g: LabeledGraph, wl_iters: int) -> WlFeatureVector:
+    """Concatenated label histograms for h = 0..wl_iters (h=0 counts raw labels).
+
+    Keys appear in first-seen node order within each iteration."""
     if wl_iters < 0:
         raise ValueError("wl_iters must be >= 0")
     counts: dict[tuple[int, int], int] = {}
-    labels = initial_labels(g, dictionary)
+    labels = initial_labels(g)
+    src, dst = _arcs(g)
     for h in range(wl_iters + 1):
-        for lab in labels:
+        for lab in labels.tolist():
             key = (h, lab)
             counts[key] = counts.get(key, 0) + 1
         if h < wl_iters:
-            labels = wl_relabel_step(g, labels, dictionary)
+            labels = _refine(labels, src, dst)
     return WlFeatureVector(counts, wl_iters)
 
 
-def wl_feature_vectors(graphs: Sequence[LabeledGraph], wl_iters: int, dictionary) -> list[WlFeatureVector]:
-    return [wl_feature_vector(g, wl_iters, dictionary) for g in graphs]
+def wl_feature_vectors(graphs: Sequence[LabeledGraph], wl_iters: int) -> list[WlFeatureVector]:
+    return [wl_feature_vector(g, wl_iters) for g in graphs]
 
 
 def sparse_dot(a: Mapping, b: Mapping):
@@ -140,32 +104,3 @@ def sparse_dot(a: Mapping, b: Mapping):
     if len(b) < len(a):
         a, b = b, a
     return sum(v * b[k] for k, v in a.items() if k in b)
-
-
-def wl_kernel_matrix(
-    graphs: Sequence[LabeledGraph],
-    wl_iters: int = 3,
-    normalize: bool = False,
-    dictionary: LabelDictionary | None = None,
-) -> np.ndarray:
-    """Gram matrix of the WL subtree kernel: K[i][j] = dot(phi(g_i), phi(g_j)).
-
-    With normalize=True returns K[i][j] / sqrt(K[i][i] * K[j][j]) so the
-    diagonal is exactly 1.
-    """
-    if dictionary is None:
-        dictionary = LabelDictionary()
-    vecs = wl_feature_vectors(graphs, wl_iters, dictionary)
-    m = len(vecs)
-    k = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            val = float(sparse_dot(vecs[i].counts, vecs[j].counts))
-            k[i, j] = val
-            k[j, i] = val
-    if normalize:
-        d = np.sqrt(np.diag(k))
-        d[d == 0] = 1.0
-        k = k / np.outer(d, d)
-        np.fill_diagonal(k, 1.0)
-    return k

@@ -1,9 +1,9 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately written from scratch against the definitions
-(Jacobi rotations, direct two-graph WL kernel, projected-gradient dual ascent,
-exhaustive path/permutation enumeration) so tests never share code with the
-paths they verify.
+(Jacobi rotations, direct two-graph WL kernel, pairwise kernel values,
+projected-gradient dual ascent, exhaustive path/permutation enumeration) so
+tests never share code with the paths they verify.
 """
 
 from __future__ import annotations
@@ -79,6 +79,30 @@ def wl_pair_kernel(g1, g2, iters: int) -> int:
             ])
         labels = new_labels
     return total
+
+
+def kernel_eval(spec, a, b) -> float:
+    """Exact pairwise kernel value from the definitions, on two sparse maps or
+    two dense vectors; sparse keys missing from one side count as zero."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        keys = set(a) | set(b)
+        xa = [float(a.get(k, 0.0)) for k in keys]
+        xb = [float(b.get(k, 0.0)) for k in keys]
+    elif isinstance(a, dict) or isinstance(b, dict):
+        raise ValueError("cannot mix sparse and dense vectors")
+    else:
+        xa = [float(t) for t in np.asarray(a, dtype=float).ravel()]
+        xb = [float(t) for t in np.asarray(b, dtype=float).ravel()]
+        if len(xa) != len(xb):
+            raise ValueError(f"vector lengths {len(xa)} vs {len(xb)}")
+    if spec.kind == "rbf":
+        return math.exp(-spec.gamma * sum((p - q) ** 2 for p, q in zip(xa, xb)))
+    dot = sum(p * q for p, q in zip(xa, xb))
+    if spec.kind == "linear":
+        return dot
+    if spec.kind == "polynomial":
+        return (dot + spec.coef0) ** spec.degree
+    raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
 
 def are_isomorphic(g1, g2) -> bool:

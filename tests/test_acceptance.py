@@ -29,7 +29,7 @@ from graphevade.graph_core import apply_flips, graph_hash
 from graphevade.learners import KernelSpec, kkt_max_residual, svm_predict, svm_train
 from graphevade.perturb import adjacency_matrix, eigencentrality
 from graphevade.synth_data import GeneratorConfig, generate
-from graphevade.wl_features import LabelDictionary, sparse_dot, wl_feature_vector, wl_feature_vectors
+from graphevade.wl_features import sparse_dot, wl_feature_vector, wl_feature_vectors
 from oracles import (
     dominant_eigenspace_cosine,
     dual_objective,
@@ -121,8 +121,7 @@ def test_criterion_2_wl_correctness():
         # (a) permutation invariance, 50 permutations per graph, exact equality
         for i in range(10):
             g = random_graph(int(rng.integers(2, 9)), 0.4, rng, graph_id=f"c2-{i}")
-            shared = LabelDictionary()
-            base = wl_feature_vector(g, 3, shared).counts
+            base = wl_feature_vector(g, 3).counts
             for _ in range(50):
                 perm = rng.permutation(g.n)
                 inv = np.argsort(perm)
@@ -134,18 +133,17 @@ def test_criterion_2_wl_correctness():
                     tuple((min(perm[u], perm[v]), max(perm[u], perm[v]), w)
                           for u, v, w in g.edges),
                 )
-                assert wl_feature_vector(permuted, 3, shared).counts == base
+                assert wl_feature_vector(permuted, 3).counts == base
         # (b) pairwise kernel equals the independent two-graph oracle, exactly
-        d = LabelDictionary()
         for i in range(200):
             g1 = random_graph(int(rng.integers(1, 8)), 0.4, rng, graph_id=f"c2p{i}a")
             g2 = random_graph(int(rng.integers(1, 8)), 0.4, rng, graph_id=f"c2p{i}b")
-            v1, v2 = wl_feature_vectors([g1, g2], 3, d)
+            v1, v2 = wl_feature_vectors([g1, g2], 3)
             assert sparse_dot(v1.counts, v2.counts) == wl_pair_kernel(g1, g2, 3)
         # (c) per-iteration histogram sums equal n
         for i in range(20):
             g = random_graph(int(rng.integers(1, 10)), 0.35, rng, graph_id=f"c2s{i}")
-            vec = wl_feature_vector(g, 3, LabelDictionary())
+            vec = wl_feature_vector(g, 3)
             assert vec.iteration_sums() == [g.n] * 4
         assert time.monotonic() - t0 < 10.0
 

@@ -12,9 +12,9 @@ from graphevade.attack_engine import (
     attack_testset,
     summary_to_json,
 )
-from graphevade.graph_core import apply_flips, graph_hash
+from graphevade.graph_core import GraphDataset, LabeledGraph, apply_flips, graph_hash
 from graphevade.synth_data import GeneratorConfig, generate
-from graphevade.target_lcd import QueryBudgetExhausted, train_target
+from graphevade.target_lcd import QueryBudgetExhausted, evaluate, train_target
 
 from conftest import make_graph, random_graph
 
@@ -151,6 +151,50 @@ def test_decline_recount_oracle(trained):
     n = len(summary.results)
     assert summary.decline_pp == pytest.approx(
         -(clean_correct - attacked_correct) / n * 100.0)
+
+
+def _per_graph(summary):
+    return [(r.graph_id, r.clean_label, r.attacked_label, r.outcome.beta,
+             r.outcome.best_loss, r.outcome.queries_used,
+             [rec.digest for rec in r.outcome.records]) for r in summary.results]
+
+
+def test_unperturbable_graph_comes_back_unattacked(trained):
+    ds, target = trained
+    test = ds.subset("test")
+    solo = LabeledGraph("solo", ("l00",), ("object",), ())
+    with_solo = GraphDataset.from_graphs(list(test.graphs) + [solo],
+                                         list(test.labels) + [1],
+                                         ["test"] * (len(test) + 1))
+    cfg = AttackConfig(r=3.0 / 900, max_queries=10, k_candidates=5, rounds=2, seed=37)
+    base = attack_testset(target, test, cfg)
+    summary = attack_testset(target, with_solo, cfg)
+    last = summary.results[-1]
+    assert last.graph_id == "solo"
+    assert last.outcome.beta == 0
+    assert last.outcome.records == ()
+    assert last.outcome.queries_used == 0
+    assert last.outcome.success is False
+    assert last.attacked_label == last.clean_label
+    assert _per_graph(summary)[:-1] == _per_graph(base)
+
+
+def test_success_rate_counts_only_clean_correct_graphs(trained):
+    ds, target = trained
+    test = ds.subset("test")
+    graphs = list(test.graphs[:6])
+    clean = [lab for lab, _ in evaluate(target, graphs)]
+    # graph 0 gets the label the target does not predict: wrong before any flip
+    labels = [-clean[0]] + clean[1:]
+    split = GraphDataset.from_graphs(graphs, labels, ["test"] * len(graphs))
+    cfg = AttackConfig(r=3.0 / 900, max_queries=10, k_candidates=5, rounds=2, seed=41)
+    summary = attack_testset(target, split, cfg)
+    assert summary.results[0].clean_label != summary.results[0].true_label
+    assert summary.results[0].outcome.success  # any query already disagrees with y
+    rest = summary.results[1:]
+    assert summary.success_rate == sum(r.outcome.success for r in rest) / len(rest)
+    none_right = GraphDataset.from_graphs(graphs[:2], [-c for c in clean[:2]], ["test"] * 2)
+    assert attack_testset(target, none_right, cfg).success_rate == 0.0
 
 
 def test_surrogate_training_set_matches_records(trained, monkeypatch):

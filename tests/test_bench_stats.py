@@ -130,11 +130,32 @@ def test_single_value_ci_collapses():
 
 def test_csv_roundtrip(rng):
     vals = rng.normal(size=(2, 3, 4))
-    t = table_from(vals, methods=("alpha", "beta", "gamma"), rows=("c1", "c2"))
-    back = ResultTable.from_csv(t.to_csv())
-    assert back.row_names == t.row_names
-    assert back.method_names == t.method_names
-    assert np.array_equal(back.values, t.values)
+    for methods, rows in ((("alpha", "beta", "gamma"), ("c1", "c2")),
+                          (("a,b", 'say "hi"', "m"), ("x\ny", "c2"))):
+        t = table_from(vals, methods=methods, rows=rows)
+        back = ResultTable.from_csv(t.to_csv())
+        assert back.row_names == t.row_names
+        assert back.method_names == t.method_names
+        assert np.array_equal(back.values, t.values)
+
+
+def test_csv_plain_names_unquoted(rng):
+    vals = rng.normal(size=(1, 2, 2))
+    t = table_from(vals, methods=("alpha", "beta"), rows=("c1",))
+    assert t.to_csv() == "row,method,rep,decline\n" + "".join(
+        f"c1,{m},{k},{float(vals[0, j, k])!r}\n"
+        for j, m in enumerate(("alpha", "beta")) for k in range(2))
+
+
+def test_csv_rejects_malformed_tables():
+    header = "row,method,rep,decline\n"
+    for body in ("c,a,0,-1.0\nc,a,2,-2.0\n",          # rep gap
+                 "c,a,1,-1.0\n",                        # reps not from 0
+                 "c,a,0,-1.0,extra\n",                  # too many fields
+                 "c,a,0,-1.0\nd,b,0,-1.0\n",           # methods differ per row
+                 ""):                                     # no data rows
+        with pytest.raises(ValueError):
+            ResultTable.from_csv(header + body)
 
 
 def test_cd_diagram_text_mentions_cliques():

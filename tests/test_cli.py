@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from graphevade.cli import main
@@ -115,7 +116,6 @@ BENCH_SPEC = {
     "seed": 42,
     "repetitions": 2,
     "alpha": 0.05,
-    "lambda": 0.1,
     "configs": {
         "tiny": {"n_train_per_class": 10, "n_test_per_class": 5},
     },
@@ -178,6 +178,30 @@ def test_rank_command_roundtrip(tmp_path):
                 "--out", rank_out, "--json"]) == 0
     assert (rank_out / "rank_report.json").read_bytes() == \
         (bench_out / "rank_report.json").read_bytes()
+
+
+def test_rank_quoted_names_roundtrip(tmp_path):
+    from graphevade.bench_stats import ResultTable
+
+    table = ResultTable(("a,b", 'say "hi"'), ("m,1", "m2"),
+                        np.arange(8, dtype=float).reshape(2, 2, 2) - 4.0)
+    path = tmp_path / "results.csv"
+    path.write_text(table.to_csv(), encoding="utf-8")
+    out = tmp_path / "rank"
+    assert run(["rank", "--table", path, "--out", out]) == 0
+    back = ResultTable.from_csv((out / "results.csv").read_text(encoding="utf-8"))
+    assert back.row_names == table.row_names
+    assert back.method_names == table.method_names
+    assert np.array_equal(back.values, table.values)
+    assert (out / "results.csv").read_bytes() == path.read_bytes()
+
+
+def test_rank_rep_gap_exit_2(tmp_path, capsys):
+    path = tmp_path / "results.csv"
+    path.write_text("row,method,rep,decline\n"
+                    "c,a,0,-1.0\nc,a,2,-2.0\nc,b,0,-1.5\nc,b,2,-0.5\n")
+    assert run(["rank", "--table", path, "--out", tmp_path / "rank"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_json_mode_stdout_is_pure_json(tmp_path, capsys):

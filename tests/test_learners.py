@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,19 +9,17 @@ from graphevade.learners import (
     DegenerateLabels,
     DimensionMismatch,
     KernelSpec,
-    kernel_eval,
     kkt_max_residual,
-    load_svm,
     median_heuristic_gamma,
     nb_predict,
     nb_train,
-    save_svm,
-    sigma_heuristic,
+    svm_from_json,
     svm_margins,
     svm_predict,
+    svm_to_json,
     svm_train,
 )
-from oracles import dual_objective, dual_qp_projected_gradient, jacobi_eigh
+from oracles import dual_objective, dual_qp_projected_gradient, jacobi_eigh, kernel_eval
 
 RBF1 = KernelSpec("rbf", gamma=1.0)
 XOR_X = [np.array(p, dtype=float) for p in ((0, 0), (0, 1), (1, 0), (1, 1))]
@@ -48,7 +47,7 @@ def test_kernels_match_dense_oracle(rng):
         da = np.array([a.get(k, 0.0) for k in keys])
         db = np.array([b.get(k, 0.0) for k in keys])
         for spec in (KernelSpec("linear"), KernelSpec("polynomial", degree=3, coef0=1.0),
-                     KernelSpec("rbf", gamma=0.3), KernelSpec("precomputed_wl")):
+                     KernelSpec("rbf", gamma=0.3)):
             sparse_val = kernel_eval(spec, a, b)
             dense_val = kernel_eval(spec, da, db)
             assert sparse_val == pytest.approx(dense_val, abs=1e-12)
@@ -56,9 +55,14 @@ def test_kernels_match_dense_oracle(rng):
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        kernel_eval(KernelSpec("linear"), np.array([1.0, 2.0]), np.array([1.0]))
+        svm_train([np.array([1.0, 2.0]), np.array([1.0])], [1, -1])
     with pytest.raises(DimensionMismatch):
-        kernel_eval(KernelSpec("linear"), {"a": 1.0}, np.array([1.0]))
+        svm_train([{"a": 1.0}, np.array([1.0])], [1, -1])
+    dense = svm_train([np.array([0.0, 1.0]), np.array([1.0, 0.0])], [1, -1])
+    with pytest.raises(DimensionMismatch):
+        svm_margins(dense, [np.array([1.0])])
+    with pytest.raises(DimensionMismatch):
+        svm_margins(dense, [{"a": 1.0}])
 
 
 def test_kernel_spec_validation():
@@ -72,46 +76,31 @@ def test_kernel_spec_validation():
         KernelSpec("polynomial", degree=0)
 
 
-# --- sigma heuristic ------------------------------------------------------------
-
-def test_sigma_heuristic_hand_computed():
-    vectors = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
-    # pairwise distances {1, 1, 2}: population sd = sqrt(2/9)
-    sigma_sq = 2.0 / 9.0
-    assert sigma_heuristic(vectors) == pytest.approx(1.0 / (2.0 * sigma_sq), rel=1e-12)
-
-
-def test_sigma_degenerate_cases():
-    with pytest.raises(DegenerateData):
-        sigma_heuristic([np.array([1.0]), np.array([3.0])])  # one distance
-    simplex = [{"a": 1.0}, {"b": 1.0}, {"c": 1.0}]  # all pairwise distances equal
-    with pytest.raises(DegenerateData):
-        sigma_heuristic(simplex)
-    with pytest.raises(ValueError):
-        sigma_heuristic([np.array([1.0])])
-
-
-def test_sigma_scaling_homogeneity(rng):
-    vectors = [rng.normal(size=3) for _ in range(8)]
-    g1 = sigma_heuristic(vectors)
-    g2 = sigma_heuristic([4.0 * v for v in vectors])
-    assert g2 == pytest.approx(g1 / 16.0, rel=1e-9)
-
-
-def test_sigma_sampled_branch_deterministic(rng):
-    vectors = [np.array([float(v)]) for v in rng.normal(size=600)]
-    a = sigma_heuristic(vectors, max_exact=512)
-    b = sigma_heuristic(vectors, max_exact=512)
-    assert a == b
-    exact = sigma_heuristic(vectors, max_exact=600)
-    assert a == pytest.approx(exact, rel=0.05)
-
+# --- median heuristic -----------------------------------------------------------
 
 def test_median_heuristic(rng):
     vectors = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
     assert median_heuristic_gamma(vectors) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(DegenerateData):
         median_heuristic_gamma([{"a": 0.0}, {"a": 0.0}, {"a": 0.0}])
+    with pytest.raises(ValueError):
+        median_heuristic_gamma([np.array([1.0])])
+
+
+def test_median_scaling_homogeneity(rng):
+    vectors = [rng.normal(size=3) for _ in range(8)]
+    g1 = median_heuristic_gamma(vectors)
+    g2 = median_heuristic_gamma([4.0 * v for v in vectors])
+    assert g2 == pytest.approx(g1 / 16.0, rel=1e-9)
+
+
+def test_median_sampled_branch_deterministic(rng):
+    vectors = [np.array([float(v)]) for v in rng.normal(size=600)]
+    a = median_heuristic_gamma(vectors, max_exact=512)
+    b = median_heuristic_gamma(vectors, max_exact=512)
+    assert a == b
+    exact = median_heuristic_gamma(vectors, max_exact=600)
+    assert a == pytest.approx(exact, rel=0.05)
 
 
 # --- SVM training ----------------------------------------------------------------
@@ -260,19 +249,20 @@ def test_sparse_training_and_unseen_keys(rng):
     assert svm_margins(model, [probe])[0] == pytest.approx(expected, rel=1e-12)
 
 
-def test_model_persistence_roundtrip(tmp_path, rng):
+def _json_roundtrip(model):
+    return svm_from_json(json.loads(json.dumps(svm_to_json(model))))
+
+
+def test_model_persistence_roundtrip(rng):
     x, y = _random_problem(rng, n=14, separable=True)
     model = svm_train(x, y, KernelSpec("rbf", gamma=0.4), C=2.0)
-    path = tmp_path / "model.json"
-    save_svm(model, path)
-    loaded = load_svm(path)
+    loaded = _json_roundtrip(model)
     probes = [rng.normal(size=3) for _ in range(10)]
     assert np.array_equal(svm_margins(model, probes), svm_margins(loaded, probes))
     assert loaded.spec == model.spec
     sparse = svm_train([{"a": 1.0}, {"b": 1.0}, {"a": 0.5, "b": 0.5}, {"b": 2.0}],
                        [1, -1, 1, -1], KernelSpec("linear"), C=1.0)
-    save_svm(sparse, path)
-    again = load_svm(path)
+    again = _json_roundtrip(sparse)
     probe = {"a": 0.3, "b": 0.4}
     assert svm_margins(again, [probe])[0] == pytest.approx(
         svm_margins(sparse, [probe])[0], rel=1e-12)

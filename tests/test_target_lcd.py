@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from graphevade.graph_core import EdgeFlip, apply_flips
+from graphevade.graph_core import EdgeFlip, LabeledGraph, apply_flips, write_dataset
 from graphevade.learners import DegenerateLabels
 from graphevade.synth_data import GeneratorConfig, generate
 from graphevade.target_lcd import (
@@ -13,6 +19,8 @@ from graphevade.target_lcd import (
     load_target,
     query,
     save_target,
+    target_from_json,
+    target_to_json,
     train_target,
 )
 
@@ -132,12 +140,22 @@ def test_black_box_wrapper_counts(target, small_ds):
 
 def test_query_time_labels_never_shift_model(target, small_ds):
     g = small_ds.graphs[0]
-    before = len(target.dictionary)
+    before = target_to_json(target)
+    probes = list(small_ds.graphs[:10])
+    expected = evaluate(target, probes)
     mutated = apply_flips(g, [EdgeFlip(0, g.n - 1, "add", weight=1.0)]
                           if not g.has_edge(0, g.n - 1)
                           else [EdgeFlip(0, g.n - 1, "remove")])
-    evaluate(target, [mutated])
-    assert len(target.dictionary) == before
+    unseen = LabeledGraph("u", ("never-seen",) + g.node_labels[1:], g.node_tiers, g.edges)
+    evaluate(target, [mutated, unseen])
+    assert target_to_json(target) == before
+    assert evaluate(target, probes) == expected
+
+
+def test_target_v1_file_rejected(target):
+    doc = {**target_to_json(target), "version": "target-v1", "dictionary": ["l00"]}
+    with pytest.raises(ValueError, match="target-v1"):
+        target_from_json(doc)
 
 
 def test_target_persistence_roundtrip(tmp_path, target, small_ds):
@@ -148,3 +166,24 @@ def test_target_persistence_roundtrip(tmp_path, target, small_ds):
     assert evaluate(loaded, graphs) == evaluate(target, graphs)
     assert loaded.wl_iters == target.wl_iters
     assert loaded.test_accuracy == target.test_accuracy
+
+
+def test_saved_target_evaluates_identically_in_another_process(tmp_path, target, small_ds):
+    model_path = tmp_path / "target.json"
+    data_path = tmp_path / "data.jsonl"
+    save_target(target, model_path)
+    write_dataset(small_ds, data_path)
+    script = (
+        "import json, sys\n"
+        "from graphevade.graph_core import read_dataset\n"
+        "from graphevade.target_lcd import evaluate, load_target\n"
+        "model = load_target(sys.argv[1])\n"
+        "json.dump(evaluate(model, read_dataset(sys.argv[2]).graphs), sys.stdout)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONHASHSEED": "271828",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, str(model_path), str(data_path)],
+                          env=env, capture_output=True, text=True, check=True)
+    there = [tuple(p) for p in json.loads(proc.stdout)]
+    assert there == evaluate(target, small_ds.graphs)

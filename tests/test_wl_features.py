@@ -1,15 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
-import pytest
 from hypothesis import given, settings
 
-from graphevade.graph_core import LabeledGraph
 from graphevade.wl_features import (
-    LabelDictionary,
     initial_labels,
     sparse_dot,
     wl_feature_vector,
     wl_feature_vectors,
-    wl_kernel_matrix,
     wl_relabel_step,
 )
 from oracles import are_isomorphic, jacobi_eigh, wl_pair_kernel
@@ -27,18 +29,26 @@ def permute(g, perm):
     )
 
 
+def wl_kernel_matrix(graphs, wl_iters, normalize=False):
+    """Gram matrix of the WL subtree kernel, K[i][j] = dot(phi(g_i), phi(g_j));
+    normalize divides by sqrt(K[i][i] K[j][j])."""
+    vecs = [v.counts for v in wl_feature_vectors(graphs, wl_iters)]
+    k = np.array([[float(sparse_dot(a, b)) for b in vecs] for a in vecs])
+    if normalize:
+        d = np.sqrt(np.diag(k))
+        k = k / np.outer(d, d)
+    return k
+
+
 def test_isolated_equal_nodes_stay_equal():
     g = make_graph(2, [], labels=["a", "a"])
-    d = LabelDictionary()
-    labels = initial_labels(g, d)
-    new = wl_relabel_step(g, labels, d)
+    new = wl_relabel_step(g, initial_labels(g))
     assert new[0] == new[1]
 
 
 def test_path_degree_asymmetry_after_one_step():
     g = make_graph(3, [(0, 1), (1, 2)], labels=["a", "a", "a"])
-    d = LabelDictionary()
-    new = wl_relabel_step(g, initial_labels(g, d), d)
+    new = wl_relabel_step(g, initial_labels(g))
     assert new[0] == new[2]
     assert new[0] != new[1]
 
@@ -49,12 +59,11 @@ def test_isomorphic_graphs_share_label_multisets(rng):
         perm = rng.permutation(g.n)
         h = permute(g, perm)
         assert are_isomorphic(g, h)
-        d = LabelDictionary()
-        lg, lh = initial_labels(g, d), initial_labels(h, d)
+        lg, lh = initial_labels(g), initial_labels(h)
         for _ in range(3):
             assert sorted(lg) == sorted(lh)
-            lg = wl_relabel_step(g, lg, d)
-            lh = wl_relabel_step(h, lh, d)
+            lg = wl_relabel_step(g, lg)
+            lh = wl_relabel_step(h, lh)
 
 
 def test_multiset_difference_implies_non_isomorphic(rng):
@@ -62,15 +71,14 @@ def test_multiset_difference_implies_non_isomorphic(rng):
     for trial in range(40):
         a = random_graph(5, 0.4, rng, graph_id=f"a{trial}")
         b = random_graph(5, 0.4, rng, graph_id=f"b{trial}")
-        da, db = LabelDictionary(), LabelDictionary()
-        la, lb = initial_labels(a, da), initial_labels(b, db)
+        la, lb = initial_labels(a), initial_labels(b)
         differ = False
         for _ in range(4):
-            if sorted(da.label_of(i) for i in la) != sorted(db.label_of(i) for i in lb):
+            if sorted(la) != sorted(lb):
                 differ = True
                 break
-            la = wl_relabel_step(a, la, da)
-            lb = wl_relabel_step(b, lb, db)
+            la = wl_relabel_step(a, la)
+            lb = wl_relabel_step(b, lb)
         if differ:
             found += 1
             assert not are_isomorphic(a, b)
@@ -79,24 +87,23 @@ def test_multiset_difference_implies_non_isomorphic(rng):
 
 def test_k2_h0_histogram():
     g = make_graph(2, [(0, 1)], labels=["a", "a"])
-    d = LabelDictionary()
-    vec = wl_feature_vector(g, 0, d)
-    assert vec.counts == {(0, 0): 2}
+    vec = wl_feature_vector(g, 0)
+    ((key, count),) = vec.counts.items()
+    assert key[0] == 0 and count == 2
 
 
 def test_iteration_sums_equal_n(rng):
     for trial in range(10):
         g = random_graph(7, 0.35, rng, graph_id=f"s{trial}")
-        vec = wl_feature_vector(g, 3, LabelDictionary())
+        vec = wl_feature_vector(g, 3)
         assert vec.iteration_sums() == [g.n] * 4
 
 
 def test_pair_kernel_matches_oracle(rng):
-    d = LabelDictionary()
     for trial in range(200):
         g1 = random_graph(6, 0.4, rng, graph_id=f"p{trial}a")
         g2 = random_graph(6, 0.4, rng, graph_id=f"p{trial}b")
-        v1, v2 = wl_feature_vectors([g1, g2], 3, d)
+        v1, v2 = wl_feature_vectors([g1, g2], 3)
         assert sparse_dot(v1.counts, v2.counts) == wl_pair_kernel(g1, g2, 3)
 
 
@@ -133,61 +140,61 @@ def test_kernel_cauchy_schwarz(rng):
 @settings(max_examples=40, deadline=None)
 @given(graph_strategy())
 def test_permutation_invariance_property(g):
-    # exact sparse-map equality holds under the run's shared dictionary
     rng = np.random.default_rng(7)
-    d = LabelDictionary()
-    base = wl_feature_vector(g, 3, d).counts
+    base = wl_feature_vector(g, 3).counts
     for _ in range(5):
         h = permute(g, rng.permutation(g.n))
-        assert wl_feature_vector(h, 3, d).counts == base
+        assert wl_feature_vector(h, 3).counts == base
 
 
 def test_monotone_label_refinement(rng):
     for trial in range(10):
         g = random_graph(7, 0.4, rng, graph_id=f"r{trial}")
-        d = LabelDictionary()
-        labels = initial_labels(g, d)
+        labels = initial_labels(g)
         prev = len(set(labels))
         for _ in range(3):
-            labels = wl_relabel_step(g, labels, d)
+            labels = wl_relabel_step(g, labels)
             cur = len(set(labels))
             assert cur >= prev
             prev = cur
 
 
-def test_dictionary_determinism(rng):
+def test_ids_independent_of_extraction_order(rng):
     graphs = [random_graph(6, 0.4, rng, graph_id=f"d{i}") for i in range(8)]
-    d1, d2 = LabelDictionary(), LabelDictionary()
-    v1 = [v.counts for v in wl_feature_vectors(graphs, 3, d1)]
-    v2 = [v.counts for v in wl_feature_vectors(graphs, 3, d2)]
-    assert v1 == v2
-    assert d1.snapshot() == d2.snapshot()
+    alone = [wl_feature_vector(g, 3).counts for g in graphs]
+    others = [random_graph(7, 0.5, rng, graph_id=f"o{i}") for i in range(5)]
+    wl_feature_vectors(others, 3)
+    mixed = wl_feature_vectors(others + graphs[::-1], 3)[len(others):]
+    # same keys, counts and first-seen key order
+    assert [list(v.counts.items()) for v in mixed[::-1]] == [list(c.items()) for c in alone]
 
 
-def test_dictionary_bidirectional():
-    d = LabelDictionary()
-    i = d.get_or_add("chair")
-    j = d.get_or_add("table")
-    assert d.get_or_add("chair") == i
-    assert d.label_of(j) == "table"
-    assert d.id_of("nope") is None
-    assert len(d) == 2
-
-
-def test_child_overlay_never_mutates_parent():
-    d = LabelDictionary(["a", "b"])
-    child = d.child()
-    assert child.get_or_add("a") == 0
-    new_id = child.get_or_add("zzz")
-    assert new_id == 2
-    assert len(d) == 2
-    assert d.id_of("zzz") is None
-    assert child.id_of("zzz") == 2
+def test_ids_independent_of_hash_seed(rng):
+    graphs = [random_graph(6, 0.4, rng, graph_id=f"h{i}") for i in range(4)]
+    here = [sorted([list(k), c] for k, c in wl_feature_vector(g, 3).counts.items())
+            for g in graphs]
+    script = (
+        "import json, sys\n"
+        "from graphevade.graph_core import LabeledGraph\n"
+        "from graphevade.wl_features import wl_feature_vector\n"
+        "out = []\n"
+        "for labels, tiers, edges in json.load(sys.stdin):\n"
+        "    g = LabeledGraph('g', tuple(labels), tuple(tiers), tuple(map(tuple, edges)))\n"
+        "    out.append(sorted([list(k), c] for k, c in wl_feature_vector(g, 3).counts.items()))\n"
+        "json.dump(out, sys.stdout)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    payload = json.dumps([[g.node_labels, g.node_tiers, g.edges] for g in graphs])
+    for hash_seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], input=payload, env=env,
+                              capture_output=True, text=True, check=True)
+        assert json.loads(proc.stdout) == here
 
 
 def test_vector_keys_align_across_graphs():
-    d = LabelDictionary()
     g1 = make_graph(2, [(0, 1)], labels=["a", "b"])
     g2 = make_graph(2, [(0, 1)], labels=["b", "a"])
-    v1, v2 = wl_feature_vectors([g1, g2], 1, d)
-    assert v1.counts == v2.counts  # isomorphic up to order, shared ids align
+    v1, v2 = wl_feature_vectors([g1, g2], 1)
+    assert v1.counts == v2.counts  # isomorphic up to order, ids are graph-only
