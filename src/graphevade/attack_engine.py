@@ -36,7 +36,7 @@ from .perturb import (
     plan_shortest_path,
 )
 from .target_lcd import BlackBoxQuery, QueryBudgetExhausted, attack_loss, evaluate
-from .wl_features import wl_feature_vector
+from .wl_features import wl_feature_vector, wl_feature_vectors
 
 STRATEGIES = ("eigencentrality", "random_walk", "shortest_path")
 SURROGATES = ("svm_rbf", "svm_linear", "svm_poly", "naive_bayes")
@@ -126,9 +126,12 @@ def _strategy_plans(g: LabeledGraph, budget: Budget, cfg: AttackConfig,
     return plan_shortest_path(g, budget, count, seed)
 
 
-def _train_scorer(vectors, losses, cfg: AttackConfig, seed: int):
-    """Fit the configured surrogate on binarized attack losses and return a
-    batch scoring callable (vectors -> P(high loss)), or (None, reason).
+_SINGLE_CLASS = "single-class records"
+
+
+def _binarize(losses) -> list[int] | None:
+    """Surrogate class labels of the attack losses, or None when they are
+    single-class and leave nothing to fit.
 
     Losses binarize at 0.5 (the prediction-flip threshold). Early stopping
     means flipped records are rare while the attack is still running, so when
@@ -142,7 +145,17 @@ def _train_scorer(vectors, losses, cfg: AttackConfig, seed: int):
         med = float(np.median(losses))
         labels = [1 if loss > med else -1 for loss in losses]
     if len(set(labels)) < 2:
-        return None, "single-class records"
+        return None
+    return labels
+
+
+def _train_scorer(vectors, losses, cfg: AttackConfig, seed: int):
+    """Fit the configured surrogate on binarized attack losses (see _binarize)
+    and return a batch scoring callable (vectors -> P(high loss)), or
+    (None, reason)."""
+    labels = _binarize(losses)
+    if labels is None:
+        return None, _SINGLE_CLASS
     try:
         if cfg.surrogate == "naive_bayes":
             model = nb_train(vectors, labels)
@@ -178,11 +191,12 @@ def _all_pairs(n: int) -> list[tuple[int, int]]:
 
 def _mutations(g: LabeledGraph, best_graph: LabeledGraph,
                best_flips: tuple[EdgeFlip, ...], beta: int,
-               rng: np.random.Generator, count: int) -> list[tuple[EdgeFlip, ...]]:
+               rng: np.random.Generator, count: int,
+               pairs: list[tuple[int, int]]) -> list[tuple[EdgeFlip, ...]]:
     """One-flip local mutations of the incumbent, staying within beta flips of
-    the original (measured as edge-set symmetric difference)."""
+    the original (measured as edge-set symmetric difference); pairs is
+    _all_pairs(g.n)."""
     diff = g.edge_pairs ^ best_graph.edge_pairs
-    pairs = _all_pairs(g.n)
     revert_only = sorted(diff)
     out = []
     for _ in range(count):
@@ -223,8 +237,11 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         return AttackOutcome(g.graph_id, int(y), 0, g, (), 0.0, False,
                              query_iface.queries_used, (), ())
     scores = eigencentrality(g) if cfg.strategy == "eigencentrality" else None
+    pairs = _all_pairs(g.n)
     records: list[AttackRecord] = []
-    record_vectors: list[dict] = []
+    # surrogate training set: one vector per loss, None until featurised
+    record_vectors: list[dict | None] = []
+    unfeaturised: list[tuple[int, LabeledGraph]] = []
     losses: list[float] = []
     queried: set[str] = set()
     diagnostics: list[dict] = []
@@ -236,12 +253,12 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         record_vectors.append(wl_feature_vector(g, cfg.wl_iters).counts)
         losses.append(attack_loss(clean_observation, y))
 
-    def consider(candidate: LabeledGraph, flips: tuple[EdgeFlip, ...]) -> bool:
-        """Query one fresh candidate; returns True on a prediction flip."""
+    def consider(candidate: LabeledGraph, flips: tuple[EdgeFlip, ...], digest: str,
+                 vector: dict | None) -> bool:
+        """Query one candidate whose digest is not yet queried; vector holds its
+        features when a scored pool computed them. Returns True on a
+        prediction flip."""
         nonlocal best_loss, best_graph, best_flips, exhausted
-        digest = graph_hash(candidate)
-        if digest in queried:
-            return False
         try:
             observed = query_iface.query(candidate)
         except QueryBudgetExhausted:
@@ -253,7 +270,9 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         rec = AttackRecord(digest, flips, observed[0], observed[1], loss,
                            success, len(records))
         records.append(rec)
-        record_vectors.append(wl_feature_vector(candidate, cfg.wl_iters).counts)
+        if vector is None:
+            unfeaturised.append((len(record_vectors), candidate))
+        record_vectors.append(vector)
         losses.append(loss)
         if loss > best_loss:
             best_loss = loss
@@ -268,36 +287,45 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         # round 0 queries raw strategy plans; guided rounds draw a wider pool
         # (3x strategy windows plus local mutations) for the surrogate to cull
         pool_k = cfg.k_candidates if round_idx == 0 else 3 * cfg.k_candidates
-        pool: list[tuple[LabeledGraph, tuple[EdgeFlip, ...]]] = []
+        # (candidate, flips, features or None until a surrogate scores the pool)
+        pool: list[tuple[LabeledGraph, tuple[EdgeFlip, ...], dict | None]] = []
         for plan in _strategy_plans(g, budget, cfg, round_idx, pool_k, scores):
             if plan.flips:
-                pool.append((apply_flips(g, plan.flips), plan.flips))
+                pool.append((apply_flips(g, plan.flips), plan.flips, None))
         if round_idx > 0 and records:
             mut_rng = np.random.default_rng(
                 _stream_seed(cfg.seed, g.graph_id, "mutate", round_idx))
             for flips in _mutations(g, best_graph, best_flips, budget.beta,
-                                    mut_rng, 2 * cfg.k_candidates):
-                pool.append((apply_flips(best_graph, flips[-1:]), flips))
+                                    mut_rng, 2 * cfg.k_candidates, pairs):
+                pool.append((apply_flips(best_graph, flips[-1:]), flips, None))
         note = "strategy-only"
         if round_idx > 0 and len(losses) >= 2:
-            scorer, note = _train_scorer(record_vectors, losses, cfg,
-                                         _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
+            scorer, note = None, _SINGLE_CLASS
+            # records that stay single-class (hard labels) are never featurised
+            if _binarize(losses) is not None:
+                if unfeaturised:
+                    vecs = wl_feature_vectors([c for _, c in unfeaturised], cfg.wl_iters)
+                    for (i, _), v in zip(unfeaturised, vecs):
+                        record_vectors[i] = v.counts
+                    unfeaturised.clear()
+                scorer, note = _train_scorer(
+                    record_vectors, losses, cfg,
+                    _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
             if scorer is not None and pool:
-                vecs = [wl_feature_vector(cand, cfg.wl_iters).counts
-                        for cand, _ in pool]
+                vecs = [v.counts for v in wl_feature_vectors([c for c, _, _ in pool], cfg.wl_iters)]
                 order = np.argsort(-scorer(vecs), kind="stable")
-                pool = [pool[int(i)] for i in order]
+                pool = [(pool[i][0], pool[i][1], vecs[i]) for i in order.tolist()]
             elif scorer is None:
                 note = f"fallback:{note}"
         fresh = 0
-        for candidate, flips in pool:
+        for candidate, flips, vector in pool:
             if fresh >= cfg.k_candidates or exhausted:
                 break
             digest = graph_hash(candidate)
             if digest in queried:
                 continue
             fresh += 1
-            if consider(candidate, flips):
+            if consider(candidate, flips, digest, vector):
                 done = True
                 break
         diagnostics.append({"round": round_idx, "surrogate": note,

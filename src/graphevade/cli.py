@@ -140,7 +140,10 @@ def _attack_config(args) -> AttackConfig:
 
 
 def cmd_attack(args) -> int:
-    model = load_target(args.model)
+    try:
+        model = load_target(args.model)
+    except ValueError as exc:  # an unsupported model version or a malformed field
+        raise InvalidConfig(f"model {args.model}: {exc}") from exc
     ds = read_dataset(args.dataset)
     test = ds.subset("test")
     if len(test) == 0:

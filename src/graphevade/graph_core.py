@@ -5,8 +5,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 TIERS = ("object", "feature")
@@ -107,6 +109,16 @@ class LabeledGraph:
         canon.sort()
         object.__setattr__(self, "edges", tuple(canon))
 
+    @classmethod
+    def _trusted(cls, graph_id: str, node_labels: tuple[str, ...], node_tiers: tuple[str, ...],
+                 edges: tuple[tuple[int, int, float], ...]) -> "LabeledGraph":
+        """Build from fields that already hold every invariant, edges canonical,
+        without validating them again."""
+        g = object.__new__(cls)
+        g.__dict__.update(graph_id=graph_id, node_labels=node_labels,
+                          node_tiers=node_tiers, edges=edges)
+        return g
+
     @property
     def n(self) -> int:
         return len(self.node_labels)
@@ -128,7 +140,7 @@ class LabeledGraph:
             adj[v].append(u)
         return tuple(tuple(sorted(a)) for a in adj)
 
-    @property
+    @cached_property
     def mean_weight(self) -> float:
         """Mean edge weight; 1.0 for an edgeless graph (default weight for added edges)."""
         if not self.edges:
@@ -146,7 +158,10 @@ def apply_flips(g: LabeledGraph, flips: Sequence[EdgeFlip]) -> LabeledGraph:
 
     Each flip must be applicable against the running edge set; an add on an
     existing edge or a remove on a missing edge raises InapplicableFlip
-    (it signals a buggy strategy, so the whole application aborts).
+    (it signals a buggy strategy, so the whole application aborts), and an
+    add outside the node range raises ValueError. With those checks and
+    EdgeFlip's own (u < v, weight finite and >= 0), the result holds every
+    LabeledGraph invariant, so it is built without validating it again.
     """
     weights = dict(g.edge_weights)
     for flip in flips:
@@ -154,8 +169,10 @@ def apply_flips(g: LabeledGraph, flips: Sequence[EdgeFlip]) -> LabeledGraph:
         if flip.direction == "add":
             if pair in weights:
                 raise InapplicableFlip(f"add on existing edge {pair}")
+            if not (0 <= flip.u and flip.v < g.n):
+                raise ValueError(f"edge {pair} endpoint out of range for n={g.n}")
             if flip.weight is not None:
-                w = flip.weight
+                w = float(flip.weight)
             elif weights:
                 w = sum(weights.values()) / len(weights)
             else:
@@ -166,23 +183,23 @@ def apply_flips(g: LabeledGraph, flips: Sequence[EdgeFlip]) -> LabeledGraph:
                 raise InapplicableFlip(f"remove on missing edge {pair}")
             del weights[pair]
     edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    return LabeledGraph(g.graph_id, g.node_labels, g.node_tiers, edges)
+    return LabeledGraph._trusted(g.graph_id, g.node_labels, g.node_tiers, edges)
 
 
 def graph_hash(g: LabeledGraph) -> str:
     """Structural digest: equal canonical graphs (ignoring graph_id) hash equal.
 
-    Used to deduplicate queried perturbations in the attack loop.
+    sha256 over the length-prefixed reprs of the label and tier tuples, then
+    the canonical edge triples as little-endian doubles. Used to deduplicate
+    queried perturbations in the attack loop.
     """
-    payload = json.dumps(
-        {
-            "labels": list(g.node_labels),
-            "tiers": list(g.node_tiers),
-            "edges": [[u, v, w] for u, v, w in g.edges],
-        },
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    labels = repr(g.node_labels).encode("utf-8")
+    tiers = repr(g.node_tiers).encode("utf-8")
+    h = hashlib.sha256(struct.pack("<QQ", len(labels), len(tiers)))
+    h.update(labels)
+    h.update(tiers)
+    h.update(struct.pack(f"<{3 * len(g.edges)}d", *chain.from_iterable(g.edges)))
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)

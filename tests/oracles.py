@@ -1,13 +1,15 @@
 """Independent reference implementations used only to check the library.
 
 Everything here is deliberately written from scratch against the definitions
-(Jacobi rotations, direct two-graph WL kernel, pairwise kernel values,
+(Jacobi rotations, direct two-graph WL kernel, per-node hashed WL
+histograms, pairwise kernel values,
 projected-gradient dual ascent, exhaustive path/permutation enumeration) so
 tests never share code with the paths they verify.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 from collections import Counter
@@ -79,6 +81,33 @@ def wl_pair_kernel(g1, g2, iters: int) -> int:
             ])
         labels = new_labels
     return total
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(x: int) -> int:
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def wl_histogram(g, iters: int) -> dict:
+    """One graph's hashed WL histogram, node by node in plain integers:
+    (h, label id) -> count, keys in first-seen node order within each h.
+    Level 0 ids are 8-byte little-endian blake2b digests of the label; a step
+    maps node v to splitmix64(own * golden + sum of splitmix64(neighbour))
+    modulo 2**64."""
+    labels = [int.from_bytes(hashlib.blake2b(lab.encode("utf-8"), digest_size=8).digest(),
+                             "little") for lab in g.node_labels]
+    counts: dict = {}
+    for h in range(iters + 1):
+        for lab in labels:
+            counts[(h, lab)] = counts.get((h, lab), 0) + 1
+        labels = [_splitmix64((labels[v] * 0x9E3779B97F4A7C15
+                               + sum(_splitmix64(labels[u]) for u in g.neighbors[v])) & _MASK64)
+                  for v in range(g.n)]
+    return counts
 
 
 def kernel_eval(spec, a, b) -> float:

@@ -217,6 +217,98 @@ def test_surrogate_training_set_matches_records(trained, monkeypatch):
         assert n_vec == n_loss  # clean anchor plus one row per record
 
 
+class WorkCounter:
+    """Wraps the attacker's hash and WL entry points, keeping every graph they
+    were given (kept alive, so ids stay unique)."""
+
+    def __init__(self, monkeypatch):
+        self.reset()
+        hash_fn = engine_module.graph_hash
+        single_fn = engine_module.wl_feature_vector
+        batch_fn = engine_module.wl_feature_vectors
+
+        def counted_hash(g):
+            self.hashed.append(g)
+            return hash_fn(g)
+
+        def counted_single(g, wl_iters):
+            self.single.append(g)
+            return single_fn(g, wl_iters)
+
+        def counted_batch(graphs, wl_iters):
+            self.batch_calls += 1
+            self.batched.extend(graphs)
+            return batch_fn(graphs, wl_iters)
+
+        monkeypatch.setattr(engine_module, "graph_hash", counted_hash)
+        monkeypatch.setattr(engine_module, "wl_feature_vector", counted_single)
+        monkeypatch.setattr(engine_module, "wl_feature_vectors", counted_batch)
+
+    def reset(self):
+        self.hashed, self.single, self.batched, self.batch_calls = [], [], [], 0
+
+    def featurised(self, g) -> int:
+        return sum(x is g for x in self.single + self.batched)
+
+
+class RecordingQuery:
+    def __init__(self, iface):
+        self.iface = iface
+        self.asked = []
+
+    def query(self, g):
+        self.asked.append(g)
+        return self.iface.query(g)
+
+    @property
+    def queries_used(self):
+        return self.iface.queries_used
+
+
+def test_each_candidate_hashed_and_featurised_at_most_once(trained, monkeypatch):
+    ds, target = trained
+    from graphevade.target_lcd import BlackBoxQuery
+    test = ds.subset("test")
+    cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=6, rounds=3, seed=23)
+    clean = evaluate(target, list(test.graphs))
+    counter = WorkCounter(monkeypatch)
+    guided = 0
+    for g, y, obs in zip(test.graphs, test.labels, clean):
+        counter.reset()
+        iface = RecordingQuery(BlackBoxQuery(target, cfg.max_queries))
+        out = attack_one(iface, g, y, cfg, clean_observation=obs)
+        guided += sum(d["surrogate"] == "trained" for d in out.diagnostics)
+        assert len(iface.asked) == len(out.records)
+        assert counter.single == [g]  # the clean anchor
+        for cand in iface.asked:
+            assert counter.featurised(cand) <= 1
+        ids = [id(x) for x in counter.hashed]
+        assert len(ids) == len(set(ids))  # no pool entry hashed twice
+        assert {id(c) for c in iface.asked} <= set(ids)
+    assert guided  # some pools were scored, so their features were reused
+
+
+def test_hard_label_attack_featurises_only_the_clean_anchor(trained, monkeypatch):
+    ds, target = trained
+    from graphevade.target_lcd import BlackBoxQuery
+    test = ds.subset("test")
+    cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=6, rounds=3,
+                       oracle="label", seed=23)
+    clean = evaluate(target, list(test.graphs))
+    counter = WorkCounter(monkeypatch)
+    attacked = 0
+    for g, y, (label, _) in zip(test.graphs, test.labels, clean):
+        if label != y:
+            continue  # a clean loss of 1 would make the records two-class
+        counter.reset()
+        out = attack_one(BlackBoxQuery(target, cfg.max_queries, "label"), g, y, cfg,
+                         clean_observation=(label, 1.0))
+        attacked += len(out.records) > cfg.k_candidates
+        assert counter.single == [g]
+        assert counter.batch_calls == 0
+    assert attacked  # some attacks ran guided rounds
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         AttackConfig(strategy="teleport")

@@ -112,6 +112,19 @@ def test_attack_label_oracle_runs(tmp_path, gen_dir, model_dir):
     assert confs and all(c == 1.0 for c in confs)
 
 
+def test_attack_stale_model_version_exit_2(tmp_path, gen_dir, model_dir, capsys):
+    doc = json.loads((model_dir / "model.json").read_text())
+    doc["version"] = "target-v1"
+    doc["dictionary"] = ["l00"]
+    stale = tmp_path / "v1.json"
+    stale.write_text(json.dumps(doc))
+    assert run(["attack", "--model", stale, "--dataset", gen_dir / "dataset.jsonl",
+                "--out", tmp_path / "out", "--max-queries", "0"]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "target-v1" in err
+
+
 BENCH_SPEC = {
     "seed": 42,
     "repetitions": 2,

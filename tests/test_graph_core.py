@@ -114,6 +114,66 @@ def test_hash_ignores_graph_id():
     assert graph_hash(a) == graph_hash(b)
 
 
+@st.composite
+def applicable_flips(draw, g):
+    """A flip sequence valid against the running edge set: pairs may repeat,
+    adds carry no weight (mean of the running edges) or an explicit one."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    if not pairs:
+        return []
+    present = set(g.edge_pairs)
+    flips = []
+    for u, v in draw(st.lists(st.sampled_from(pairs), max_size=8)):
+        if (u, v) in present:
+            present.discard((u, v))
+            flips.append(EdgeFlip(u, v, "remove"))
+        else:
+            present.add((u, v))
+            weight = draw(st.none() | st.floats(min_value=0.0, max_value=10.0))
+            flips.append(EdgeFlip(u, v, "add", weight=weight))
+    return flips
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_strategy(), st.data())
+def test_apply_flips_equals_validated_graph(g, data):
+    out = apply_flips(g, data.draw(applicable_flips(g)))
+    validated = LabeledGraph(out.graph_id, out.node_labels, out.node_tiers, out.edges)
+    assert out == validated
+    assert graph_hash(out) == graph_hash(validated)
+    assert out.edge_pairs == validated.edge_pairs
+    assert out.mean_weight == validated.mean_weight
+
+
+def test_apply_flips_rejects_out_of_range_add():
+    g = make_graph(3, [(0, 1)])
+    with pytest.raises(ValueError):
+        apply_flips(g, [EdgeFlip(1, 3, "add")])
+    with pytest.raises(ValueError):
+        apply_flips(g, [EdgeFlip(-1, 2, "add")])
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_strategy(), st.randoms(use_true_random=False))
+def test_hash_ignores_graph_id_and_edge_input_order(g, rnd):
+    shuffled = [(v, u, w) if rnd.random() < 0.5 else (u, v, w) for u, v, w in g.edges]
+    rnd.shuffle(shuffled)
+    other = LabeledGraph("another-id", g.node_labels, g.node_tiers, tuple(shuffled))
+    assert graph_hash(other) == graph_hash(g)
+
+
+def test_hash_separates_label_splits_and_close_weights():
+    def digest(labels, edges=()):
+        return graph_hash(make_graph(len(labels), edges, labels=labels))
+    variants = [("ab", "c"), ("a", "bc"), ("a,b", "c"), ("a", "b,c"), ("a'", "c"),
+                ('a"', "c"), ("a', 'c",), ("a", "'c"), ("a\\", "c")]
+    assert len({digest(v) for v in variants}) == len(variants)
+    assert digest(("a", "b"), [(0, 1, 0.3)]) != digest(("a", "b"), [(0, 1, 0.1 + 0.2)])
+    tiers = [LabeledGraph("g", ("a", "b"), t, ()) for t in
+             (("object", "feature"), ("feature", "object"), ("object", "object"))]
+    assert len({graph_hash(t) for t in tiers}) == 3
+
+
 def test_dataset_roundtrip_file(tmp_path):
     ds = generate(GeneratorConfig(n_train_per_class=10, n_test_per_class=5, seed=7))
     path = tmp_path / "ds.jsonl"

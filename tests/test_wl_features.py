@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphevade.wl_features import (
     initial_labels,
@@ -14,7 +15,7 @@ from graphevade.wl_features import (
     wl_feature_vectors,
     wl_relabel_step,
 )
-from oracles import are_isomorphic, jacobi_eigh, wl_pair_kernel
+from oracles import are_isomorphic, jacobi_eigh, wl_histogram, wl_pair_kernel
 
 from conftest import graph_strategy, make_graph, random_graph
 
@@ -145,6 +146,30 @@ def test_permutation_invariance_property(g):
     for _ in range(5):
         h = permute(g, rng.permutation(g.n))
         assert wl_feature_vector(h, 3).counts == base
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(graph_strategy(), max_size=6), st.integers(min_value=0, max_value=3))
+def test_batch_equals_each_graph_alone(graphs, wl_iters):
+    batch = wl_feature_vectors(graphs, wl_iters)
+    assert len(batch) == len(graphs)
+    for g, vec in zip(graphs, batch):
+        # same keys, counts and first-seen key order
+        alone = list(wl_feature_vector(g, wl_iters).counts.items())
+        assert list(vec.counts.items()) == alone
+        assert alone == list(wl_histogram(g, wl_iters).items())
+
+
+def test_batch_of_mixed_sizes(rng):
+    graphs = [make_graph(1, []), random_graph(9, 0.4, rng, graph_id="big"),
+              make_graph(2, [], labels=["a", "b"]), make_graph(2, [(0, 1)]),
+              random_graph(5, 0.0, rng, graph_id="edgeless"), make_graph(1, [], labels=["c"])]
+    assert wl_feature_vectors([], 3) == []
+    for wl_iters in (0, 1, 3):
+        batch = wl_feature_vectors(graphs, wl_iters)
+        assert [list(v.counts.items()) for v in batch] == [
+            list(wl_histogram(g, wl_iters).items()) for g in graphs]
+        assert [v.iteration_sums() for v in batch] == [[g.n] * (wl_iters + 1) for g in graphs]
 
 
 def test_monotone_label_refinement(rng):
