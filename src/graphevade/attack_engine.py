@@ -287,17 +287,21 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         # round 0 queries raw strategy plans; guided rounds draw a wider pool
         # (3x strategy windows plus local mutations) for the surrogate to cull
         pool_k = cfg.k_candidates if round_idx == 0 else 3 * cfg.k_candidates
-        # (candidate, flips, features or None until a surrogate scores the pool)
-        pool: list[tuple[LabeledGraph, tuple[EdgeFlip, ...], dict | None]] = []
+        # (base, step, flips): the candidate is apply_flips(base, step), and
+        # flips takes g to it
+        pool: list[tuple[LabeledGraph, tuple[EdgeFlip, ...], tuple[EdgeFlip, ...]]] = []
         for plan in _strategy_plans(g, budget, cfg, round_idx, pool_k, scores):
             if plan.flips:
-                pool.append((apply_flips(g, plan.flips), plan.flips, None))
+                pool.append((g, plan.flips, plan.flips))
         if round_idx > 0 and records:
             mut_rng = np.random.default_rng(
                 _stream_seed(cfg.seed, g.graph_id, "mutate", round_idx))
             for flips in _mutations(g, best_graph, best_flips, budget.beta,
                                     mut_rng, 2 * cfg.k_candidates, pairs):
-                pool.append((apply_flips(best_graph, flips[-1:]), flips, None))
+                pool.append((best_graph, flips[-1:], flips))
+        # (candidate, flips, features): an unscored pool builds each candidate
+        # only when the loop below reaches it
+        entries = ((apply_flips(base, step), flips, None) for base, step, flips in pool)
         note = "strategy-only"
         if round_idx > 0 and len(losses) >= 2:
             scorer, note = None, _SINGLE_CLASS
@@ -312,21 +316,23 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
                     record_vectors, losses, cfg,
                     _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
             if scorer is not None and pool:
-                vecs = [v.counts for v in wl_feature_vectors([c for c, _, _ in pool], cfg.wl_iters)]
+                cands = [apply_flips(base, step) for base, step, _ in pool]
+                vecs = [v.counts for v in wl_feature_vectors(cands, cfg.wl_iters)]
                 order = np.argsort(-scorer(vecs), kind="stable")
-                pool = [(pool[i][0], pool[i][1], vecs[i]) for i in order.tolist()]
+                entries = [(cands[i], pool[i][2], vecs[i]) for i in order.tolist()]
             elif scorer is None:
                 note = f"fallback:{note}"
         fresh = 0
-        for candidate, flips, vector in pool:
-            if fresh >= cfg.k_candidates or exhausted:
-                break
+        # the stop test comes after a query, so no entry is built past it
+        for candidate, flips, vector in entries:
             digest = graph_hash(candidate)
             if digest in queried:
                 continue
             fresh += 1
             if consider(candidate, flips, digest, vector):
                 done = True
+                break
+            if fresh >= cfg.k_candidates or exhausted:
                 break
         diagnostics.append({"round": round_idx, "surrogate": note,
                             "pool": len(pool), "queried": fresh,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -542,6 +543,11 @@ class TrainedNaiveBayes:
     priors: np.ndarray
     smoothing: float
 
+    @cached_property
+    def index(self) -> dict | None:
+        """Column of each training key, built once per model."""
+        return None if self.keys is None else {k: i for i, k in enumerate(self.keys)}
+
 
 def nb_train(X: Sequence, y: Sequence, smoothing: float = 1e-9) -> TrainedNaiveBayes:
     """Gaussian naive Bayes; every variance gets += smoothing * max variance so
@@ -568,7 +574,7 @@ def nb_train(X: Sequence, y: Sequence, smoothing: float = 1e-9) -> TrainedNaiveB
 
 def nb_predict(model: TrainedNaiveBayes, x) -> tuple[int, float]:
     """Returns (label, P(y=+1 | x)) by log-posterior comparison."""
-    xq, res = _project([x], model.keys)
+    xq, res = _project([x], model.keys, model.index)
     del res  # unseen keys carry no trained density
     row = xq[0]
     ll = []

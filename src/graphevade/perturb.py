@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left, insort
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -68,6 +71,14 @@ class CentralityScores:
         if np.any(x < 0):
             raise ValueError("centrality entries must be nonnegative")
 
+    @cached_property
+    def ranking(self) -> tuple[tuple[int, int], ...]:
+        """All unordered node pairs by score product X_u * X_v descending, ties
+        broken by (u, v) lexicographic order; computed once per scores."""
+        iu, iv = _upper_pairs(self.x.shape[0])
+        order = np.lexsort((iv, iu, -self.x[iu] * self.x[iv]))
+        return tuple(zip(iu[order].tolist(), iv[order].tolist()))
+
 
 @dataclass(frozen=True)
 class PerturbationPlan:
@@ -75,6 +86,16 @@ class PerturbationPlan:
 
     flips: tuple[EdgeFlip, ...]
     strategy: str
+
+
+@lru_cache(maxsize=64)
+def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(n, 1), read-only: every (u, v) with u < v, in
+    lexicographic order."""
+    iu, iv = np.triu_indices(n, 1)
+    iu.setflags(write=False)
+    iv.setflags(write=False)
+    return iu, iv
 
 
 def adjacency_matrix(g: LabeledGraph) -> np.ndarray:
@@ -100,8 +121,8 @@ def eigencentrality(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 100_000
     x = np.full(g.n, 1.0 / math.sqrt(g.n))
     for it in range(1, max_iter + 1):
         x_new = m @ x
-        x_new /= np.linalg.norm(x_new)
-        if float(np.max(np.abs(x_new - x))) < tol:
+        x_new /= math.sqrt(x_new @ x_new)
+        if float(np.abs(x_new - x).max()) < tol:
             x = x_new
             lam = float(x @ a @ x)
             x = np.clip(x, 0.0, None)
@@ -114,11 +135,7 @@ def eigencentrality(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 100_000
 def ranked_pairs(scores: CentralityScores) -> list[tuple[int, int]]:
     """All unordered node pairs sorted by score product X_u * X_v descending,
     ties broken by (u, v) lexicographic order."""
-    x = scores.x
-    n = x.shape[0]
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    pairs.sort(key=lambda p: (-(x[p[0]] * x[p[1]]), p[0], p[1]))
-    return pairs
+    return list(scores.ranking)
 
 
 def _flip_for_pair(g: LabeledGraph, pair: tuple[int, int]) -> EdgeFlip:
@@ -147,7 +164,7 @@ def plan_eigencentrality(
     """
     if scores is None:
         scores = eigencentrality(g)
-    pairs = ranked_pairs(scores)
+    pairs = scores.ranking
     if budget.beta > len(pairs):
         raise BudgetExceedsPairs(f"beta={budget.beta} > {len(pairs)} pairs")
     n_plans = min(k_candidates, max(0, len(pairs) - budget.beta + 1 - offset))
@@ -202,17 +219,39 @@ def plan_random_walk(
     return plans
 
 
-def _dijkstra_lex(
-    weights: dict[tuple[int, int], float], n: int, s: int, t: int
-) -> tuple[float, tuple[int, ...]] | None:
-    """Weighted shortest s-t path; among equal-cost paths, the lexicographically
-    smallest node sequence wins. Returns (distance, path) or None if unreachable."""
+def _adjacency(weights: Mapping[tuple[int, int], float], n: int) -> list[list[tuple[int, float]]]:
+    """(neighbour, weight) lists, one per node, sorted by neighbour."""
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for (u, v), w in weights.items():
         adj[u].append((v, w))
         adj[v].append((u, w))
     for lst in adj:
         lst.sort()
+    return adj
+
+
+def _components(adj: list[list[tuple[int, float]]]) -> np.ndarray:
+    """Component label of every node: the smallest node of its component."""
+    comp = [-1] * len(adj)
+    for root in range(len(adj)):
+        if comp[root] >= 0:
+            continue
+        comp[root] = root
+        stack = [root]
+        while stack:
+            for w, _ in adj[stack.pop()]:
+                if comp[w] < 0:
+                    comp[w] = root
+                    stack.append(w)
+    return np.array(comp)
+
+
+def _dijkstra_lex(
+    adj: list[list[tuple[int, float]]], s: int, t: int
+) -> tuple[float, tuple[int, ...]] | None:
+    """Weighted shortest s-t path over a sorted adjacency (see _adjacency);
+    among equal-cost paths, the lexicographically smallest node sequence wins.
+    Returns (distance, path) or None if unreachable."""
     heap: list[tuple[float, tuple[int, ...]]] = [(0.0, (s,))]
     done: set[int] = set()
     while heap:
@@ -223,36 +262,16 @@ def _dijkstra_lex(
         done.add(v)
         if v == t:
             return dist, path
-        in_path = set(path)
+        # every node of path is done, so this also keeps paths simple
         for w, wt in adj[v]:
-            if w not in done and w not in in_path:
+            if w not in done:
                 heapq.heappush(heap, (dist + wt, path + (w,)))
     return None
 
 
-def _connected_pairs(weights: dict[tuple[int, int], float], n: int) -> list[tuple[int, int]]:
-    parent = list(range(n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v in weights:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if find(u) == find(v)
-    ]
-
-
 def _shortest_path_flips(
-    g: LabeledGraph, beta: int, rng: np.random.Generator
+    g: LabeledGraph, beta: int, rng: np.random.Generator,
+    adj: list[list[tuple[int, float]]], comp: np.ndarray,
 ) -> tuple[EdgeFlip, ...]:
     """Flip sequence for one shortest-path plan.
 
@@ -262,30 +281,42 @@ def _shortest_path_flips(
     Each pair is flipped at most once so flips stay pairwise distinct; when the
     current (s, t) offers nothing further (disconnected or all path edges
     already used), a new connected pair is sampled.
+
+    adj and comp are g's sorted adjacency and component labels, shared by the
+    plans of one call: the adjacency is copied and then edited in place flip
+    by flip. Components change only on a removal (a shortcut joins two nodes
+    that are already connected). A pair is drawn by its index among the
+    still-open connected pairs in lexicographic order.
     """
     weights = dict(g.edge_weights)
+    adj = [lst.copy() for lst in adj]
+    iu, iv = _upper_pairs(g.n)
+    connected = comp[iu] == comp[iv]
+    stuck = np.zeros(iu.shape[0], dtype=bool)
     mean_w = g.mean_weight
     flips: list[EdgeFlip] = []
     used: set[tuple[int, int]] = set()
-    stuck: set[tuple[int, int]] = set()
     attempts = 0
     max_attempts = 20 + 4 * beta
     while len(flips) < beta and attempts < max_attempts:
         attempts += 1
-        pool = [p for p in _connected_pairs(weights, g.n) if p not in stuck]
-        if not pool:
+        pool = np.flatnonzero(connected & ~stuck)
+        if not len(pool):
             break
-        s, t = pool[int(rng.integers(len(pool)))]
+        k = int(pool[int(rng.integers(len(pool)))])
+        s, t = int(iu[k]), int(iv[k])
         progressed = False
         while len(flips) < beta:
             pair = (s, t)
             if pair not in weights and pair not in used:
                 flips.append(EdgeFlip(s, t, "add", weight=mean_w))
                 weights[pair] = mean_w
+                insort(adj[s], (t, mean_w))
+                insort(adj[t], (s, mean_w))
                 used.add(pair)
                 progressed = True
                 continue
-            sp = _dijkstra_lex(weights, g.n, s, t)
+            sp = _dijkstra_lex(adj, s, t)
             if sp is None:
                 break
             _, path = sp
@@ -295,13 +326,17 @@ def _shortest_path_flips(
             removable = [p for p in path_edges if p not in used]
             if not removable:
                 break
-            target = max(removable, key=lambda p: (weights[p], -p[0], -p[1]))
-            flips.append(EdgeFlip(target[0], target[1], "remove"))
-            del weights[target]
-            used.add(target)
+            a, b = max(removable, key=lambda p: (weights[p], -p[0], -p[1]))
+            flips.append(EdgeFlip(a, b, "remove"))
+            del weights[(a, b)]
+            del adj[a][bisect_left(adj[a], (b,))]
+            del adj[b][bisect_left(adj[b], (a,))]
+            comp = _components(adj)
+            connected = comp[iu] == comp[iv]
+            used.add((a, b))
             progressed = True
         if not progressed:
-            stuck.add((s, t))
+            stuck[k] = True
     return tuple(flips)
 
 
@@ -319,13 +354,14 @@ def plan_shortest_path(
     if budget.beta > g.n * (g.n - 1) // 2:
         raise BudgetExceedsPairs(f"beta={budget.beta} too large for n={g.n}")
     rng = np.random.default_rng(seed)
-    plans = []
-    for _ in range(k_candidates):
-        if not g.edges:
+    if not g.edges:
+        plans = []
+        for _ in range(k_candidates):
             pairs = _walk_pairs(g, budget.beta, 4 * budget.beta, rng)
             flips = tuple(_flip_for_pair(g, p) for p in pairs)
             plans.append(PerturbationPlan(flips, "shortest_path:random_walk_fallback"))
-            continue
-        flips = _shortest_path_flips(g, budget.beta, rng)
-        plans.append(PerturbationPlan(flips, "shortest_path"))
-    return plans
+        return plans
+    adj = _adjacency(g.edge_weights, g.n)
+    comp = _components(adj)
+    return [PerturbationPlan(_shortest_path_flips(g, budget.beta, rng, adj, comp), "shortest_path")
+            for _ in range(k_candidates)]

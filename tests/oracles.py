@@ -3,13 +3,15 @@
 Everything here is deliberately written from scratch against the definitions
 (Jacobi rotations, direct two-graph WL kernel, per-node hashed WL
 histograms, pairwise kernel values,
-projected-gradient dual ascent, exhaustive path/permutation enumeration) so
+projected-gradient dual ascent, exhaustive path/permutation enumeration,
+planners recomputed in full at every step) so
 tests never share code with the paths they verify.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import itertools
 import math
 from collections import Counter
@@ -225,3 +227,127 @@ def brute_force_pair_ranking(x):
             scored.append((-(x[u] * x[v]), u, v))
     scored.sort()
     return [(u, v) for _, u, v in scored]
+
+
+def power_iteration(a, tol: float = 1e-10, max_iter: int = 100_000):
+    """The straightforward power iteration on A + I, step for step as the
+    library defines it (np.linalg.norm, np.max of the absolute change):
+    returns (x, Rayleigh eigenvalue of A, iterations), or None when it does
+    not settle within max_iter."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    m = a + np.eye(n)
+    x = np.full(n, 1.0 / math.sqrt(n))
+    for it in range(1, max_iter + 1):
+        x_new = m @ x
+        x_new /= np.linalg.norm(x_new)
+        if float(np.max(np.abs(x_new - x))) < tol:
+            lam = float(x_new @ a @ x_new)
+            x_new = np.clip(x_new, 0.0, None)
+            x_new /= np.linalg.norm(x_new)
+            return x_new, lam, it
+        x = x_new
+    return None
+
+
+def _lex_dijkstra(weights: dict, n: int, s: int, t: int):
+    """Weighted shortest s-t path, lexicographically smallest node sequence
+    among equal costs, rebuilding the adjacency on every call."""
+    adj = [[] for _ in range(n)]
+    for (u, v), w in weights.items():
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    for lst in adj:
+        lst.sort()
+    heap = [(0.0, (s,))]
+    done = set()
+    while heap:
+        dist, path = heapq.heappop(heap)
+        v = path[-1]
+        if v in done:
+            continue
+        done.add(v)
+        if v == t:
+            return dist, path
+        in_path = set(path)
+        for w, wt in adj[v]:
+            if w not in done and w not in in_path:
+                heapq.heappush(heap, (dist + wt, path + (w,)))
+    return None
+
+
+def _connected_pairs(weights: dict, n: int) -> list:
+    """Every (u, v), u < v, in lexicographic order, whose ends share a
+    component, by union-find over the whole edge set."""
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in weights:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if find(u) == find(v)]
+
+
+def shortest_path_plans(g, beta: int, k_candidates: int, rng) -> list:
+    """The shortest-path planner recomputed in full on every attempt:
+    union-find over all pairs before each (s, t) draw, a fresh adjacency for
+    each Dijkstra. Returns one (flips, strategy) per plan, each flip a
+    (u, v, direction, weight) tuple; an edgeless graph falls back to the
+    pairs of a teleporting walk."""
+    mean_w = g.mean_weight
+    plans = []
+    for _ in range(k_candidates):
+        if not g.edges:
+            nodes = rng.integers(0, g.n, size=4 * beta + 1)
+            pairs, seen = [], set()
+            for a, b in zip(nodes[:-1], nodes[1:]):
+                p = (int(min(a, b)), int(max(a, b)))
+                if a == b or p in seen:
+                    continue
+                seen.add(p)
+                pairs.append(p)
+                if len(pairs) == beta:
+                    break
+            plans.append((tuple((u, v, "add", mean_w) for u, v in pairs),
+                          "shortest_path:random_walk_fallback"))
+            continue
+        weights = dict(g.edge_weights)
+        flips, used, stuck = [], set(), set()
+        attempts = 0
+        while len(flips) < beta and attempts < 20 + 4 * beta:
+            attempts += 1
+            pool = [p for p in _connected_pairs(weights, g.n) if p not in stuck]
+            if not pool:
+                break
+            s, t = pool[int(rng.integers(len(pool)))]
+            progressed = False
+            while len(flips) < beta:
+                if (s, t) not in weights and (s, t) not in used:
+                    flips.append((s, t, "add", mean_w))
+                    weights[(s, t)] = mean_w
+                    used.add((s, t))
+                    progressed = True
+                    continue
+                sp = _lex_dijkstra(weights, g.n, s, t)
+                if sp is None:
+                    break
+                path = sp[1]
+                removable = [p for p in ((min(a, b), max(a, b)) for a, b in zip(path[:-1], path[1:]))
+                             if p not in used]
+                if not removable:
+                    break
+                target = max(removable, key=lambda p: (weights[p], -p[0], -p[1]))
+                flips.append((target[0], target[1], "remove", None))
+                del weights[target]
+                used.add(target)
+                progressed = True
+            if not progressed:
+                stuck.add((s, t))
+        plans.append((tuple(flips), "shortest_path"))
+    return plans

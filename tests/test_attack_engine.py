@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 import math
 from pathlib import Path
 
@@ -307,6 +309,86 @@ def test_hard_label_attack_featurises_only_the_clean_anchor(trained, monkeypatch
         assert counter.single == [g]
         assert counter.batch_calls == 0
     assert attacked  # some attacks ran guided rounds
+
+
+def test_unscored_pools_build_only_the_candidates_they_examine(trained, monkeypatch):
+    ds, target = trained
+    from graphevade.target_lcd import BlackBoxQuery
+    test = ds.subset("test")
+    cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=6, rounds=3,
+                       oracle="label", seed=23)
+    built, hashed = [], []
+    apply_fn, hash_fn = engine_module.apply_flips, engine_module.graph_hash
+
+    def counted_apply(g, flips):
+        built.append(apply_fn(g, flips))
+        return built[-1]
+
+    def counted_hash(g):
+        hashed.append(g)
+        return hash_fn(g)
+
+    monkeypatch.setattr(engine_module, "apply_flips", counted_apply)
+    monkeypatch.setattr(engine_module, "graph_hash", counted_hash)
+    pooled = 0
+    for g, y, (label, _) in zip(test.graphs, test.labels, evaluate(target, list(test.graphs))):
+        if label != y:
+            continue  # a clean loss of 1 would make the records two-class
+        out = attack_one(BlackBoxQuery(target, cfg.max_queries, "label"), g, y, cfg,
+                         clean_observation=(label, 1.0))
+        assert all(d["surrogate"] != "trained" for d in out.diagnostics)
+        pooled += sum(d["pool"] for d in out.diagnostics)
+    # every candidate built was examined (hashed), in the order built
+    assert [id(c) for c in built] == [id(c) for c in hashed]
+    assert len(built) < pooled
+
+
+# --- pinned decisions ------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def desk():
+    """A desk block of the reference benchmark, cut down to 6 test graphs."""
+    ds = generate(GeneratorConfig(objects_range=(7, 8), delta=0.70, n_train_per_class=40,
+                                  n_test_per_class=3, seed=3))
+    return ds.subset("test"), train_target(ds, wl_iters=3, C=10.0, seed=3)
+
+
+def decision_digest(summary) -> str:
+    """sha256 of what the attack decided: each record's digest, label and
+    success flag, and each graph's query count, attacked label and best flips."""
+    trace = [
+        [r.outcome.queries_used, r.attacked_label,
+         [[f.u, f.v, f.direction, f.weight] for f in r.outcome.best_flips],
+         [[rec.digest, rec.label, rec.success] for rec in r.outcome.records]]
+        for r in summary.results
+    ]
+    return hashlib.sha256(json.dumps(trace).encode("utf-8")).hexdigest()
+
+
+# recorded before the planners and the pool went incremental; record digests
+# depend on graph_hash's format, so a change there must re-record them
+PINNED = {
+    ("eigencentrality", "svm_rbf", "score"):
+        "b745fe45abcf6c233defa3e0a811f3b2cc06d6fbcb8390b79494288136b82a94",
+    ("random_walk", "svm_rbf", "score"):
+        "b45611208e828450a9f2c6400c1258fefcf5227ae5fbae75edf2c943874017de",
+    ("shortest_path", "svm_rbf", "score"):
+        "d4158cb68a1554533eff4886f21046f83c73187d3d3995736220cf167cd75b59",
+    ("eigencentrality", "naive_bayes", "score"):
+        "647162fef16124f939cd5485d9a615dcc43124aa045ee1b432be8fc6738b073f",
+    ("eigencentrality", "svm_rbf", "label"):
+        "39c5f6aa17e903880a12b09cb022ec4961f94a33ef7391b87a7d555640dc037b",
+}
+
+
+@pytest.mark.parametrize("strategy,surrogate,oracle", sorted(PINNED))
+def test_attack_decisions_are_pinned(desk, strategy, surrogate, oracle):
+    # a speed-up must leave every query, label and best perturbation as it was
+    test, target = desk
+    cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=10, rounds=3,
+                       strategy=strategy, surrogate=surrogate, oracle=oracle, seed=3)
+    summary = attack_testset(target, test, cfg)
+    assert decision_digest(summary) == PINNED[(strategy, surrogate, oracle)]
 
 
 def test_config_validation():

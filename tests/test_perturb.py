@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphevade.graph_core import apply_flips
 from graphevade.perturb import (
@@ -14,10 +16,18 @@ from graphevade.perturb import (
     plan_random_walk,
     plan_shortest_path,
     ranked_pairs,
+    _adjacency,
+    _components,
     _dijkstra_lex,
     _shortest_path_flips,
 )
-from oracles import all_simple_paths, brute_force_pair_ranking, dominant_eigenspace_cosine
+from oracles import (
+    all_simple_paths,
+    brute_force_pair_ranking,
+    dominant_eigenspace_cosine,
+    power_iteration,
+    shortest_path_plans,
+)
 
 from conftest import make_graph, random_graph
 
@@ -201,7 +211,7 @@ def test_dijkstra_lexicographic_ties():
     # two equal-cost routes 1->2: direct (9) and around (2+4+3); the
     # lexicographically smaller node sequence must win
     weights = {(0, 1): 2.0, (1, 2): 9.0, (2, 3): 3.0, (0, 3): 4.0}
-    dist, path = _dijkstra_lex(weights, 4, 1, 2)
+    dist, path = _dijkstra_lex(_adjacency(weights, 4), 1, 2)
     assert dist == pytest.approx(9.0)
     assert path == (1, 0, 3, 2)
 
@@ -211,7 +221,7 @@ def test_dijkstra_matches_enumeration_oracle(rng):
         g = random_graph(7, 0.45, rng, graph_id=f"dj{trial}")
         weights = dict(g.edge_weights)
         s, t = rng.choice(7, size=2, replace=False)
-        got = _dijkstra_lex(weights, 7, int(s), int(t))
+        got = _dijkstra_lex(_adjacency(weights, 7), int(s), int(t))
         paths = all_simple_paths(weights, 7, int(s), int(t))
         if not paths:
             assert got is None
@@ -222,17 +232,22 @@ def test_dijkstra_matches_enumeration_oracle(rng):
         assert got[1] == best[1]
 
 
+def _sp_flips(g, beta, rng):
+    adj = _adjacency(g.edge_weights, g.n)
+    return _shortest_path_flips(g, beta, rng, adj, _components(adj))
+
+
 def test_path_graph_shortcut_is_only_flip():
     g = make_graph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     rng = np.random.default_rng(0)
-    flips = _shortest_path_flips(g, beta=1, rng=rng)
+    flips = _sp_flips(g, beta=1, rng=rng)
     # whichever (s, t) is drawn, a beta-1 plan on a path graph is a single
     # applicable flip; force the (0, 2) pair to check the shortcut branch
     class Fixed:
         def integers(self, n):
             return 1  # index of (0, 2) in the sorted connected-pair list
 
-    flips = _shortest_path_flips(g, beta=1, rng=Fixed())
+    flips = _sp_flips(g, beta=1, rng=Fixed())
     assert [f.pair for f in flips] == [(0, 2)]
     assert flips[0].direction == "add"
 
@@ -248,7 +263,7 @@ def test_removal_branch_takes_max_weight_edge_on_path():
 
     pairs = sorted({(u, v) for u in range(4) for v in range(u + 1, 4)})
     assert pairs[3] == (1, 2)
-    flips = _shortest_path_flips(g, beta=1, rng=Fixed())
+    flips = _sp_flips(g, beta=1, rng=Fixed())
     paths = sorted(all_simple_paths(dict(g.edge_weights), 4, 1, 2))
     best_path = paths[0][1]
     heaviest = max(
@@ -286,3 +301,93 @@ def test_plans_within_budget_and_applicable(planner, rng):
             assert len(plan.flips) <= budget.beta
             assert len({(f.pair, f.direction) for f in plan.flips}) == len(plan.flips)
             apply_flips(g, plan.flips)  # raises if any flip is inapplicable
+
+
+# --- equivalence with the reference planners ---------------------------------
+
+@st.composite
+def planner_cases(draw):
+    """(graph, beta): 2-12 nodes, edgeless, complete, split in two or random,
+    with all-equal, few-valued or arbitrary weights."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    shape = draw(st.sampled_from(["edgeless", "complete", "two_parts", "random"]))
+    if shape == "edgeless":
+        chosen = []
+    elif shape == "complete":
+        chosen = pairs
+    elif shape == "two_parts":
+        cut = draw(st.integers(min_value=1, max_value=n - 1))
+        within = [p for p in pairs if (p[0] < cut) == (p[1] < cut)]
+        chosen = draw(st.lists(st.sampled_from(within), unique=True)) if within else []
+    else:
+        chosen = draw(st.lists(st.sampled_from(pairs), unique=True))
+    weight = draw(st.sampled_from([
+        st.just(1.0),
+        st.sampled_from([0.5, 1.0, 2.0]),
+        st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+    ]))
+    weights = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
+    g = make_graph(n, [(u, v, w) for (u, v), w in zip(sorted(chosen), weights)])
+    beta = draw(st.integers(min_value=1, max_value=min(len(pairs), 8)))
+    return g, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(planner_cases(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
+def test_shortest_path_plans_match_reference_planner(case, k, seed):
+    g, beta = case
+    budget = Budget(r=(beta - 0.5) / (g.n * g.n), n=g.n)
+    assert budget.beta == beta
+    made = []
+    default_rng = np.random.default_rng
+
+    def recorded_rng(s):
+        made.append(default_rng(s))
+        return made[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recorded_rng)
+        plans = plan_shortest_path(g, budget, k, seed)
+    ref_rng = default_rng(seed)
+    expected = shortest_path_plans(g, beta, k, ref_rng)
+    got = [(tuple((f.u, f.v, f.direction, f.weight) for f in p.flips), p.strategy)
+           for p in plans]
+    assert got == expected
+    (rng,) = made
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@settings(max_examples=150, deadline=None)
+@given(planner_cases())
+def test_eigencentrality_and_ranking_match_plain_power_iteration(case):
+    g, _ = case
+    a = np.zeros((g.n, g.n))
+    for u, v, _w in g.edges:
+        a[u, v] = a[v, u] = 1.0
+    s = eigencentrality(g)
+    x, lam, iterations = power_iteration(a)
+    assert np.array_equal(s.x, x)  # bit for bit
+    assert (s.lambda_max, s.iterations) == (lam, iterations)
+    assert ranked_pairs(s) == brute_force_pair_ranking(list(s.x))
+
+
+def test_ranking_ties_on_equal_scores():
+    x = np.full(4, 0.5)
+    assert ranked_pairs(CentralityScores(x, 3.0, 1)) == [
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+
+
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(0, 1, 2.0), (1, 2, 9.0), (2, 3, 3.0), (0, 3, 4.0)],
+                                   [(0, 1), (2, 3)]])
+def test_spent_pairs_match_reference_planner(edges):
+    # budgets near the pair count leave drawn pairs with nothing left to flip
+    g = make_graph(1 + max(max(e[:2]) for e in edges), edges)
+    pairs = g.n * (g.n - 1) // 2
+    for beta in range(2, pairs + 1):
+        budget = Budget(r=(beta - 0.5) / (g.n * g.n), n=g.n)
+        for seed in range(25):
+            plans = plan_shortest_path(g, budget, 3, seed)
+            got = [(tuple((f.u, f.v, f.direction, f.weight) for f in p.flips), p.strategy)
+                   for p in plans]
+            assert got == shortest_path_plans(g, beta, 3, np.random.default_rng(seed))
