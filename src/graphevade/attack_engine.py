@@ -36,7 +36,7 @@ from .perturb import (
     plan_shortest_path,
 )
 from .target_lcd import BlackBoxQuery, QueryBudgetExhausted, attack_loss, evaluate
-from .wl_features import wl_feature_vector, wl_feature_vectors
+from .wl_features import WlFeatureVector, wl_feature_vector, wl_feature_vectors
 
 STRATEGIES = ("eigencentrality", "random_walk", "shortest_path")
 SURROGATES = ("svm_rbf", "svm_linear", "svm_poly", "naive_bayes")
@@ -159,7 +159,7 @@ def _train_scorer(vectors, losses, cfg: AttackConfig, seed: int):
     try:
         if cfg.surrogate == "naive_bayes":
             model = nb_train(vectors, labels)
-            return (lambda vs: np.array([nb_predict(model, v)[1] for v in vs])), "trained"
+            return (lambda vs: nb_predict(model, vs)[1]), "trained"
         if cfg.surrogate == "svm_rbf":
             # median-distance heuristic: attack records cluster within a few
             # flips of the original, where a gamma scaled by the spread of
@@ -240,7 +240,7 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
     pairs = _all_pairs(g.n)
     records: list[AttackRecord] = []
     # surrogate training set: one vector per loss, None until featurised
-    record_vectors: list[dict | None] = []
+    record_vectors: list[WlFeatureVector | None] = []
     unfeaturised: list[tuple[int, LabeledGraph]] = []
     losses: list[float] = []
     queried: set[str] = set()
@@ -250,11 +250,11 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
     best_flips: tuple[EdgeFlip, ...] = ()
     exhausted = False
     if clean_observation is not None:
-        record_vectors.append(wl_feature_vector(g, cfg.wl_iters).counts)
+        record_vectors.append(wl_feature_vector(g, cfg.wl_iters))
         losses.append(attack_loss(clean_observation, y))
 
     def consider(candidate: LabeledGraph, flips: tuple[EdgeFlip, ...], digest: str,
-                 vector: dict | None) -> bool:
+                 vector: WlFeatureVector | None) -> bool:
         """Query one candidate whose digest is not yet queried; vector holds its
         features when a scored pool computed them. Returns True on a
         prediction flip."""
@@ -310,14 +310,14 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
                 if unfeaturised:
                     vecs = wl_feature_vectors([c for _, c in unfeaturised], cfg.wl_iters)
                     for (i, _), v in zip(unfeaturised, vecs):
-                        record_vectors[i] = v.counts
+                        record_vectors[i] = v
                     unfeaturised.clear()
                 scorer, note = _train_scorer(
                     record_vectors, losses, cfg,
                     _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
             if scorer is not None and pool:
                 cands = [apply_flips(base, step) for base, step, _ in pool]
-                vecs = [v.counts for v in wl_feature_vectors(cands, cfg.wl_iters)]
+                vecs = wl_feature_vectors(cands, cfg.wl_iters)
                 order = np.argsort(-scorer(vecs), kind="stable")
                 entries = [(cands[i], pool[i][2], vecs[i]) for i in order.tolist()]
             elif scorer is None:

@@ -147,6 +147,17 @@ class LabeledGraph:
             return 1.0
         return sum(w for _, _, w in self.edges) / len(self.edges)
 
+    @cached_property
+    def _digest(self) -> str:
+        """graph_hash of this graph."""
+        labels = repr(self.node_labels).encode("utf-8")
+        tiers = repr(self.node_tiers).encode("utf-8")
+        h = hashlib.sha256(struct.pack("<QQ", len(labels), len(tiers)))
+        h.update(labels)
+        h.update(tiers)
+        h.update(struct.pack(f"<{3 * len(self.edges)}d", *chain.from_iterable(self.edges)))
+        return h.hexdigest()
+
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
@@ -191,15 +202,9 @@ def graph_hash(g: LabeledGraph) -> str:
 
     sha256 over the length-prefixed reprs of the label and tier tuples, then
     the canonical edge triples as little-endian doubles. Used to deduplicate
-    queried perturbations in the attack loop.
+    queried perturbations in the attack loop. Computed once per graph object.
     """
-    labels = repr(g.node_labels).encode("utf-8")
-    tiers = repr(g.node_tiers).encode("utf-8")
-    h = hashlib.sha256(struct.pack("<QQ", len(labels), len(tiers)))
-    h.update(labels)
-    h.update(tiers)
-    h.update(struct.pack(f"<{3 * len(g.edges)}d", *chain.from_iterable(g.edges)))
-    return h.hexdigest()
+    return g._digest
 
 
 @dataclass(frozen=True)

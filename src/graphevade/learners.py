@@ -1,21 +1,33 @@
 """Kernel functions, an SMO-trained soft-margin SVM with Platt calibration, and
 a Gaussian naive Bayes baseline.
 
-Feature vectors may be sparse maps (key -> value, keys aligned across vectors,
-e.g. WL histogram coordinates) or dense sequences/arrays. Sparse inputs are
-densified internally over the union of training keys; predictions on vectors
-with unseen keys stay exact because the off-union mass only enters through the
-squared-norm residual, which is carried separately.
+Feature vectors are either dense sequences/arrays or SparseVector rows: three
+parallel arrays of (level, id) keys and their values, as WL histograms come.
+Sparse inputs are densified internally over the union of training keys, in
+sorted (level, id) order; predictions on vectors with unseen keys stay exact
+because the off-union mass only enters through the squared-norm residual,
+which is carried separately.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Mapping, Sequence
+from itertools import repeat
+from operator import mul
+from typing import Sequence
 
 import numpy as np
+
+
+@dataclass(frozen=True, eq=False)
+class SparseVector:
+    """Sparse feature vector: values[k] at key (levels[k], ids[k]); no key
+    appears twice."""
+
+    levels: np.ndarray  # int
+    ids: np.ndarray  # uint64
+    values: np.ndarray  # int or float
 
 
 class DimensionMismatch(Exception):
@@ -31,11 +43,12 @@ class DegenerateLabels(Exception):
 
 
 class DidNotConverge(Exception):
-    """The optimizer hit its pass limit with violations remaining."""
+    """An iterative solver hit its limit before converging: SMO with KKT
+    violations remaining, or power iteration with its iterates still moving."""
 
-    def __init__(self, max_passes: int):
-        super().__init__(f"SMO did not converge within {max_passes} passes")
-        self.max_passes = max_passes
+    def __init__(self, solver: str, limit: int, unit: str):
+        super().__init__(f"{solver} did not converge within {limit} {unit}")
+        self.limit = limit
 
 
 KERNEL_KINDS = ("rbf", "linear", "polynomial")
@@ -62,23 +75,57 @@ class KernelSpec:
 
 
 def _is_sparse(v) -> bool:
-    return isinstance(v, Mapping)
+    return isinstance(v, SparseVector)
 
 
-def _as_matrix(vectors: Sequence) -> tuple[np.ndarray, tuple | None]:
+class _KeySpace:
+    """Sorted (level, id) keys of a model: column j holds key (levels[j], ids[j]),
+    by level and, within a level, by id."""
+
+    def __init__(self, levels: np.ndarray, ids: np.ndarray):
+        self.levels = levels
+        self.ids = ids
+        # (level, first column, end column) of each level's slice of the keys
+        present = np.unique(levels)
+        self._slices = list(zip(present.tolist(), np.searchsorted(levels, present).tolist(),
+                                np.searchsorted(levels, present, side="right").tolist()))
+
+    def columns(self, levels: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Column of each key, or -1 for keys outside the space."""
+        cols = np.full(len(ids), -1, dtype=np.intp)
+        for h, a, b in self._slices:
+            at = np.flatnonzero(levels == h)
+            pos = a + np.minimum(np.searchsorted(self.ids[a:b], ids[at]), b - a - 1)
+            cols[at] = np.where(self.ids[pos] == ids[at], pos, -1)
+        return cols
+
+
+def _stack(vectors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(row, level, id, value) of every entry of sparse vectors, row by row."""
+    rows = np.repeat(np.arange(len(vectors)), [len(v.ids) for v in vectors])
+    return (rows, np.concatenate([v.levels for v in vectors]),
+            np.concatenate([v.ids for v in vectors]),
+            np.concatenate([v.values for v in vectors]))
+
+
+def _as_matrix(vectors: Sequence) -> tuple[np.ndarray, _KeySpace | None]:
     """Stack feature vectors into a dense matrix; returns (matrix, keys) where
     keys is the sorted union of sparse keys, or None for dense input."""
     vectors = list(vectors)
     if not vectors:
         raise ValueError("need at least one vector")
     if all(_is_sparse(v) for v in vectors):
-        keys = sorted({k for v in vectors for k in v})
-        index = {k: i for i, k in enumerate(keys)}
-        x = np.zeros((len(vectors), len(keys)))
-        for r, v in enumerate(vectors):
-            for k, val in v.items():
-                x[r, index[k]] = val
-        return x, tuple(keys)
+        rows, levels, ids, values = _stack(vectors)
+        order = np.lexsort((ids, levels))
+        levels, ids = levels[order], ids[order]
+        opens = np.ones(len(order), dtype=bool)
+        opens[1:] = (ids[1:] != ids[:-1]) | (levels[1:] != levels[:-1])
+        heads = np.flatnonzero(opens)
+        cols = np.empty(len(order), dtype=np.intp)
+        cols[order] = np.cumsum(opens) - 1
+        x = np.zeros((len(vectors), len(heads)))
+        x[rows, cols] = values
+        return x, _KeySpace(levels[heads], ids[heads])
     if any(_is_sparse(v) for v in vectors):
         raise DimensionMismatch("cannot mix sparse and dense feature vectors")
     rows = [np.asarray(v, dtype=float).ravel() for v in vectors]
@@ -89,8 +136,7 @@ def _as_matrix(vectors: Sequence) -> tuple[np.ndarray, tuple | None]:
     return np.vstack(rows), None
 
 
-def _project(vectors: Sequence, keys: tuple | None,
-             index: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _project(vectors: Sequence, keys: _KeySpace | None) -> tuple[np.ndarray, np.ndarray]:
     """Project vectors onto a model's key space.
 
     Returns (matrix over keys, residual squared norms) where the residual is
@@ -102,17 +148,15 @@ def _project(vectors: Sequence, keys: tuple | None,
         return x, np.zeros(len(vectors))
     if not all(_is_sparse(v) for v in vectors):
         raise DimensionMismatch("model was trained on sparse vectors")
-    if index is None:
-        index = {k: i for i, k in enumerate(keys)}
-    x = np.zeros((len(vectors), len(keys)))
-    res = np.zeros(len(vectors))
-    for r, v in enumerate(vectors):
-        for k, val in v.items():
-            i = index.get(k)
-            if i is None:
-                res[r] += float(val) * float(val)
-            else:
-                x[r, i] = val
+    x = np.zeros((len(vectors), len(keys.ids)))
+    if not vectors:
+        return x, np.zeros(0)
+    rows, levels, ids, values = _stack(vectors)
+    cols = keys.columns(levels, ids)
+    hit = cols >= 0
+    x[rows[hit], cols[hit]] = values[hit]
+    off = values[~hit].astype(float)
+    res = np.bincount(rows[~hit], weights=off * off, minlength=len(vectors))
     return x, res
 
 
@@ -297,7 +341,7 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
         elif changed == 0:
             examine_all = True
     if not converged:
-        raise DidNotConverge(max_passes)
+        raise DidNotConverge("SMO", max_passes, "passes")
     return alpha, b, objective_path, passes
 
 
@@ -398,11 +442,10 @@ def _model_cache(model: TrainedSvm) -> dict:
     if model._cache is None:
         x, keys = _as_matrix(model.support_vectors) if model.support_vectors else (np.zeros((0, 0)), None)
         cache = {"x": x, "keys": keys, "sq": np.sum(x * x, axis=1)}
-        cache["index"] = None if keys is None else {k: i for i, k in enumerate(keys)}
         cache["coef"] = model.alphas * model.sv_labels
         if model.spec.kind == "linear" and keys is not None:
             w = cache["coef"] @ x
-            cache["w_sparse"] = {k: float(w[i]) for i, k in enumerate(keys)}
+            cache["w_sparse"] = dict(zip(zip(keys.levels.tolist(), keys.ids.tolist()), w.tolist()))
         model._cache = cache
     return model._cache
 
@@ -417,14 +460,16 @@ def svm_margins(model: TrainedSvm, X: Sequence) -> np.ndarray:
     if cache["keys"] is None and any(_is_sparse(v) for v in queries):
         raise DimensionMismatch("model was trained on dense vectors")
     if "w_sparse" in cache and all(_is_sparse(v) for v in queries):
-        # linear kernel over sparse vectors: one pass over each query's keys
-        w = cache["w_sparse"]
+        # linear kernel over sparse vectors: w_k * value_k summed left to right
+        # over each query's entries
+        weight = cache["w_sparse"].get
         bias = model.bias
         return np.array([
-            sum(w.get(k, 0.0) * val for k, val in q.items()) + bias
+            sum(map(mul, map(weight, zip(q.levels.tolist(), q.ids.tolist()), repeat(0.0)),
+                    q.values.tolist())) + bias
             for q in queries
         ])
-    xq, res = _project(queries, cache["keys"], cache["index"])
+    xq, res = _project(queries, cache["keys"])
     if cache["keys"] is None and xq.shape[1] != sv.shape[1]:
         raise DimensionMismatch(f"vector length {xq.shape[1]} vs model dimension {sv.shape[1]}")
     dots = xq @ sv.T
@@ -480,7 +525,9 @@ def kkt_max_residual(model: TrainedSvm, X: Sequence, y: Sequence) -> float:
 def svm_to_json(model: TrainedSvm) -> dict:
     def encode_vec(v):
         if _is_sparse(v):
-            return [[list(k) if isinstance(k, tuple) else k, val] for k, val in sorted(v.items())]
+            order = np.lexsort((v.ids, v.levels))
+            return [[[h, i], val] for h, i, val in zip(v.levels[order].tolist(), v.ids[order].tolist(),
+                                                       v.values[order].tolist())]
         return [float(t) for t in np.asarray(v, dtype=float).ravel()]
 
     sparse = bool(model.support_vectors) and _is_sparse(model.support_vectors[0])
@@ -515,7 +562,9 @@ def svm_from_json(doc: dict) -> TrainedSvm:
     )
     if doc["vector_format"] == "sparse":
         vectors = tuple(
-            {tuple(k) if isinstance(k, list) else k: val for k, val in pairs}
+            SparseVector(np.array([k[0] for k, _ in pairs], dtype=np.int64),
+                         np.array([k[1] for k, _ in pairs], dtype=np.uint64),
+                         np.array([val for _, val in pairs]))
             for pairs in doc["support_vectors"]
         )
     else:
@@ -537,16 +586,11 @@ def svm_from_json(doc: dict) -> TrainedSvm:
 class TrainedNaiveBayes:
     """Per-class diagonal Gaussians over the training key space plus class priors."""
 
-    keys: tuple | None
+    keys: _KeySpace | None
     means: np.ndarray  # rows: class +1, class -1
     variances: np.ndarray
     priors: np.ndarray
     smoothing: float
-
-    @cached_property
-    def index(self) -> dict | None:
-        """Column of each training key, built once per model."""
-        return None if self.keys is None else {k: i for i, k in enumerate(self.keys)}
 
 
 def nb_train(X: Sequence, y: Sequence, smoothing: float = 1e-9) -> TrainedNaiveBayes:
@@ -572,18 +616,17 @@ def nb_train(X: Sequence, y: Sequence, smoothing: float = 1e-9) -> TrainedNaiveB
     return TrainedNaiveBayes(keys, means, variances, np.asarray(priors), smoothing)
 
 
-def nb_predict(model: TrainedNaiveBayes, x) -> tuple[int, float]:
-    """Returns (label, P(y=+1 | x)) by log-posterior comparison."""
-    xq, res = _project([x], model.keys, model.index)
+def nb_predict(model: TrainedNaiveBayes, X: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """Returns (labels, P(y=+1 | x)) for a batch of vectors by log-posterior
+    comparison."""
+    xq, res = _project(X, model.keys)
     del res  # unseen keys carry no trained density
-    row = xq[0]
     ll = []
     for c in range(2):
-        diff = row - model.means[c]
+        diff = xq - model.means[c]
         var = model.variances[c]
-        ll.append(float(np.log(model.priors[c])
-                        - 0.5 * np.sum(np.log(2.0 * math.pi * var))
-                        - 0.5 * np.sum(diff * diff / var)))
-    p_plus = _sigmoid(ll[1] - ll[0])
-    label = 1 if p_plus >= 0.5 else -1
-    return label, p_plus
+        ll.append(np.log(model.priors[c])
+                  - 0.5 * np.sum(np.log(2.0 * math.pi * var))
+                  - 0.5 * np.sum(diff * diff / var, axis=1))
+    p_plus = np.array([_sigmoid(z) for z in (ll[1] - ll[0]).tolist()])
+    return np.where(p_plus >= 0.5, 1, -1), p_plus

@@ -13,18 +13,11 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .graph_core import EdgeFlip, LabeledGraph
+from .learners import DidNotConverge
 
 
 class BudgetExceedsPairs(Exception):
     """The flip budget is larger than the number of available node pairs."""
-
-
-class DidNotConverge(Exception):
-    """Power iteration hit max_iter before successive iterates settled."""
-
-    def __init__(self, max_iter: int):
-        super().__init__(f"power iteration did not converge within {max_iter} iterations")
-        self.max_iter = max_iter
 
 
 class NoConnectedPair(Exception):
@@ -129,7 +122,7 @@ def eigencentrality(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 100_000
             x /= np.linalg.norm(x)
             return CentralityScores(x, lam, it)
         x = x_new
-    raise DidNotConverge(max_iter)
+    raise DidNotConverge("power iteration", max_iter, "iterations")
 
 
 def ranked_pairs(scores: CentralityScores) -> list[tuple[int, int]]:

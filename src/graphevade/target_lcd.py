@@ -13,8 +13,17 @@ import math
 from dataclasses import dataclass, field
 
 from .graph_core import GraphDataset, LabeledGraph, graph_hash
-from .learners import KernelSpec, TrainedSvm, svm_from_json, svm_margins, svm_probability, svm_to_json, svm_train
-from .wl_features import wl_feature_vectors
+from .learners import (
+    KernelSpec,
+    SparseVector,
+    TrainedSvm,
+    svm_from_json,
+    svm_margins,
+    svm_probability,
+    svm_to_json,
+    svm_train,
+)
+from .wl_features import WlFeatureVector, wl_feature_vectors
 
 
 class QueryBudgetExhausted(Exception):
@@ -37,11 +46,13 @@ class TargetModel:
     test_accuracy: float | None
 
 
-def _unit_counts(counts: dict) -> dict:
-    norm = math.sqrt(sum(v * v for v in counts.values()))
+def _unit_counts(v: WlFeatureVector) -> SparseVector:
+    """The histogram over its L2 norm, taken from the exact integer sum of
+    squares of the counts."""
+    norm = math.sqrt(int(v.values @ v.values))
     if norm == 0:
-        return dict(counts)
-    return {k: v / norm for k, v in counts.items()}
+        return v
+    return SparseVector(v.levels, v.ids, v.values / norm)
 
 
 @dataclass(frozen=True)
@@ -78,7 +89,7 @@ def _predict_graphs(model: TargetModel, graphs) -> list[tuple[int, float]]:
     """(label, confidence-of-that-label) per graph; the label is the calibrated
     probability thresholded at 0.5 so confidence is always >= 0.5."""
     vecs = wl_feature_vectors(list(graphs), model.wl_iters)
-    margins = svm_margins(model.svm, [_unit_counts(v.counts) for v in vecs])
+    margins = svm_margins(model.svm, [_unit_counts(v) for v in vecs])
     out = []
     for m in margins:
         p_plus = svm_probability(model.svm, float(m))
@@ -103,7 +114,7 @@ def train_target(ds: GraphDataset, wl_iters: int = 3, C: float = 10.0,
     test = ds.subset("test")
     vecs = wl_feature_vectors(list(train.graphs), wl_iters)
     svm = svm_train(
-        [_unit_counts(v.counts) for v in vecs],
+        [_unit_counts(v) for v in vecs],
         list(train.labels),
         KernelSpec("linear"),
         C=C,

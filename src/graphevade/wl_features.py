@@ -13,15 +13,16 @@ Refinement, AAAI 2014).
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .graph_core import LabeledGraph
+from .learners import SparseVector
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -63,21 +64,23 @@ def _refine(labels: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return _mix(acc)
 
 
-@dataclass(frozen=True)
-class WlFeatureVector:
-    """Sparse concatenated histogram: (iteration h, label id) -> count, h = 0..H."""
+@dataclass(frozen=True, eq=False)
+class WlFeatureVector(SparseVector):
+    """Sparse concatenated histogram over h = 0..wl_iters: entry k counts
+    values[k] nodes whose label at iteration levels[k] is ids[k]. Entries run
+    level by level, in first-seen node order within a level."""
 
-    counts: Mapping[tuple[int, int], int]
     wl_iters: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "counts", dict(self.counts))
+    @cached_property
+    def counts(self) -> Mapping[tuple[int, int], int]:
+        """Read-only (h, label id) -> count view, in entry order."""
+        keys = zip(self.levels.tolist(), self.ids.tolist())
+        return MappingProxyType(dict(zip(keys, self.values.tolist())))
 
     def iteration_sums(self) -> list[int]:
-        sums = [0] * (self.wl_iters + 1)
-        for (h, _), c in self.counts.items():
-            sums[h] += c
-        return sums
+        return np.bincount(self.levels, weights=self.values,
+                           minlength=self.wl_iters + 1).astype(np.int64).tolist()
 
 
 def _initial_ids(labels: Iterable[str], count: int) -> np.ndarray:
@@ -110,20 +113,43 @@ def wl_feature_vectors(graphs: Sequence[LabeledGraph], wl_iters: int) -> list[Wl
     order included, equals that of its graph featurised alone."""
     if wl_iters < 0:
         raise ValueError("wl_iters must be >= 0")
+    if not graphs:
+        return []
     sizes = [g.n for g in graphs]
     starts = list(accumulate(sizes, initial=0))
     labels = _initial_ids(chain.from_iterable(g.node_labels for g in graphs), starts[-1])
     src, dst = _union_arcs(graphs, starts[:-1])
-    rows = [labels.tolist()]
+    rows = [labels]
     for _ in range(wl_iters):
         labels = _refine(labels, src, dst)
-        rows.append(labels.tolist())
-    out = []
-    for n, a in zip(sizes, starts):
-        keys = zip(chain.from_iterable(repeat(h, n) for h in range(wl_iters + 1)),
-                   chain.from_iterable(row[a:a + n] for row in rows))
-        out.append(WlFeatureVector(Counter(keys), wl_iters))
-    return out
+        rows.append(labels)
+    # entries level-major, each level graph by graph: block b = h * m + i
+    # holds graph i's nodes at level h, in node order
+    m = len(graphs)
+    ids = np.concatenate(rows)
+    n = len(ids)
+    block = np.repeat(np.arange((wl_iters + 1) * m), sizes * (wl_iters + 1))  # list repetition
+    # runs of equal (block, id); the sort is stable, so each run opens at its
+    # key's first-seen node
+    order = np.lexsort((ids, block))
+    ids, block = ids[order], block[order]
+    opens = np.empty(n + 1, dtype=bool)
+    opens[0] = opens[n] = True
+    np.not_equal(ids[1:], ids[:-1], out=opens[1:n])
+    opens[1:n] |= block[1:] != block[:-1]
+    bounds = np.flatnonzero(opens)
+    heads = bounds[:-1]
+    values = bounds[1:] - heads
+    # runs back in first-seen order: by graph, then by entry position, which
+    # orders by level and then by node
+    block = block[heads]
+    graph = block % m
+    runs = np.argsort(graph * n + order[heads])
+    levels = block[runs] // m
+    cuts = np.searchsorted(graph[runs], np.arange(m + 1)).tolist()
+    ids, values = ids[heads[runs]], values[runs]
+    return [WlFeatureVector(levels[a:b], ids[a:b], values[a:b], wl_iters)
+            for a, b in zip(cuts, cuts[1:])]
 
 
 def sparse_dot(a: Mapping, b: Mapping):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import strategies as st
 
 from graphevade.graph_core import LabeledGraph
+from graphevade.learners import SparseVector
 
 
 def make_graph(n, edges, labels=None, tiers=None, graph_id="g"):
@@ -26,6 +27,26 @@ def random_graph(n, p, rng, weights=True, labels=("a", "b", "c"), graph_id="g"):
                 w = float(rng.uniform(0.1, 2.0)) if weights else 1.0
                 edges.append((u, v, w))
     return LabeledGraph(graph_id, node_labels, tiers, tuple(edges))
+
+
+def sparse(d):
+    """SparseVector of a {(level, id): value} dict, entries in dict order."""
+    keys = list(d)
+    return SparseVector(np.array([k[0] for k in keys], dtype=np.int64),
+                        np.array([k[1] for k in keys], dtype=np.uint64),
+                        np.array([d[k] for k in keys]))
+
+
+def as_dict(v):
+    """{(level, id): value} dict of a SparseVector, in entry order."""
+    return dict(zip(zip(v.levels.tolist(), v.ids.tolist()), v.values.tolist()))
+
+
+def pytest_collection_modifyitems(items):
+    """Mark every test that uses the reference benchmark fixture as slow."""
+    for item in items:
+        if "reference_bench" in getattr(item, "fixturenames", ()):
+            item.add_marker(pytest.mark.slow)
 
 
 @pytest.fixture

@@ -5,7 +5,10 @@ Everything here is deliberately written from scratch against the definitions
 histograms, pairwise kernel values,
 projected-gradient dual ascent, exhaustive path/permutation enumeration,
 planners recomputed in full at every step) so
-tests never share code with the paths they verify.
+tests never share code with the paths they verify. The dict-keyed feature
+paths (dense matrix, projection, per-vector naive Bayes, the linear margin
+sum, unit normalisation) and the plain structural digest are the earlier
+implementations those paths must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import hashlib
 import heapq
 import itertools
 import math
+import struct
 from collections import Counter
 
 import numpy as np
@@ -351,3 +355,82 @@ def shortest_path_plans(g, beta: int, k_candidates: int, rng) -> list:
                 stuck.add((s, t))
         plans.append((tuple(flips), "shortest_path"))
     return plans
+
+
+# --- dict-keyed feature paths ------------------------------------------------
+# Sparse vectors here are dicts {(level, id): value}; keys sort as tuples.
+
+def dict_matrix(vectors):
+    """(dense matrix, sorted key tuple) over the union of the vectors' keys."""
+    keys = sorted({k for v in vectors for k in v})
+    index = {k: i for i, k in enumerate(keys)}
+    x = np.zeros((len(vectors), len(keys)))
+    for r, v in enumerate(vectors):
+        for k, val in v.items():
+            x[r, index[k]] = val
+    return x, tuple(keys)
+
+
+def dict_project(vectors, keys):
+    """(matrix over keys, squared mass off keys) with the residual summed in
+    each vector's key order."""
+    index = {k: i for i, k in enumerate(keys)}
+    x = np.zeros((len(vectors), len(keys)))
+    res = np.zeros(len(vectors))
+    for r, v in enumerate(vectors):
+        for k, val in v.items():
+            i = index.get(k)
+            if i is None:
+                res[r] += float(val) * float(val)
+            else:
+                x[r, i] = val
+    return x, res
+
+
+def _sigmoid(z):
+    if z >= 0:
+        ez = math.exp(-z)
+        return ez / (1.0 + ez)
+    return 1.0 / (1.0 + math.exp(z))
+
+
+def nb_predict_one(means, variances, priors, row):
+    """Naive Bayes (label, P(y=+1)) of one projected row, one class at a time."""
+    ll = []
+    for c in range(2):
+        diff = row - means[c]
+        var = variances[c]
+        ll.append(float(np.log(priors[c])
+                        - 0.5 * np.sum(np.log(2.0 * math.pi * var))
+                        - 0.5 * np.sum(diff * diff / var)))
+    p_plus = _sigmoid(ll[1] - ll[0])
+    return (1 if p_plus >= 0.5 else -1), p_plus
+
+
+def unit_counts(counts):
+    """A count dict over its L2 norm."""
+    norm = math.sqrt(sum(v * v for v in counts.values()))
+    if norm == 0:
+        return dict(counts)
+    return {k: v / norm for k, v in counts.items()}
+
+
+def linear_margin(support_vectors, coef, bias, query):
+    """Linear-kernel decision value of a dict query: the weight vector
+    coef @ X over the support vectors' sorted keys, then w_k * value_k
+    summed over the query's keys in its order."""
+    x, keys = dict_matrix(support_vectors)
+    w = coef @ x
+    weights = {k: float(w[i]) for i, k in enumerate(keys)}
+    return sum(weights.get(k, 0.0) * val for k, val in query.items()) + bias
+
+
+def structural_digest(g) -> str:
+    """sha256 over the length-prefixed label and tier reprs, then the edge
+    triples as little-endian doubles."""
+    labels = repr(tuple(g.node_labels)).encode("utf-8")
+    tiers = repr(tuple(g.node_tiers)).encode("utf-8")
+    h = hashlib.sha256(struct.pack("<QQ", len(labels), len(tiers)) + labels + tiers)
+    for u, v, w in g.edges:
+        h.update(struct.pack("<ddd", u, v, w))
+    return h.hexdigest()

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from graphevade.graph_core import (
     write_dataset,
 )
 from graphevade.synth_data import GeneratorConfig, generate
+
+from oracles import structural_digest
 
 from conftest import graph_strategy, make_graph, random_graph
 
@@ -143,6 +146,21 @@ def test_apply_flips_equals_validated_graph(g, data):
     assert graph_hash(out) == graph_hash(validated)
     assert out.edge_pairs == validated.edge_pairs
     assert out.mean_weight == validated.mean_weight
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_strategy(), st.data())
+def test_memoised_digest_matches_fresh_digest(g, data):
+    assert graph_hash(g) == structural_digest(g)
+    assert graph_hash(g) == structural_digest(g)  # served from the memo
+    out = apply_flips(g, data.draw(applicable_flips(g)))
+    trusted = LabeledGraph._trusted("t", g.node_labels, g.node_tiers, g.edges)
+    for fresh in (out, trusted):
+        assert "_digest" not in vars(fresh)
+        assert graph_hash(fresh) == structural_digest(fresh)
+    for h in (g, out, pickle.loads(pickle.dumps(out)), pickle.loads(pickle.dumps(trusted))):
+        again = pickle.loads(pickle.dumps(h))
+        assert graph_hash(again) == structural_digest(again) == structural_digest(h)
 
 
 def test_apply_flips_rejects_out_of_range_add():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphevade.learners import (
     DegenerateData,
@@ -19,7 +21,18 @@ from graphevade.learners import (
     svm_to_json,
     svm_train,
 )
-from oracles import dual_objective, dual_qp_projected_gradient, jacobi_eigh, kernel_eval
+from graphevade.learners import _as_matrix, _project
+from oracles import (
+    dict_matrix,
+    dict_project,
+    dual_objective,
+    dual_qp_projected_gradient,
+    jacobi_eigh,
+    kernel_eval,
+    nb_predict_one,
+)
+
+from conftest import as_dict, sparse
 
 RBF1 = KernelSpec("rbf", gamma=1.0)
 XOR_X = [np.array(p, dtype=float) for p in ((0, 0), (0, 1), (1, 0), (1, 1))]
@@ -57,12 +70,12 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         svm_train([np.array([1.0, 2.0]), np.array([1.0])], [1, -1])
     with pytest.raises(DimensionMismatch):
-        svm_train([{"a": 1.0}, np.array([1.0])], [1, -1])
+        svm_train([sparse({(0, 1): 1.0}), np.array([1.0])], [1, -1])
     dense = svm_train([np.array([0.0, 1.0]), np.array([1.0, 0.0])], [1, -1])
     with pytest.raises(DimensionMismatch):
         svm_margins(dense, [np.array([1.0])])
     with pytest.raises(DimensionMismatch):
-        svm_margins(dense, [{"a": 1.0}])
+        svm_margins(dense, [sparse({(0, 1): 1.0})])
 
 
 def test_kernel_spec_validation():
@@ -82,7 +95,7 @@ def test_median_heuristic(rng):
     vectors = [np.array([0.0]), np.array([1.0]), np.array([2.0])]
     assert median_heuristic_gamma(vectors) == pytest.approx(0.5, rel=1e-12)
     with pytest.raises(DegenerateData):
-        median_heuristic_gamma([{"a": 0.0}, {"a": 0.0}, {"a": 0.0}])
+        median_heuristic_gamma([sparse({(0, 1): 0.0}) for _ in range(3)])
     with pytest.raises(ValueError):
         median_heuristic_gamma([np.array([1.0])])
 
@@ -236,14 +249,16 @@ def test_rbf_gram_psd(rng):
 
 
 def test_sparse_training_and_unseen_keys(rng):
-    x = [{"a": 1.0, "b": 0.5}, {"a": 0.9, "b": 0.7}, {"c": 1.2}, {"c": 1.0, "d": 0.2}]
+    # keys (level, id); id 7 sits at two levels
+    ka, kb, kc, kd, kz = (0, 7), (0, 3), (1, 7), (2, 5), (3, 99)
+    x = [sparse(v) for v in ({ka: 1.0, kb: 0.5}, {ka: 0.9, kb: 0.7}, {kc: 1.2}, {kc: 1.0, kd: 0.2})]
     y = [1, 1, -1, -1]
     model = svm_train(x, y, KernelSpec("rbf", gamma=0.5), C=10.0)
     assert all(svm_predict(model, xi)[0] == yi for xi, yi in zip(x, y))
     # unseen keys only add squared distance; exact per kernel_eval
-    probe = {"a": 1.0, "zz": 3.0}
+    probe = sparse({ka: 1.0, kz: 3.0})
     expected = sum(
-        a * yl * kernel_eval(model.spec, sv, probe)
+        a * yl * kernel_eval(model.spec, as_dict(sv), as_dict(probe))
         for sv, a, yl in zip(model.support_vectors, model.alphas, model.sv_labels)
     ) + model.bias
     assert svm_margins(model, [probe])[0] == pytest.approx(expected, rel=1e-12)
@@ -260,12 +275,13 @@ def test_model_persistence_roundtrip(rng):
     probes = [rng.normal(size=3) for _ in range(10)]
     assert np.array_equal(svm_margins(model, probes), svm_margins(loaded, probes))
     assert loaded.spec == model.spec
-    sparse = svm_train([{"a": 1.0}, {"b": 1.0}, {"a": 0.5, "b": 0.5}, {"b": 2.0}],
-                       [1, -1, 1, -1], KernelSpec("linear"), C=1.0)
-    again = _json_roundtrip(sparse)
-    probe = {"a": 0.3, "b": 0.4}
+    a, b = (0, 2**64 - 1), (1, 5)
+    sparse_model = svm_train([sparse(v) for v in ({a: 1.0}, {b: 1.0}, {a: 0.5, b: 0.5}, {b: 2.0})],
+                             [1, -1, 1, -1], KernelSpec("linear"), C=1.0)
+    again = _json_roundtrip(sparse_model)
+    probe = sparse({a: 0.3, b: 0.4})
     assert svm_margins(again, [probe])[0] == pytest.approx(
-        svm_margins(sparse, [probe])[0], rel=1e-12)
+        svm_margins(sparse_model, [probe])[0], rel=1e-12)
 
 
 # --- naive Bayes -----------------------------------------------------------------
@@ -274,13 +290,13 @@ def test_nb_separated_clusters():
     x = [np.array([v]) for v in (-3.0, -2.5, -3.5, 3.0, 2.5, 3.5)]
     y = [-1, -1, -1, 1, 1, 1]
     model = nb_train(x, y, smoothing=1e-9)
-    assert all(nb_predict(model, xi)[0] == yi for xi, yi in zip(x, y))
+    assert all(label == yi for label, yi in zip(nb_predict(model, x)[0], y))
 
 
 def test_nb_symmetric_probability():
     x = [np.array([-1.0]), np.array([1.0])]
     model = nb_train(x, [1, -1], smoothing=1e-6)
-    label, p = nb_predict(model, np.array([0.0]))
+    (label,), (p,) = nb_predict(model, [np.array([0.0])])
     assert p == pytest.approx(0.5, abs=1e-9)
 
 
@@ -297,7 +313,7 @@ def test_nb_matches_hand_bayes():
         return math.exp(-((probe - mu) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
     expected = 0.5 * dens(1.0) / (0.5 * dens(1.0) + 0.5 * dens(6.0))
-    label, p = nb_predict(model, np.array([probe]))
+    (label,), (p,) = nb_predict(model, [np.array([probe])])
     assert p == pytest.approx(expected, rel=1e-9)
     assert label == 1
 
@@ -314,3 +330,70 @@ def test_nb_priors_and_variances():
     model = nb_train(x, [1, 1, -1], smoothing=1e-3)
     assert model.priors.sum() == pytest.approx(1.0)
     assert np.all(model.variances > 0)
+
+
+# --- sparse rows against the dict-keyed code ------------------------------------
+
+# ids include both ends of the uint64 range; id 7 can sit at several levels
+_KEYS = st.tuples(st.integers(0, 3), st.sampled_from([0, 7, 8, 2**63, 2**64 - 1]))
+_VALUES = st.integers(1, 9) | st.floats(-4.0, 4.0, allow_nan=False, width=32)
+
+
+def _sparse_dicts(min_size):
+    return st.lists(st.dictionaries(_KEYS, _VALUES, min_size=1, max_size=8),
+                    min_size=min_size, max_size=6)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_dicts(1), _sparse_dicts(0))
+def test_matrix_and_projection_match_dict_code(train, queries):
+    x, keys = _as_matrix([sparse(d) for d in train])
+    want_x, want_keys = dict_matrix(train)
+    assert list(zip(keys.levels.tolist(), keys.ids.tolist())) == list(want_keys)
+    assert _bits(x) == _bits(want_x)
+    for batch in (train, queries):
+        xq, res = _project([sparse(d) for d in batch], keys)
+        want_xq, want_res = dict_project(batch, want_keys)
+        assert xq.shape == want_xq.shape
+        assert _bits(xq) == _bits(want_xq)
+        assert _bits(res) == _bits(want_res)
+
+
+def test_projection_with_an_id_at_two_levels():
+    # id 5 at levels 0 and 1 forces the lookup off the single sorted-id search
+    _, shared = _as_matrix([sparse({(0, 5): 1, (2, 9): 1}), sparse({(1, 5): 1})])
+    probe = {(1, 5): 2, (3, 5): 1, (0, 9): 4, (0, 5): 3}
+    xq, res = _project([sparse(probe)], shared)
+    want_xq, want_res = dict_project([probe], ((0, 5), (1, 5), (2, 9)))
+    assert _bits(xq) == _bits(want_xq) and _bits(res) == _bits(want_res)
+    assert xq.tolist() == [[3.0, 2.0, 0.0]] and res.tolist() == [17.0]
+    # unique ids: a known id at a level the model never saw is unseen
+    _, unique = _as_matrix([sparse({(0, 5): 1, (2, 9): 1})])
+    xq, res = _project([sparse(probe)], unique)
+    assert xq.tolist() == [[3.0, 0.0]] and res.tolist() == [4.0 + 1.0 + 16.0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_dicts(2), _sparse_dicts(1), st.booleans())
+def test_batched_nb_predict_matches_per_vector_formula(train, queries, dense):
+    y = [1 if i % 2 == 0 else -1 for i in range(len(train))]
+    if dense:
+        width = max(len(d) for d in train)
+        train_x = [np.array(list(d.values()) + [0.0] * (width - len(d)), dtype=float)
+                   for d in train]
+        query_x = train_x + [np.resize(np.array(list(d.values()), dtype=float), width)
+                             for d in queries]
+        rows = np.vstack(query_x)
+    else:
+        train_x = [sparse(d) for d in train]
+        query_x = [sparse(d) for d in train + queries]
+        rows, _ = dict_project(train + queries, dict_matrix(train)[1])
+    model = nb_train(train_x, y)
+    labels, probs = nb_predict(model, query_x)
+    want = [nb_predict_one(model.means, model.variances, model.priors, row) for row in rows]
+    assert labels.tolist() == [lab for lab, _ in want]
+    assert _bits(probs) == _bits([p for _, p in want])

@@ -117,6 +117,19 @@ def test_did_not_converge_raises():
         eigencentrality(g, tol=1e-15, max_iter=1)
 
 
+def test_one_did_not_converge_class_with_both_messages():
+    from graphevade import learners, perturb
+    assert perturb.DidNotConverge is learners.DidNotConverge
+    g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
+    with pytest.raises(perturb.DidNotConverge,
+                       match=r"^power iteration did not converge within 1 iterations$"):
+        eigencentrality(g, tol=1e-15, max_iter=1)
+    x = [np.array(p, dtype=float) for p in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    with pytest.raises(learners.DidNotConverge, match=r"^SMO did not converge within 1 passes$"):
+        learners.svm_train(x, [-1, 1, 1, -1], learners.KernelSpec("rbf", gamma=1.0),
+                           C=10.0, tol=1e-9, max_passes=1)
+
+
 def test_centrality_scores_validation():
     with pytest.raises(ValueError):
         CentralityScores(np.array([1.0, 1.0]), 1.0, 1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphevade.graph_core import EdgeFlip, LabeledGraph, apply_flips, write_dataset
-from graphevade.learners import DegenerateLabels
+from graphevade.learners import DegenerateLabels, svm_margins
 from graphevade.synth_data import GeneratorConfig, generate
 from graphevade.target_lcd import (
     BlackBoxQuery,
@@ -23,8 +26,11 @@ from graphevade.target_lcd import (
     target_to_json,
     train_target,
 )
+from graphevade.target_lcd import _unit_counts
+from graphevade.wl_features import wl_feature_vector
+from oracles import linear_margin, unit_counts, wl_histogram
 
-from conftest import make_graph
+from conftest import as_dict, graph_strategy, make_graph
 
 
 @pytest.fixture(scope="module")
@@ -187,3 +193,56 @@ def test_saved_target_evaluates_identically_in_another_process(tmp_path, target,
                           env=env, capture_output=True, text=True, check=True)
     there = [tuple(p) for p in json.loads(proc.stdout)]
     assert there == evaluate(target, small_ds.graphs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_target_margins_match_dict_sum(target, small_ds, data):
+    """Margins over unit-normalised count arrays equal the dict-keyed weight
+    sum, bit for bit: perturbed dataset graphs (mostly known keys) and
+    graphs over labels the model never saw (no known key)."""
+    g = data.draw(st.sampled_from(small_ds.graphs))
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1))
+                               .filter(lambda p: p[0] < p[1]), max_size=6, unique=True))
+    flips = [EdgeFlip(u, v, "remove") if g.has_edge(u, v) else EdgeFlip(u, v, "add", weight=1.0)
+             for u, v in pairs]
+    coef = target.svm.alphas * target.svm.sv_labels
+    support = [as_dict(sv) for sv in target.svm.support_vectors]
+    for h in (apply_flips(g, flips), data.draw(graph_strategy())):
+        got = svm_margins(target.svm, [_unit_counts(wl_feature_vector(h, target.wl_iters))])[0]
+        want = linear_margin(support, coef, target.svm.bias,
+                             unit_counts(wl_histogram(h, target.wl_iters)))
+        assert float(got).hex() == float(want).hex()
+
+
+# A target-v2 file written before the feature arrays replaced the sparse
+# dicts, and what it answered then, on this generator config.
+PINNED_DATA = GeneratorConfig(n_train_per_class=4, n_test_per_class=2, objects_range=(2, 3),
+                              features_per_object_range=(1, 2), seed=7)
+PINNED_SHA256 = "cd742cd694e64c1dd1bd8c5500134592bf4b31845a0e17cebb098a1769d04810"
+PINNED_EVALUATION = [
+    (1, 0.8333989829972397),
+    (1, 0.8332936459025643),
+    (1, 0.8333406710300512),
+    (1, 0.8332999854350597),
+    (-1, 0.83327828923329),
+    (-1, 0.8332776015173424),
+    (-1, 0.8333886973071395),
+    (-1, 0.8333886973071392),
+    (-1, 0.738052276707932),
+    (-1, 0.6859018386795819),
+    (1, 0.5787272690357551),
+    (1, 0.6013920156701308),
+]
+
+
+def test_target_v2_file_is_pinned(tmp_path):
+    committed = Path(__file__).parent / "data" / "target_v2_small.json"
+    assert hashlib.sha256(committed.read_bytes()).hexdigest() == PINNED_SHA256
+    ds = generate(PINNED_DATA)
+    fresh = train_target(ds, wl_iters=2, seed=7)
+    save_target(fresh, tmp_path / "target.json")
+    assert hashlib.sha256((tmp_path / "target.json").read_bytes()).hexdigest() == PINNED_SHA256
+    loaded = load_target(committed)
+    assert evaluate(loaded, ds.graphs) == PINNED_EVALUATION
+    assert evaluate(fresh, ds.graphs) == PINNED_EVALUATION

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -170,6 +171,16 @@ def test_batch_of_mixed_sizes(rng):
         assert [list(v.counts.items()) for v in batch] == [
             list(wl_histogram(g, wl_iters).items()) for g in graphs]
         assert [v.iteration_sums() for v in batch] == [[g.n] * (wl_iters + 1) for g in graphs]
+
+
+def test_feature_arrays_follow_first_seen_order(rng):
+    g = random_graph(9, 0.4, rng, graph_id="arrays")
+    vec = wl_feature_vector(g, 2)
+    assert vec.ids.dtype == np.uint64
+    assert list(zip(vec.levels.tolist(), vec.ids.tolist(), vec.values.tolist())) == [
+        (h, i, c) for (h, i), c in wl_histogram(g, 2).items()]
+    with pytest.raises(TypeError):
+        vec.counts[(0, 1)] = 1  # a read-only view
 
 
 def test_monotone_label_refinement(rng):
