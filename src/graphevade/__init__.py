@@ -16,8 +16,6 @@ from .perturb import (
     Budget,
     BudgetExceedsPairs,
     CentralityScores,
-    NoConnectedPair,
-    PerturbationPlan,
     eigencentrality,
     plan_eigencentrality,
     plan_random_walk,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .perturb import (
     BudgetExceedsPairs,
     eigencentrality,
     plan_eigencentrality,
+    plan_mutations,
     plan_random_walk,
     plan_shortest_path,
 )
@@ -113,14 +114,13 @@ def _stream_seed(*parts) -> int:
 
 
 def _strategy_plans(g: LabeledGraph, budget: Budget, cfg: AttackConfig,
-                    round_idx: int, count: int, scores) -> list:
+                    round_idx: int, count: int, scores) -> list[tuple[EdgeFlip, ...]]:
     seed = _stream_seed(cfg.seed, g.graph_id, "strategy", round_idx)
     if cfg.strategy == "eigencentrality":
         # rounds slide over fresh ranked-pair windows so candidates never repeat
         offset = cfg.k_candidates if round_idx > 0 else 0
         offset += max(0, round_idx - 1) * count
-        return plan_eigencentrality(g, budget, count, seed, offset=offset,
-                                    scores=scores)
+        return plan_eigencentrality(g, budget, count, offset=offset, scores=scores)
     if cfg.strategy == "random_walk":
         return plan_random_walk(g, budget, count, seed)
     return plan_shortest_path(g, budget, count, seed)
@@ -185,35 +185,6 @@ def _train_scorer(vectors, losses, cfg: AttackConfig, seed: int):
         return None, f"{type(exc).__name__}"
 
 
-def _all_pairs(n: int) -> list[tuple[int, int]]:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def _mutations(g: LabeledGraph, best_graph: LabeledGraph,
-               best_flips: tuple[EdgeFlip, ...], beta: int,
-               rng: np.random.Generator, count: int,
-               pairs: list[tuple[int, int]]) -> list[tuple[EdgeFlip, ...]]:
-    """One-flip local mutations of the incumbent, staying within beta flips of
-    the original (measured as edge-set symmetric difference); pairs is
-    _all_pairs(g.n)."""
-    diff = g.edge_pairs ^ best_graph.edge_pairs
-    revert_only = sorted(diff)
-    out = []
-    for _ in range(count):
-        if len(diff) >= beta:
-            if not revert_only:
-                break
-            pair = revert_only[int(rng.integers(len(revert_only)))]
-        else:
-            pair = pairs[int(rng.integers(len(pairs)))]
-        if best_graph.has_edge(*pair):
-            flip = EdgeFlip(pair[0], pair[1], "remove")
-        else:
-            flip = EdgeFlip(pair[0], pair[1], "add", weight=g.mean_weight)
-        out.append(best_flips + (flip,))
-    return out
-
-
 def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
                clean_observation: tuple[int, float] | None = None) -> AttackOutcome:
     """Attack a single graph through the black-box query interface.
@@ -237,7 +208,6 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         return AttackOutcome(g.graph_id, int(y), 0, g, (), 0.0, False,
                              query_iface.queries_used, (), ())
     scores = eigencentrality(g) if cfg.strategy == "eigencentrality" else None
-    pairs = _all_pairs(g.n)
     records: list[AttackRecord] = []
     # surrogate training set: one vector per loss, None until featurised
     record_vectors: list[WlFeatureVector | None] = []
@@ -290,14 +260,13 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         # (base, step, flips): the candidate is apply_flips(base, step), and
         # flips takes g to it
         pool: list[tuple[LabeledGraph, tuple[EdgeFlip, ...], tuple[EdgeFlip, ...]]] = []
-        for plan in _strategy_plans(g, budget, cfg, round_idx, pool_k, scores):
-            if plan.flips:
-                pool.append((g, plan.flips, plan.flips))
+        for flips in _strategy_plans(g, budget, cfg, round_idx, pool_k, scores):
+            if flips:
+                pool.append((g, flips, flips))
         if round_idx > 0 and records:
-            mut_rng = np.random.default_rng(
-                _stream_seed(cfg.seed, g.graph_id, "mutate", round_idx))
-            for flips in _mutations(g, best_graph, best_flips, budget.beta,
-                                    mut_rng, 2 * cfg.k_candidates, pairs):
+            for flips in plan_mutations(
+                    g, best_graph, best_flips, budget, 2 * cfg.k_candidates,
+                    _stream_seed(cfg.seed, g.graph_id, "mutate", round_idx)):
                 pool.append((best_graph, flips[-1:], flips))
         # (candidate, flips, features): an unscored pool builds each candidate
         # only when the loop below reaches it
@@ -434,19 +403,9 @@ def attack_testset(target, ds_test: GraphDataset, cfg: AttackConfig,
     )
 
 
-def _flip_to_json(f: EdgeFlip) -> dict:
-    return {"u": f.u, "v": f.v, "direction": f.direction, "weight": f.weight}
-
-
 def summary_to_json(summary: AttackSummary, include_records: bool = True) -> dict:
-    cfg = summary.config
     doc = {
-        "config": {
-            "r": cfg.r, "strategy": cfg.strategy, "surrogate": cfg.surrogate,
-            "max_queries": cfg.max_queries, "k_candidates": cfg.k_candidates,
-            "rounds": cfg.rounds, "epochs": cfg.epochs, "wl_iters": cfg.wl_iters,
-            "oracle": cfg.oracle, "seed": cfg.seed,
-        },
+        "config": asdict(summary.config),
         "clean_accuracy": summary.clean_accuracy,
         "attacked_accuracy": summary.attacked_accuracy,
         "decline_pp": summary.decline_pp,
@@ -466,20 +425,9 @@ def summary_to_json(summary: AttackSummary, include_records: bool = True) -> dic
             "best_loss": o.best_loss,
             "success": o.success,
             "queries_used": o.queries_used,
-            "best_flips": [_flip_to_json(f) for f in o.best_flips],
+            "best_flips": [asdict(f) for f in o.best_flips],
         }
         if include_records:
-            row["records"] = [
-                {
-                    "digest": r.digest,
-                    "flips": [_flip_to_json(f) for f in r.flips],
-                    "label": r.label,
-                    "confidence": r.confidence,
-                    "loss": r.loss,
-                    "success": r.success,
-                    "query_index": r.query_index,
-                }
-                for r in o.records
-            ]
+            row["records"] = [asdict(r) for r in o.records]
         doc["graphs"].append(row)
     return doc

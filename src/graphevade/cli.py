@@ -79,10 +79,7 @@ def cmd_gen(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = generate(cfg)
     write_dataset(ds, out_dir / "dataset.jsonl")
-    config = asdict(cfg)
-    config["objects_range"] = list(cfg.objects_range)
-    config["features_per_object_range"] = list(cfg.features_per_object_range)
-    echo = _echo_config(out_dir, "gen", config)
+    echo = _echo_config(out_dir, "gen", asdict(cfg))
     manifest = {
         "seed": cfg.seed,
         "config_hash": echo["config_hash"],
@@ -174,6 +171,18 @@ _BENCH_KEYS = ("seed", "repetitions", "alpha", "configs", "methods", "budgets",
 _ATTACK_KEYS = ("r", "max_queries", "k_candidates", "rounds", "epochs",
                 "wl_iters", "oracle")
 _METHOD_KEYS = ("name", "strategy", "surrogate", "r")
+_SECTION_TYPES = {"seed": int, "repetitions": int, "alpha": float, "configs": dict,
+                  "methods": list, "budgets": list, "attack": dict, "target": dict}
+_JSON_TYPES = {dict: "object", list: "array", int: "integer", float: "number"}
+
+
+def _expect(value, kind: type, what: str):
+    """value, or InvalidConfig when it is not a JSON value of kind (a number
+    may be an integer; true and false are neither)."""
+    accepted = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise InvalidConfig(f"{what} must be a JSON {_JSON_TYPES[kind]}")
+    return value
 
 
 def _load_bench_spec(path) -> dict:
@@ -184,6 +193,10 @@ def _load_bench_spec(path) -> dict:
     for key in spec:
         if key not in _BENCH_KEYS:
             raise InvalidConfig(f"unknown key {key!r} in bench spec")
+        if key in _SECTION_TYPES:
+            _expect(spec[key], _SECTION_TYPES[key], f"bench spec {key!r}")
+    for r in spec.get("budgets", ()):
+        _expect(r, float, "each budget")
     if not spec.get("configs"):
         raise InvalidConfig("bench spec needs a non-empty 'configs' map")
     if not spec.get("methods"):
@@ -197,15 +210,15 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
     alpha = spec.get("alpha", 0.05)
     configs = {}
     for name, raw in spec["configs"].items():
-        data = dict(raw)
+        data = dict(_expect(raw, dict, f"generator config {name!r}"))
         for key in ("objects_range", "features_per_object_range"):
             if key in data:
-                data[key] = tuple(data[key])
+                data[key] = tuple(_expect(data[key], list, f"{key} of generator config {name!r}"))
         configs[name] = _dataclass_from_dict(GeneratorConfig, data,
                                              f"generator config {name!r}")
     methods = []
     for raw in spec["methods"]:
-        for key in raw:
+        for key in _expect(raw, dict, "each method spec"):
             if key not in _METHOD_KEYS:
                 raise InvalidConfig(f"unknown key {key!r} in method spec")
         if "name" not in raw:

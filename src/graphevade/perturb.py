@@ -1,5 +1,7 @@
 """Perturbation planning under a flip budget: eigencentrality ranking, teleporting
-random walks, and shortest-path edits."""
+random walks, shortest-path edits, and one-flip mutations of an incumbent.
+
+A plan is a tuple of EdgeFlips; every planner here decides its own flips."""
 
 from __future__ import annotations
 
@@ -18,10 +20,6 @@ from .learners import DidNotConverge
 
 class BudgetExceedsPairs(Exception):
     """The flip budget is larger than the number of available node pairs."""
-
-
-class NoConnectedPair(Exception):
-    """The graph has no edges, so no connected (s, t) pair exists."""
 
 
 @dataclass(frozen=True)
@@ -73,14 +71,6 @@ class CentralityScores:
         return tuple(zip(iu[order].tolist(), iv[order].tolist()))
 
 
-@dataclass(frozen=True)
-class PerturbationPlan:
-    """An ordered, within-budget list of edge flips plus the strategy that made it."""
-
-    flips: tuple[EdgeFlip, ...]
-    strategy: str
-
-
 @lru_cache(maxsize=64)
 def _upper_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
     """np.triu_indices(n, 1), read-only: every (u, v) with u < v, in
@@ -125,35 +115,29 @@ def eigencentrality(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 100_000
     raise DidNotConverge("power iteration", max_iter, "iterations")
 
 
-def ranked_pairs(scores: CentralityScores) -> list[tuple[int, int]]:
-    """All unordered node pairs sorted by score product X_u * X_v descending,
-    ties broken by (u, v) lexicographic order."""
-    return list(scores.ranking)
-
-
-def _flip_for_pair(g: LabeledGraph, pair: tuple[int, int]) -> EdgeFlip:
+def _flip_for_pair(g: LabeledGraph, pair: tuple[int, int], weight: float) -> EdgeFlip:
+    """Remove the pair's edge if g has it, otherwise add it with weight."""
     u, v = pair
     if g.has_edge(u, v):
         return EdgeFlip(u, v, "remove")
-    return EdgeFlip(u, v, "add", weight=g.mean_weight)
+    return EdgeFlip(u, v, "add", weight=weight)
 
 
 def plan_eigencentrality(
     g: LabeledGraph,
     budget: Budget,
     k_candidates: int = 1,
-    seed: int = 0,
     offset: int = 0,
     scores: CentralityScores | None = None,
-) -> list[PerturbationPlan]:
+) -> list[tuple[EdgeFlip, ...]]:
     """Plans built from the centrality-ranked pair list.
 
     Plan i covers ranked pairs offset+i .. offset+i+beta-1 (a sliding window, so
     successive candidates differ); each pair becomes a removal if the edge
-    exists in g, otherwise an addition. Ranking is deterministic, so the seed
-    (kept for the planners' shared signature) goes unused; precomputed scores
-    may be passed to skip the power iteration. Emits fewer than k_candidates
-    plans when the pair list runs out past the requested offset.
+    exists in g, otherwise an addition. Ranking is deterministic, so no seed
+    is taken; precomputed scores may be passed to skip the power iteration.
+    Emits fewer than k_candidates plans when the pair list runs out past the
+    requested offset.
     """
     if scores is None:
         scores = eigencentrality(g)
@@ -161,17 +145,16 @@ def plan_eigencentrality(
     if budget.beta > len(pairs):
         raise BudgetExceedsPairs(f"beta={budget.beta} > {len(pairs)} pairs")
     n_plans = min(k_candidates, max(0, len(pairs) - budget.beta + 1 - offset))
-    plans = []
-    for i in range(n_plans):
-        window = pairs[offset + i : offset + i + budget.beta]
-        flips = tuple(_flip_for_pair(g, p) for p in window)
-        plans.append(PerturbationPlan(flips, "eigencentrality"))
-    return plans
+    mean_w = g.mean_weight
+    return [tuple(_flip_for_pair(g, p, mean_w)
+                  for p in pairs[offset + i : offset + i + budget.beta])
+            for i in range(n_plans)]
 
 
-def _walk_pairs(g: LabeledGraph, beta: int, walk_len: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Consecutive distinct pairs visited by a uniform teleporting walk."""
-    nodes = rng.integers(0, g.n, size=walk_len + 1)
+def _walk_pairs(g: LabeledGraph, beta: int, rng: np.random.Generator) -> list[tuple[int, int]]:
+    """The first beta distinct pairs of consecutive nodes visited by a uniform
+    teleporting walk of 4 * beta steps."""
+    nodes = rng.integers(0, g.n, size=4 * beta + 1)
     pairs: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for a, b in zip(nodes[:-1], nodes[1:]):
@@ -192,24 +175,19 @@ def plan_random_walk(
     budget: Budget,
     k_candidates: int = 1,
     seed: int = 0,
-    walk_len: int | None = None,
-) -> list[PerturbationPlan]:
+) -> list[tuple[EdgeFlip, ...]]:
     """Plans from a teleporting random walk (each step jumps to a uniform node,
     so disconnected and edgeless graphs still yield flips).
 
-    The walk visits walk_len steps (default 4 * beta); the first beta distinct
-    non-self pairs become flips. One plan per rng draw.
+    The walk visits 4 * beta steps; the first beta distinct non-self pairs
+    become flips. One plan per rng draw.
     """
     if budget.beta > g.n * (g.n - 1) // 2:
         raise BudgetExceedsPairs(f"beta={budget.beta} too large for n={g.n}")
-    steps = 4 * budget.beta if walk_len is None else walk_len
     rng = np.random.default_rng(seed)
-    plans = []
-    for _ in range(k_candidates):
-        pairs = _walk_pairs(g, budget.beta, steps, rng)
-        flips = tuple(_flip_for_pair(g, p) for p in pairs)
-        plans.append(PerturbationPlan(flips, "random_walk"))
-    return plans
+    mean_w = g.mean_weight
+    return [tuple(_flip_for_pair(g, p, mean_w) for p in _walk_pairs(g, budget.beta, rng))
+            for _ in range(k_candidates)]
 
 
 def _adjacency(weights: Mapping[tuple[int, int], float], n: int) -> list[list[tuple[int, float]]]:
@@ -338,23 +316,50 @@ def plan_shortest_path(
     budget: Budget,
     k_candidates: int = 1,
     seed: int = 0,
-) -> list[PerturbationPlan]:
+) -> list[tuple[EdgeFlip, ...]]:
     """Plans that edit the weighted shortest path between sampled connected pairs.
 
     On an edgeless graph no connected pair exists, so the planner falls back to
-    the teleporting-walk pair collection and tags the plan accordingly.
+    the teleporting-walk plans of the same seed.
     """
+    if not g.edges:
+        return plan_random_walk(g, budget, k_candidates, seed)
     if budget.beta > g.n * (g.n - 1) // 2:
         raise BudgetExceedsPairs(f"beta={budget.beta} too large for n={g.n}")
     rng = np.random.default_rng(seed)
-    if not g.edges:
-        plans = []
-        for _ in range(k_candidates):
-            pairs = _walk_pairs(g, budget.beta, 4 * budget.beta, rng)
-            flips = tuple(_flip_for_pair(g, p) for p in pairs)
-            plans.append(PerturbationPlan(flips, "shortest_path:random_walk_fallback"))
-        return plans
     adj = _adjacency(g.edge_weights, g.n)
     comp = _components(adj)
-    return [PerturbationPlan(_shortest_path_flips(g, budget.beta, rng, adj, comp), "shortest_path")
-            for _ in range(k_candidates)]
+    return [_shortest_path_flips(g, budget.beta, rng, adj, comp) for _ in range(k_candidates)]
+
+
+def plan_mutations(
+    g: LabeledGraph,
+    best_graph: LabeledGraph,
+    best_flips: tuple[EdgeFlip, ...],
+    budget: Budget,
+    count: int,
+    seed: int,
+) -> list[tuple[EdgeFlip, ...]]:
+    """One-flip local mutations of the incumbent best_graph (reached from g by
+    best_flips), staying within beta flips of g measured as edge-set symmetric
+    difference.
+
+    Each mutation appends one flip of a drawn pair: any pair (by its index in
+    lexicographic order) while the incumbent is under budget, otherwise one
+    of the pairs it already differs on, so the flip reverts it. The flip
+    removes the pair's edge if the incumbent has it and otherwise adds it at
+    g's mean weight.
+    """
+    rng = np.random.default_rng(seed)
+    diff = sorted(g.edge_pairs ^ best_graph.edge_pairs)
+    iu, iv = _upper_pairs(g.n)
+    mean_w = g.mean_weight
+    out = []
+    for _ in range(count):
+        if len(diff) >= budget.beta:  # beta >= 1, so diff is not empty
+            pair = diff[int(rng.integers(len(diff)))]
+        else:
+            k = int(rng.integers(len(iu)))
+            pair = (int(iu[k]), int(iv[k]))
+        out.append(best_flips + (_flip_for_pair(best_graph, pair, mean_w),))
+    return out

@@ -76,6 +76,15 @@ def _label_weights(cfg: GeneratorConfig, cls: int) -> np.ndarray:
     return w / w.sum()
 
 
+def _label_sampler(weights: np.ndarray, rng: np.random.Generator):
+    """Draws rng.choice(len(weights), p=weights) makes, draw for draw and with
+    the same generator state after, without re-validating p on every call:
+    numpy's own algorithm, one uniform searched in the cumulative weights."""
+    cdf = np.cumsum(weights)
+    cdf /= cdf[-1]
+    return lambda: int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def _class_edge_probs(cfg: GeneratorConfig, cls: int) -> tuple[float, float]:
     """Class B gets a denser object core: the separability signal lives in the
     anchor-level edge structure, the part of the graph a perturbation can reach."""
@@ -87,14 +96,14 @@ def _class_edge_probs(cfg: GeneratorConfig, cls: int) -> tuple[float, float]:
 def _one_graph(cfg: GeneratorConfig, cls: int, graph_id: str, index: int) -> LabeledGraph:
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
     vocab = [f"l{i:02d}" for i in range(cfg.vocab_size)]
-    weights = _label_weights(cfg, cls)
+    draw_label = _label_sampler(_label_weights(cfg, cls), rng)
     p_obj, p_feat = _class_edge_probs(cfg, cls)
     lo, hi = cfg.objects_range
     n_obj = int(rng.integers(lo, hi + 1))
     labels: list[str] = []
     tiers: list[str] = []
     for _ in range(n_obj):
-        labels.append(vocab[int(rng.choice(cfg.vocab_size, p=weights))])
+        labels.append(vocab[draw_label()])
         tiers.append("object")
     edges: list[tuple[int, int, float]] = []
 
@@ -115,7 +124,7 @@ def _one_graph(cfg: GeneratorConfig, cls: int, graph_id: str, index: int) -> Lab
         star: list[int] = []
         for _ in range(n_feat):
             node = len(labels)
-            labels.append(vocab[int(rng.choice(cfg.vocab_size, p=weights))])
+            labels.append(vocab[draw_label()])
             tiers.append("feature")
             edges.append((obj, node, w_near()))
             star.append(node)

@@ -55,24 +55,16 @@ def _unit_counts(v: WlFeatureVector) -> SparseVector:
     return SparseVector(v.levels, v.ids, v.values / norm)
 
 
-@dataclass(frozen=True)
-class QueryEntry:
-    digest: str
-    label: int
-    confidence: float
-    index: int
-
-
 @dataclass
 class QueryLedger:
-    """Append-only query accounting. Duplicate graphs (same structural hash) are
-    served from the cache without consuming budget. Not thread-safe; callers
-    serialize queries against one ledger."""
+    """Append-only query accounting: digest -> (label, confidence), one entry
+    per charged query. Duplicate graphs (same structural hash) are served from
+    the cache without consuming budget. Not thread-safe; callers serialize
+    queries against one ledger."""
 
     max_queries: int
     oracle: str = "score"
-    entries: list[QueryEntry] = field(default_factory=list)
-    _cache: dict[str, QueryEntry] = field(default_factory=dict, repr=False)
+    _cache: dict[str, tuple[int, float]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.max_queries < 0:
@@ -82,7 +74,7 @@ class QueryLedger:
 
     @property
     def count(self) -> int:
-        return len(self.entries)
+        return len(self._cache)
 
 
 def _predict_graphs(model: TargetModel, graphs) -> list[tuple[int, float]]:
@@ -142,15 +134,13 @@ def query(model: TargetModel, ledger: QueryLedger, g: LabeledGraph) -> tuple[int
     digest = graph_hash(g)
     cached = ledger._cache.get(digest)
     if cached is not None:
-        return cached.label, cached.confidence
+        return cached
     if ledger.count >= ledger.max_queries:
         raise QueryBudgetExhausted(f"max_queries={ledger.max_queries} spent")
     (label, conf), = _predict_graphs(model, [g])
     if ledger.oracle == "label":
         conf = 1.0
-    entry = QueryEntry(digest, label, conf, ledger.count)
-    ledger.entries.append(entry)
-    ledger._cache[digest] = entry
+    ledger._cache[digest] = (label, conf)
     return label, conf
 
 

@@ -301,7 +301,7 @@ def _connected_pairs(weights: dict, n: int) -> list:
 def shortest_path_plans(g, beta: int, k_candidates: int, rng) -> list:
     """The shortest-path planner recomputed in full on every attempt:
     union-find over all pairs before each (s, t) draw, a fresh adjacency for
-    each Dijkstra. Returns one (flips, strategy) per plan, each flip a
+    each Dijkstra. Returns one flip tuple per plan, each flip a
     (u, v, direction, weight) tuple; an edgeless graph falls back to the
     pairs of a teleporting walk."""
     mean_w = g.mean_weight
@@ -318,8 +318,7 @@ def shortest_path_plans(g, beta: int, k_candidates: int, rng) -> list:
                 pairs.append(p)
                 if len(pairs) == beta:
                     break
-            plans.append((tuple((u, v, "add", mean_w) for u, v in pairs),
-                          "shortest_path:random_walk_fallback"))
+            plans.append(tuple((u, v, "add", mean_w) for u, v in pairs))
             continue
         weights = dict(g.edge_weights)
         flips, used, stuck = [], set(), set()
@@ -353,7 +352,7 @@ def shortest_path_plans(g, beta: int, k_candidates: int, rng) -> list:
                 progressed = True
             if not progressed:
                 stuck.add((s, t))
-        plans.append((tuple(flips), "shortest_path"))
+        plans.append(tuple(flips))
     return plans
 
 

@@ -171,6 +171,27 @@ def test_bench_unknown_key_exit_2(tmp_path):
     assert run(["bench", "--spec", spec, "--out", tmp_path / "o"]) == 2
 
 
+@pytest.mark.parametrize("section,value", [
+    ("configs", ["desk"]),
+    ("configs", {"desk": 5}),
+    ("configs", {"tiny": {"objects_range": 7}}),
+    ("attack", [1]),
+    ("methods", ["abc"]),
+    ("target", [1]),
+    ("budgets", {"r": 0.001}),
+    ("budgets", ["0.001"]),
+    ("seed", "x"),
+    ("repetitions", "2"),
+    ("alpha", "a"),
+])
+def test_bench_section_of_wrong_json_type_exit_2(tmp_path, capsys, section, value):
+    spec = write_spec(tmp_path / "bad.json", dict(BENCH_SPEC, **{section: value}))
+    assert run(["bench", "--spec", spec, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "unknown key" not in err
+
+
 def test_bench_budget_sweep_shape(tmp_path):
     spec_doc = dict(BENCH_SPEC)
     spec_doc["budgets"] = [1e-3, 2e-3, 3e-3]

@@ -13,9 +13,9 @@ from graphevade.perturb import (
     adjacency_matrix,
     eigencentrality,
     plan_eigencentrality,
+    plan_mutations,
     plan_random_walk,
     plan_shortest_path,
-    ranked_pairs,
     _adjacency,
     _components,
     _dijkstra_lex,
@@ -142,14 +142,14 @@ def test_centrality_scores_validation():
 def test_star_plan_touches_center():
     g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
     plans = plan_eigencentrality(g, Budget(r=1.0 / 16, n=4), k_candidates=1)
-    (flip,) = plans[0].flips
+    (flip,) = plans[0]
     assert 0 in flip.pair
 
 
 def test_triangle_tie_breaks_lexicographically():
     g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
     plans = plan_eigencentrality(g, Budget(r=1.0 / 9, n=3), k_candidates=1)
-    (flip,) = plans[0].flips
+    (flip,) = plans[0]
     assert flip.pair == (0, 1)
     assert flip.direction == "remove"
 
@@ -162,22 +162,19 @@ def test_plans_match_reranking_oracle(rng):
     assert len(plans) == 5
     oracle_pairs = brute_force_pair_ranking(eigencentrality(g).x)
     for i, plan in enumerate(plans):
-        assert len(plan.flips) == 3
-        assert [f.pair for f in plan.flips] == oracle_pairs[i:i + 3]
-        applied = apply_flips(g, plan.flips)  # applicable in order
+        assert len(plan) == 3
+        assert [f.pair for f in plan] == oracle_pairs[i:i + 3]
+        applied = apply_flips(g, plan)  # applicable in order
         assert len(applied.edge_pairs ^ g.edge_pairs) == 3
-    assert len({tuple(f.pair for f in p.flips) for p in plans}) == 5
+    assert len({tuple(f.pair for f in p) for p in plans}) == 5
 
 
 def test_plan_determinism_and_offset(rng):
     g = random_graph(9, 0.3, rng)
     budget = Budget(r=2.0 / 81, n=9)
-    a = plan_eigencentrality(g, budget, k_candidates=3, seed=1)
-    b = plan_eigencentrality(g, budget, k_candidates=3, seed=99)
-    assert [p.flips for p in a] == [p.flips for p in b]  # rng unused by ranking
     shifted = plan_eigencentrality(g, budget, k_candidates=3, offset=3)
-    ranked = ranked_pairs(eigencentrality(g))
-    assert [f.pair for f in shifted[0].flips] == ranked[3:3 + budget.beta]
+    ranked = eigencentrality(g).ranking
+    assert [f.pair for f in shifted[0]] == list(ranked[3:3 + budget.beta])
 
 
 def test_plan_count_clamps_at_pair_list_end():
@@ -195,8 +192,8 @@ def test_walk_uniform_over_triangle_edges():
     for seed in range(1000):
         (plan,) = plan_random_walk(g, budget, k_candidates=1, seed=seed)
         # a degenerate walk (all steps equal) legitimately yields no flips
-        if plan.flips:
-            counts[plan.flips[0].pair] = counts.get(plan.flips[0].pair, 0) + 1
+        if plan:
+            counts[plan[0].pair] = counts.get(plan[0].pair, 0) + 1
     for pair in ((0, 1), (0, 2), (1, 2)):
         assert abs(counts.get(pair, 0) / 1000 - 1 / 3) < 0.05
 
@@ -205,9 +202,9 @@ def test_walk_on_empty_graph_adds():
     g = make_graph(4, [])
     budget = Budget(r=2.0 / 16, n=4)
     (plan,) = plan_random_walk(g, budget, k_candidates=1, seed=3)
-    assert len(plan.flips) == 2
-    assert all(f.direction == "add" for f in plan.flips)
-    apply_flips(g, plan.flips)
+    assert len(plan) == 2
+    assert all(f.direction == "add" for f in plan)
+    apply_flips(g, plan)
 
 
 def test_walk_determinism():
@@ -215,7 +212,7 @@ def test_walk_determinism():
     budget = Budget(r=2.0 / 25, n=5)
     a = plan_random_walk(g, budget, k_candidates=3, seed=11)
     b = plan_random_walk(g, budget, k_candidates=3, seed=11)
-    assert [p.flips for p in a] == [p.flips for p in b]
+    assert a == b
 
 
 # --- shortest path plans -----------------------------------------------------
@@ -291,8 +288,8 @@ def test_shortest_path_fallback_on_edgeless_graph():
     g = make_graph(4, [])
     budget = Budget(r=1.0 / 16, n=4)
     (plan,) = plan_shortest_path(g, budget, k_candidates=1, seed=5)
-    assert plan.strategy == "shortest_path:random_walk_fallback"
-    assert all(f.direction == "add" for f in plan.flips)
+    assert [plan] == plan_random_walk(g, budget, k_candidates=1, seed=5)
+    assert all(f.direction == "add" for f in plan)
 
 
 def test_shortest_path_determinism(rng):
@@ -300,7 +297,38 @@ def test_shortest_path_determinism(rng):
     budget = Budget(r=3.0 / 64, n=8)
     a = plan_shortest_path(g, budget, k_candidates=4, seed=21)
     b = plan_shortest_path(g, budget, k_candidates=4, seed=21)
-    assert [p.flips for p in a] == [p.flips for p in b]
+    assert a == b
+
+
+# --- mutations of the incumbent -----------------------------------------------
+
+def test_mutations_extend_the_incumbent_by_one_flip(rng):
+    g = random_graph(8, 0.4, rng)
+    budget = Budget(r=3.0 / 64, n=8)
+    (best_flips,) = plan_eigencentrality(g, Budget(r=1.0 / 64, n=8))
+    best = apply_flips(g, best_flips)
+    muts = plan_mutations(g, best, best_flips, budget, 12, seed=4)
+    assert len(muts) == 12
+    assert muts == plan_mutations(g, best, best_flips, budget, 12, seed=4)
+    for flips in muts:
+        assert flips[:-1] == best_flips
+        flip = flips[-1]
+        assert flip.direction == ("remove" if best.has_edge(*flip.pair) else "add")
+        if flip.direction == "add":
+            assert flip.weight == g.mean_weight
+        apply_flips(best, flips[-1:])  # applicable to the incumbent
+
+
+def test_mutations_at_budget_only_revert(rng):
+    g = random_graph(8, 0.4, rng)
+    budget = Budget(r=2.0 / 64, n=8)
+    (best_flips,) = plan_eigencentrality(g, budget)
+    best = apply_flips(g, best_flips)
+    changed = g.edge_pairs ^ best.edge_pairs
+    assert len(changed) == budget.beta
+    for flips in plan_mutations(g, best, best_flips, budget, 10, seed=9):
+        assert flips[-1].pair in changed
+        assert len(apply_flips(best, flips[-1:]).edge_pairs ^ g.edge_pairs) == budget.beta - 1
 
 
 # --- cross-strategy invariants ----------------------------------------------
@@ -310,10 +338,12 @@ def test_plans_within_budget_and_applicable(planner, rng):
     for trial in range(10):
         g = random_graph(9, 0.35, rng, graph_id=f"t{trial}")
         budget = Budget(r=3.0 / 81, n=9)
-        for plan in planner(g, budget, 4, trial):
-            assert len(plan.flips) <= budget.beta
-            assert len({(f.pair, f.direction) for f in plan.flips}) == len(plan.flips)
-            apply_flips(g, plan.flips)  # raises if any flip is inapplicable
+        plans = (planner(g, budget, 4) if planner is plan_eigencentrality
+                 else planner(g, budget, 4, trial))
+        for plan in plans:
+            assert len(plan) <= budget.beta
+            assert len({(f.pair, f.direction) for f in plan}) == len(plan)
+            apply_flips(g, plan)  # raises if any flip is inapplicable
 
 
 # --- equivalence with the reference planners ---------------------------------
@@ -364,8 +394,7 @@ def test_shortest_path_plans_match_reference_planner(case, k, seed):
         plans = plan_shortest_path(g, budget, k, seed)
     ref_rng = default_rng(seed)
     expected = shortest_path_plans(g, beta, k, ref_rng)
-    got = [(tuple((f.u, f.v, f.direction, f.weight) for f in p.flips), p.strategy)
-           for p in plans]
+    got = [tuple((f.u, f.v, f.direction, f.weight) for f in p) for p in plans]
     assert got == expected
     (rng,) = made
     assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -382,13 +411,13 @@ def test_eigencentrality_and_ranking_match_plain_power_iteration(case):
     x, lam, iterations = power_iteration(a)
     assert np.array_equal(s.x, x)  # bit for bit
     assert (s.lambda_max, s.iterations) == (lam, iterations)
-    assert ranked_pairs(s) == brute_force_pair_ranking(list(s.x))
+    assert list(s.ranking) == brute_force_pair_ranking(list(s.x))
 
 
 def test_ranking_ties_on_equal_scores():
     x = np.full(4, 0.5)
-    assert ranked_pairs(CentralityScores(x, 3.0, 1)) == [
-        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    assert CentralityScores(x, 3.0, 1).ranking == (
+        (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 @pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(0, 1, 2.0), (1, 2, 9.0), (2, 3, 3.0), (0, 3, 4.0)],
@@ -401,6 +430,5 @@ def test_spent_pairs_match_reference_planner(edges):
         budget = Budget(r=(beta - 0.5) / (g.n * g.n), n=g.n)
         for seed in range(25):
             plans = plan_shortest_path(g, budget, 3, seed)
-            got = [(tuple((f.u, f.v, f.direction, f.weight) for f in p.flips), p.strategy)
-                   for p in plans]
+            got = [tuple((f.u, f.v, f.direction, f.weight) for f in p) for p in plans]
             assert got == shortest_path_plans(g, beta, 3, np.random.default_rng(seed))

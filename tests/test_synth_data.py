@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphevade.graph_core import write_dataset
-from graphevade.synth_data import GeneratorConfig, InvalidConfig, generate
+from graphevade.synth_data import (
+    GeneratorConfig,
+    InvalidConfig,
+    _label_sampler,
+    _label_weights,
+    generate,
+)
 from graphevade.target_lcd import train_target
 
 
@@ -99,3 +107,16 @@ def test_class_b_core_is_denser():
     dense = np.mean([core_edges(g) for g, y in zip(ds.graphs, ds.labels) if y == -1])
     sparse = np.mean([core_edges(g) for g, y in zip(ds.graphs, ds.labels) if y == 1])
     assert dense > sparse + 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=12), st.sampled_from([0.0, 0.3, 0.7, 1.5, 4.0]),
+       st.sampled_from([1, -1]), st.integers(min_value=0, max_value=2**32),
+       st.integers(min_value=0, max_value=60))
+def test_label_sampler_matches_rng_choice(vocab_size, delta, cls, seed, draws):
+    weights = _label_weights(GeneratorConfig(vocab_size=vocab_size, delta=delta), cls)
+    ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    draw = _label_sampler(weights, ours)
+    assert [draw() for _ in range(draws)] == [
+        int(ref.choice(vocab_size, p=weights)) for _ in range(draws)]
+    assert ours.bit_generator.state == ref.bit_generator.state
