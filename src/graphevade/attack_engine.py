@@ -3,7 +3,9 @@ train a surrogate on the observed losses, and pick the strongest adversarial gra
 
 This module talks to the victim exclusively through the query interface
 (BlackBoxQuery or anything with the same query/queries_used surface); it never
-touches target model internals.
+touches target model internals. An interface may also offer prefetch(graphs),
+an optional speed hint: each round hands it the round's query list before
+asking the queries one by one, and the attack decides the same either way.
 """
 
 from __future__ import annotations
@@ -250,6 +252,8 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
             best_flips = flips
         return success
 
+    # an optional batching hint: one target pass over each round's query list
+    prefetch = getattr(query_iface, "prefetch", None)
     done = False
     for round_idx in range(cfg.rounds):
         if done or exhausted:
@@ -291,17 +295,24 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
                 entries = [(cands[i], pool[i][2], vecs[i]) for i in order.tolist()]
             elif scorer is None:
                 note = f"fallback:{note}"
-        fresh = 0
-        # the stop test comes after a query, so no entry is built past it
+        # the round's query list: the first k entries not queried before, one
+        # per digest; no entry is built past it
+        picked: dict[str, tuple[LabeledGraph, tuple[EdgeFlip, ...], WlFeatureVector | None]] = {}
         for candidate, flips, vector in entries:
             digest = graph_hash(candidate)
-            if digest in queried:
-                continue
+            if digest not in queried and digest not in picked:
+                picked[digest] = (candidate, flips, vector)
+                if len(picked) >= cfg.k_candidates:
+                    break
+        if prefetch is not None:
+            prefetch([candidate for candidate, _, _ in picked.values()])
+        fresh = 0
+        for digest, (candidate, flips, vector) in picked.items():
             fresh += 1
             if consider(candidate, flips, digest, vector):
                 done = True
                 break
-            if fresh >= cfg.k_candidates or exhausted:
+            if exhausted:
                 break
         diagnostics.append({"round": round_idx, "surrogate": note,
                             "pool": len(pool), "queried": fresh,

@@ -6,8 +6,10 @@ from __future__ import annotations
 import csv
 import io
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 from scipy.stats import chi2, rankdata
@@ -266,6 +268,14 @@ class MethodSpec:
     r: float | None = None
 
 
+def method_config(base: AttackConfig, method: MethodSpec, r: float | None = None) -> AttackConfig:
+    """The attack config of a method's cells: r is a budget row's ratio; without
+    one, the method's own r, else base's."""
+    if r is None:
+        r = base.r if method.r is None else method.r
+    return replace(base, strategy=method.strategy, surrogate=method.surrogate, r=r)
+
+
 @lru_cache(maxsize=4)
 def _prepared_target(gen_cfg: GeneratorConfig, rep_seed: int, wl_iters: int, c: float):
     """Dataset and trained target for one (config, repetition); cached so the
@@ -280,11 +290,7 @@ def _run_cell(args) -> tuple[int, int, int, float, AttackSummary]:
      target_c, row_r) = args
     rep_seed = seed + rep
     test_ds, target = _prepared_target(gen_cfg, rep_seed, target_wl_iters, target_c)
-    r = method.r if method.r is not None else base.r
-    if row_r is not None:
-        r = row_r
-    cfg = replace(base, strategy=method.strategy, surrogate=method.surrogate,
-                  r=r, seed=rep_seed)
+    cfg = replace(method_config(base, method, row_r), seed=rep_seed)
     summary = attack_testset(target, test_ds, cfg)
     return row_idx, method_idx, rep, summary.decline_pp, summary
 
@@ -305,13 +311,15 @@ def run_benchmark(
     target_wl_iters: int = 3,
     target_c: float = 10.0,
     workers: int = 1,
+    progress: Callable[[int, int], None] | None = None,
 ) -> BenchResult:
     """Paired benchmark: per (row, repetition), every method attacks the same
     freshly trained target with the same test split (identical rep seed).
 
     Rows are dataset configs; with budgets given, each config expands to one
     row per budget value r (the Table-5-style sweep). Cells are independent
-    given their seeds, so the worker count cannot change any value.
+    given their seeds, so the worker count cannot change any value. progress,
+    if given, is called with (cells done, cells in all) as each cell ends.
     """
     if not methods or not configs or repetitions < 1:
         raise ValueError("need methods, configs, and repetitions >= 1")
@@ -328,11 +336,17 @@ def run_benchmark(
             for method_idx, method in enumerate(methods):
                 tasks.append((row_idx, method_idx, rep, configs[cname], method,
                               base, seed, target_wl_iters, target_c, row_r))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_cell, tasks, chunksize=max(1, len(methods))))
-    else:
-        cells = [_run_cell(t) for t in tasks]
+    cells = []
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            done = pool.map(_run_cell, tasks, chunksize=max(1, len(methods)))
+        else:
+            done = map(_run_cell, tasks)
+        for cell in done:
+            cells.append(cell)
+            if progress is not None:
+                progress(len(cells), len(tasks))
     values = np.zeros((len(rows), len(methods), repetitions))
     summaries: dict[tuple[str, str, int], AttackSummary] = {}
     for row_idx, method_idx, rep, decline, summary in cells:

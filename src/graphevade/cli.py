@@ -8,6 +8,7 @@ import argparse
 import hashlib
 import json
 import sys
+import time
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from .bench_stats import (
     ResultTable,
     cd_diagram_text,
     friedman_nemenyi,
+    method_config,
     run_benchmark,
 )
 from .graph_core import ParseError, SchemaError, read_dataset, write_dataset
@@ -233,24 +235,47 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
     for key in attack_raw:
         if key not in _ATTACK_KEYS:
             raise InvalidConfig(f"unknown key {key!r} in attack spec")
-    try:
-        base = AttackConfig(seed=seed, **attack_raw)
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from exc
     target_raw = dict(spec.get("target", {}))
     for key in target_raw:
         if key not in ("wl_iters", "C"):
             raise InvalidConfig(f"unknown key {key!r} in target spec")
+    wl_iters = _expect(target_raw.get("wl_iters", 3), int, "target 'wl_iters'")
+    c = _expect(target_raw.get("C", 10.0), float, "target 'C'")
+    budgets = spec.get("budgets")
+    # every cell's attack config is built here, so a bad value fails before
+    # the first cell runs
+    try:
+        base = AttackConfig(seed=seed, **attack_raw)
+        for method in methods:
+            for r in budgets or (None,):
+                method_config(base, method, r)
+        if repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+        if wl_iters < 0:
+            raise ValueError("target wl_iters must be >= 0")
+        if not c > 0:
+            raise ValueError("target C must be positive")
+    except (TypeError, ValueError) as exc:
+        raise InvalidConfig(str(exc)) from exc
+    started = time.monotonic()
+
+    def progress(done: int, total: int) -> None:
+        elapsed = time.monotonic() - started
+        eta = elapsed / done * (total - done)
+        sys.stderr.write(f"bench: {done}/{total} cells, {elapsed:.1f} s elapsed, "
+                         f"ETA {eta:.1f} s\n")
+
     result = run_benchmark(
         methods=methods,
         configs=configs,
         base=base,
         repetitions=repetitions,
-        budgets=spec.get("budgets"),
+        budgets=budgets,
         seed=seed,
-        target_wl_iters=target_raw.get("wl_iters", 3),
-        target_c=target_raw.get("C", 10.0),
+        target_wl_iters=wl_iters,
+        target_c=c,
         workers=workers,
+        progress=progress,
     )
     return result, {"alpha": alpha, "seed": seed, "repetitions": repetitions}
 

@@ -158,6 +158,17 @@ class LabeledGraph:
         h.update(struct.pack(f"<{3 * len(self.edges)}d", *chain.from_iterable(self.edges)))
         return h.hexdigest()
 
+    @cached_property
+    def _wl(self) -> dict:
+        """WL feature vectors of this graph by wl_iters, filled by wl_features."""
+        return {}
+
+    def __getstate__(self):
+        # the memos (digest, views, WL vectors) are rebuilt on demand, and a
+        # WL vector's read-only counts view cannot be pickled
+        return {name: self.__dict__[name]
+                for name in ("graph_id", "node_labels", "node_tiers", "edges")}
+
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u

@@ -59,12 +59,15 @@ def _unit_counts(v: WlFeatureVector) -> SparseVector:
 class QueryLedger:
     """Append-only query accounting: digest -> (label, confidence), one entry
     per charged query. Duplicate graphs (same structural hash) are served from
-    the cache without consuming budget. Not thread-safe; callers serialize
-    queries against one ledger."""
+    the cache without consuming budget. _pending holds the model's answers
+    for digests that BlackBoxQuery.prefetch computed ahead of their queries;
+    they are neither charged nor revealed until query() takes them. Not
+    thread-safe; callers serialize queries against one ledger."""
 
     max_queries: int
     oracle: str = "score"
     _cache: dict[str, tuple[int, float]] = field(default_factory=dict, repr=False)
+    _pending: dict[str, tuple[int, float]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.max_queries < 0:
@@ -137,7 +140,10 @@ def query(model: TargetModel, ledger: QueryLedger, g: LabeledGraph) -> tuple[int
         return cached
     if ledger.count >= ledger.max_queries:
         raise QueryBudgetExhausted(f"max_queries={ledger.max_queries} spent")
-    (label, conf), = _predict_graphs(model, [g])
+    answer = ledger._pending.pop(digest, None)
+    if answer is None:
+        answer, = _predict_graphs(model, [g])
+    label, conf = answer
     if ledger.oracle == "label":
         conf = 1.0
     ledger._cache[digest] = (label, conf)
@@ -153,7 +159,8 @@ def attack_loss(observed: tuple[int, float], y: int) -> float:
 
 class BlackBoxQuery:
     """The only surface the attack engine sees: query(g) -> (label, confidence),
-    plus its own budget accounting."""
+    plus its own budget accounting and prefetch(graphs), which batches the
+    work of the queries to come."""
 
     def __init__(self, model: TargetModel, max_queries: int, oracle: str = "score"):
         self._model = model
@@ -161,6 +168,23 @@ class BlackBoxQuery:
 
     def query(self, g: LabeledGraph) -> tuple[int, float]:
         return query(self._model, self.ledger, g)
+
+    def prefetch(self, graphs) -> None:
+        """Compute, in one batch, the answers that query() will give for graphs
+        not yet answered, as many as the remaining budget can reveal. Nothing
+        is charged or revealed, and each call replaces the previous batch; a
+        speed hint only, query() answers the same with or without it."""
+        ledger = self.ledger
+        todo: dict[str, LabeledGraph] = {}
+        room = ledger.max_queries - ledger.count
+        for g in graphs:
+            if len(todo) >= room:
+                break
+            digest = graph_hash(g)
+            if digest not in ledger._cache:
+                todo.setdefault(digest, g)
+        answers = _predict_graphs(self._model, todo.values()) if todo else []
+        ledger._pending = dict(zip(todo, answers))
 
     @property
     def queries_used(self) -> int:

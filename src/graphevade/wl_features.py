@@ -110,11 +110,20 @@ def wl_feature_vectors(graphs: Sequence[LabeledGraph], wl_iters: int) -> list[Wl
     Each step runs once over the disjoint union of the batch (one edge list,
     graph i's node indices shifted by the node count of the graphs before
     it); the label rows are then cut back per graph, so every vector, key
-    order included, equals that of its graph featurised alone."""
+    order included, equals that of its graph featurised alone. A graph keeps
+    its vector per wl_iters, so only graphs seen for the first time at this
+    depth are refined; the vectors' arrays are read-only."""
     if wl_iters < 0:
         raise ValueError("wl_iters must be >= 0")
-    if not graphs:
-        return []
+    missing = [g for g in graphs if wl_iters not in g._wl]
+    if missing:
+        for g, vec in zip(missing, _extract(missing, wl_iters)):
+            g._wl[wl_iters] = vec
+    return [g._wl[wl_iters] for g in graphs]
+
+
+def _extract(graphs: Sequence[LabeledGraph], wl_iters: int) -> list[WlFeatureVector]:
+    """The batched refinement and histograms of wl_feature_vectors, memo aside."""
     sizes = [g.n for g in graphs]
     starts = list(accumulate(sizes, initial=0))
     labels = _initial_ids(chain.from_iterable(g.node_labels for g in graphs), starts[-1])
@@ -148,6 +157,8 @@ def wl_feature_vectors(graphs: Sequence[LabeledGraph], wl_iters: int) -> list[Wl
     levels = block[runs] // m
     cuts = np.searchsorted(graph[runs], np.arange(m + 1)).tolist()
     ids, values = ids[heads[runs]], values[runs]
+    for a in (levels, ids, values):
+        a.setflags(write=False)
     return [WlFeatureVector(levels[a:b], ids[a:b], values[a:b], wl_iters)
             for a, b in zip(cuts, cuts[1:])]
 

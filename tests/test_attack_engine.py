@@ -6,8 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graphevade.attack_engine as engine_module
+import graphevade.target_lcd as target_module
 from graphevade.attack_engine import (
     AttackConfig,
     attack_one,
@@ -16,7 +19,8 @@ from graphevade.attack_engine import (
 )
 from graphevade.graph_core import GraphDataset, LabeledGraph, apply_flips, graph_hash
 from graphevade.synth_data import GeneratorConfig, generate
-from graphevade.target_lcd import QueryBudgetExhausted, evaluate, train_target
+from graphevade.target_lcd import BlackBoxQuery, QueryBudgetExhausted, evaluate, train_target
+from graphevade.wl_features import wl_feature_vectors
 
 from conftest import make_graph, random_graph
 
@@ -341,6 +345,94 @@ def test_unscored_pools_build_only_the_candidates_they_examine(trained, monkeypa
     # every candidate built was examined (hashed), in the order built
     assert [id(c) for c in built] == [id(c) for c in hashed]
     assert len(built) < pooled
+
+
+# --- batched queries ----------------------------------------------------------
+
+@st.composite
+def tiny_graphs(draw, vocab):
+    """1 to 7 nodes over a few target labels; edgeless and 1- and 2-node graphs
+    included."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    labels = draw(st.lists(st.sampled_from(vocab), min_size=n, max_size=n))
+    tiers = draw(st.lists(st.sampled_from(["object", "feature"]), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    chosen = [pair for pair, keep in zip(pairs, present) if keep]
+    weights = draw(st.lists(st.floats(min_value=0.1, max_value=2.0),
+                            min_size=len(chosen), max_size=len(chosen)))
+    return LabeledGraph("tiny", tuple(labels), tuple(tiers),
+                        tuple((u, v, w) for (u, v), w in zip(chosen, weights)))
+
+
+def _outcome(out):
+    return (out.records, out.best_flips, out.best_loss, out.success, out.queries_used,
+            out.diagnostics, out.beta, graph_hash(out.best_graph))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_prefetch_leaves_every_outcome_unchanged(trained, data):
+    ds, target = trained
+    # tiny graphs cover the edge cases; test graphs give losses that vary,
+    # so the surrogate trains and attacks succeed part-way
+    g = data.draw(tiny_graphs(ds.label_vocabulary[:4])
+                  | st.sampled_from(ds.subset("test").graphs))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    rounds = data.draw(st.integers(min_value=1, max_value=3))
+    # 0 or k..rounds*k, so the budget can run out in the middle of a round
+    max_queries = data.draw(st.sampled_from([0] + list(range(k, rounds * k + 1))))
+    oracle = data.draw(st.sampled_from(["score", "label"]))
+    cfg = AttackConfig(r=data.draw(st.sampled_from([0.02, 0.1, 0.3])),
+                       strategy=data.draw(st.sampled_from(engine_module.STRATEGIES)),
+                       surrogate=data.draw(st.sampled_from(["svm_rbf", "naive_bayes"])),
+                       max_queries=max_queries, k_candidates=k, rounds=rounds,
+                       oracle=oracle, seed=data.draw(st.integers(0, 3)))
+    label, conf = evaluate(target, [g])[0]
+    y = data.draw(st.sampled_from([label, label, -label]))  # mostly right when clean
+    clean = (label, 1.0) if oracle == "label" else (label, conf)
+    hinted = attack_one(BlackBoxQuery(target, max_queries, oracle), g, y, cfg, clean)
+    plain = attack_one(RecordingQuery(BlackBoxQuery(target, max_queries, oracle)),
+                       g, y, cfg, clean)
+    assert _outcome(hinted) == _outcome(plain)
+    assert len(hinted.records) == hinted.queries_used <= max_queries
+    for rec in hinted.records:
+        changed = apply_flips(g, rec.flips).edge_pairs ^ g.edge_pairs
+        assert len(changed) <= hinted.beta
+    assert len(hinted.best_graph.edge_pairs ^ g.edge_pairs) <= hinted.beta
+
+
+def test_each_round_asks_the_target_once(trained, monkeypatch):
+    ds, target = trained
+    test = ds.subset("test")
+    cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=6, rounds=3, seed=23)
+    batches = []
+    predict = target_module._predict_graphs
+
+    def spy(model, graphs):
+        graphs = list(graphs)
+        batches.append(len(graphs))
+        return predict(model, graphs)
+
+    monkeypatch.setattr(target_module, "_predict_graphs", spy)
+    for g, y, obs in zip(test.graphs, test.labels, evaluate(target, list(test.graphs))):
+        batches.clear()
+        out = attack_one(BlackBoxQuery(target, cfg.max_queries), g, y, cfg,
+                         clean_observation=obs)
+        # one batch per round that had candidates, and no one-graph query
+        assert len(batches) == sum(d["queried"] > 0 for d in out.diagnostics)
+        assert sum(batches) >= len(out.records)
+
+
+def test_workers_agree_on_graphs_that_carry_wl_vectors(trained):
+    ds, target = trained
+    test = ds.subset("test")
+    for vec in wl_feature_vectors(list(test.graphs), 3):
+        vec.counts  # the read-only view a graph cannot be pickled with
+    cfg = AttackConfig(r=3.0 / 900, max_queries=15, k_candidates=5, rounds=2, seed=13)
+    one = attack_testset(target, test, cfg, workers=1)
+    two = attack_testset(target, test, cfg, workers=2)
+    assert summary_to_json(one) == summary_to_json(two)
 
 
 # --- pinned decisions ------------------------------------------------------------

@@ -192,6 +192,40 @@ def test_bench_section_of_wrong_json_type_exit_2(tmp_path, capsys, section, valu
     assert "unknown key" not in err
 
 
+@pytest.mark.parametrize("section,value", [
+    ("methods", [{"name": "m", "strategy": 5}]),
+    ("methods", [{"name": "m", "surrogate": "gnn"}]),
+    ("methods", [{"name": "m", "r": 0}]),
+    ("methods", [{"name": "m", "r": "x"}]),
+    ("repetitions", 0),
+    ("budgets", [0.001, 0]),
+    ("budgets", [-0.001]),
+    ("target", {"wl_iters": -1}),
+    ("target", {"wl_iters": 1.5}),
+    ("target", {"C": 0}),
+    ("target", {"C": "x"}),
+])
+def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
+    # values of the right JSON type that no run accepts are config errors too
+    spec = write_spec(tmp_path / "bad.json", dict(BENCH_SPEC, **{section: value}))
+    assert run(["bench", "--spec", spec, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_bench_reports_progress_on_stderr(tmp_path, capsys):
+    spec = Path(__file__).resolve().parent.parent / "benchmarks" / "smoke.json"
+    assert run(["bench", "--spec", spec, "--out", tmp_path / "a", "--json"]) == 0
+    out, err = capsys.readouterr()
+    cells = 1 * 3 * 2  # configs x methods x repetitions
+    lines = err.splitlines()
+    assert [line.split(" cells")[0] for line in lines] == [
+        f"bench: {i}/{cells}" for i in range(1, cells + 1)]
+    assert all("elapsed" in line and "ETA" in line for line in lines)
+    assert sorted(json.loads(out)) == [  # stdout stays one JSON document
+        "critical_difference", "friedman_p", "mean_decline_pp", "out"]
+
+
 def test_bench_budget_sweep_shape(tmp_path):
     spec_doc = dict(BENCH_SPEC)
     spec_doc["budgets"] = [1e-3, 2e-3, 3e-3]

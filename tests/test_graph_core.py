@@ -163,6 +163,21 @@ def test_memoised_digest_matches_fresh_digest(g, data):
         assert graph_hash(again) == structural_digest(again) == structural_digest(h)
 
 
+def test_graph_pickles_without_its_memos(rng):
+    from graphevade.wl_features import wl_feature_vector
+
+    g = random_graph(7, 0.4, rng, graph_id="memo")
+    digest = graph_hash(g)
+    vec = wl_feature_vector(g, 3)
+    vec.counts  # a read-only view, which pickle cannot take
+    g.neighbors
+    back = pickle.loads(pickle.dumps(g))
+    assert sorted(vars(back)) == ["edges", "graph_id", "node_labels", "node_tiers"]
+    assert back == g and graph_hash(back) == digest
+    assert wl_feature_vector(back, 3).counts == vec.counts
+    assert "_wl" in vars(g)  # the original keeps its memo
+
+
 def test_apply_flips_rejects_out_of_range_add():
     g = make_graph(3, [(0, 1)])
     with pytest.raises(ValueError):

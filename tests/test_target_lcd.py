@@ -144,6 +144,100 @@ def test_black_box_wrapper_counts(target, small_ds):
     assert iface.max_queries == 3
 
 
+# --- prefetch ------------------------------------------------------------------
+
+def _copy(g):
+    """The same graph as a new object: no digest and no WL vector kept."""
+    return LabeledGraph._trusted("copy", g.node_labels, g.node_tiers, g.edges)
+
+
+@pytest.fixture(scope="module")
+def probe_pool(small_ds):
+    """Test graphs and one-flip variants of them: twelve distinct digests."""
+    pool = []
+    for g in small_ds.subset("test").graphs[:6]:
+        flip = (EdgeFlip(0, g.n - 1, "remove") if g.has_edge(0, g.n - 1)
+                else EdgeFlip(0, g.n - 1, "add"))
+        pool += [g, apply_flips(g, [flip])]
+    return pool
+
+
+def _answers(iface, graphs):
+    """Per query: the answer under float.hex (or "exhausted") and the count."""
+    out = []
+    for g in graphs:
+        try:
+            label, conf = iface.query(g)
+            out.append((label, conf.hex(), iface.queries_used))
+        except QueryBudgetExhausted:
+            out.append(("exhausted", iface.queries_used))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_prefetched_answers_equal_plain_queries(target, probe_pool, data):
+    picks = data.draw(st.lists(st.integers(0, len(probe_pool) - 1), max_size=10))
+    max_queries = data.draw(st.integers(0, 8))
+    oracle = data.draw(st.sampled_from(["score", "label"]))
+    asked = data.draw(st.integers(0, len(picks)))  # queried before the prefetch
+    plain = BlackBoxQuery(target, max_queries, oracle)
+    hinted = BlackBoxQuery(target, max_queries, oracle)
+    graphs = [_copy(probe_pool[i]) for i in picks]
+    expected = _answers(plain, [_copy(g) for g in graphs])
+    got = _answers(hinted, graphs[:asked])
+    charged = hinted.queries_used
+    # duplicates among the hint, and graphs the ledger already answered
+    hinted.prefetch(graphs + graphs[:2])
+    assert hinted.queries_used == charged  # nothing charged or revealed
+    assert len(hinted.ledger._cache) == charged
+    assert len(hinted.ledger._pending) <= max_queries - charged
+    assert not set(hinted.ledger._pending) & set(hinted.ledger._cache)
+    got += _answers(hinted, graphs[asked:])
+    assert got == expected  # same answers, same cache hits, same exhaustion
+    if oracle == "label":
+        assert all(a[1] == (1.0).hex() for a in got if a[0] != "exhausted")
+
+
+def test_prefetch_skips_answered_graphs_and_caps_at_budget(target, probe_pool, monkeypatch):
+    import graphevade.target_lcd as target_module
+
+    batches = []
+    predict = target_module._predict_graphs
+
+    def spy(model, graphs):
+        graphs = list(graphs)
+        batches.append(graphs)
+        return predict(model, graphs)
+
+    monkeypatch.setattr(target_module, "_predict_graphs", spy)
+    iface = BlackBoxQuery(target, 5)
+    first = iface.query(probe_pool[0])
+    batches.clear()
+    iface.prefetch([_copy(probe_pool[0])] + probe_pool[1:])
+    # the answered graph is left out, and only four more can be revealed
+    assert batches == [probe_pool[1:5]]
+    assert iface.query(_copy(probe_pool[0])) == first  # a free cache hit
+    for g in probe_pool[1:5]:
+        iface.query(g)
+    assert batches == [probe_pool[1:5]]  # every answer came from the batch
+    assert iface.queries_used == 5
+    with pytest.raises(QueryBudgetExhausted):
+        iface.query(probe_pool[5])
+    iface.prefetch(probe_pool)  # no budget left: nothing to compute
+    assert len(batches) == 1 and iface.ledger._pending == {}
+
+
+def test_prefetch_replaces_the_previous_batch(target, probe_pool):
+    iface = BlackBoxQuery(target, 10)
+    iface.prefetch(probe_pool[:3])
+    iface.prefetch(probe_pool[3:5])
+    assert len(iface.ledger._pending) == 2
+    # a graph of the dropped batch is computed afresh, with the same answer
+    assert iface.query(probe_pool[0]) == evaluate(target, [_copy(probe_pool[0])])[0]
+    assert iface.queries_used == 1
+
+
 def test_query_time_labels_never_shift_model(target, small_ds):
     g = small_ds.graphs[0]
     before = target_to_json(target)

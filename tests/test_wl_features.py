@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphevade.wl_features as wl_module
 from graphevade.wl_features import (
     initial_labels,
     sparse_dot,
@@ -234,3 +235,35 @@ def test_vector_keys_align_across_graphs():
     g2 = make_graph(2, [(0, 1)], labels=["b", "a"])
     v1, v2 = wl_feature_vectors([g1, g2], 1)
     assert v1.counts == v2.counts  # isomorphic up to order, ids are graph-only
+
+
+@settings(max_examples=60, deadline=None)
+@given(graph_strategy(), st.integers(min_value=0, max_value=3))
+def test_memoised_vector_matches_fresh_histogram(g, wl_iters):
+    vec = wl_feature_vector(g, wl_iters)
+    assert wl_feature_vectors([g], wl_iters)[0] is vec  # kept on the graph
+    assert list(vec.counts.items()) == list(wl_histogram(g, wl_iters).items())
+    deeper = wl_feature_vector(g, wl_iters + 1)  # another depth, another vector
+    assert list(deeper.counts.items()) == list(wl_histogram(g, wl_iters + 1).items())
+    for arr in (vec.levels, vec.ids, vec.values):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[:1] = 0
+
+
+def test_only_graphs_without_a_vector_are_refined(rng, monkeypatch):
+    graphs = [random_graph(6, 0.4, rng, graph_id=f"m{i}") for i in range(4)]
+    kept = wl_feature_vector(graphs[1], 2)
+    batches = []
+    extract = wl_module._extract
+
+    def spy(batch, wl_iters):
+        batches.append(list(batch))
+        return extract(batch, wl_iters)
+
+    monkeypatch.setattr(wl_module, "_extract", spy)
+    vecs = wl_feature_vectors(graphs, 2)
+    assert batches == [[graphs[0], graphs[2], graphs[3]]]  # one batch of the rest
+    assert vecs[1] is kept
+    assert wl_feature_vectors(graphs[::-1], 2) == vecs[::-1]
+    assert len(batches) == 1
