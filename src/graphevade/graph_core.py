@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -145,16 +146,29 @@ class LabeledGraph:
         """Mean edge weight; 1.0 for an edgeless graph (default weight for added edges)."""
         if not self.edges:
             return 1.0
-        return sum(w for _, _, w in self.edges) / len(self.edges)
+        return _sum_left_to_right(w for _, _, w in self.edges) / len(self.edges)
+
+    @cached_property
+    def _node_memo(self) -> dict:
+        """Memos of node_labels and node_tiers alone, which every graph that
+        apply_flips derives from this one shares: "sha256" holds the digest's
+        hash state after the label and tier reprs, and wl_features keeps the
+        level-0 WL ids under "wl0"."""
+        return {}
 
     @cached_property
     def _digest(self) -> str:
         """graph_hash of this graph."""
-        labels = repr(self.node_labels).encode("utf-8")
-        tiers = repr(self.node_tiers).encode("utf-8")
-        h = hashlib.sha256(struct.pack("<QQ", len(labels), len(tiers)))
-        h.update(labels)
-        h.update(tiers)
+        memo = self._node_memo
+        head = memo.get("sha256")
+        if head is None:
+            labels = repr(self.node_labels).encode("utf-8")
+            tiers = repr(self.node_tiers).encode("utf-8")
+            head = hashlib.sha256(struct.pack("<QQ", len(labels), len(tiers)))
+            head.update(labels)
+            head.update(tiers)
+            memo["sha256"] = head
+        h = head.copy()
         h.update(struct.pack(f"<{3 * len(self.edges)}d", *chain.from_iterable(self.edges)))
         return h.hexdigest()
 
@@ -183,29 +197,53 @@ def apply_flips(g: LabeledGraph, flips: Sequence[EdgeFlip]) -> LabeledGraph:
     (it signals a buggy strategy, so the whole application aborts), and an
     add outside the node range raises ValueError. With those checks and
     EdgeFlip's own (u < v, weight finite and >= 0), the result holds every
-    LabeledGraph invariant, so it is built without validating it again.
+    LabeledGraph invariant, so it is built without validating it again. It
+    shares g's memos of the node labels and tiers.
     """
-    weights = dict(g.edge_weights)
+    edges = list(g.edges)  # kept sorted: each flip is found by bisection
+    added: dict[tuple[int, int], float] = {}  # surviving additions, oldest first
     for flip in flips:
-        pair = flip.pair
+        u, v = pair = flip.u, flip.v
+        i = bisect_left(edges, pair)
+        present = i < len(edges) and edges[i][0] == u and edges[i][1] == v
         if flip.direction == "add":
-            if pair in weights:
+            if present:
                 raise InapplicableFlip(f"add on existing edge {pair}")
-            if not (0 <= flip.u and flip.v < g.n):
+            if not (0 <= u and v < g.n):
                 raise ValueError(f"edge {pair} endpoint out of range for n={g.n}")
             if flip.weight is not None:
                 w = float(flip.weight)
-            elif weights:
-                w = sum(weights.values()) / len(weights)
+            elif edges:
+                w = _running_mean(edges, added)
             else:
                 w = 1.0
-            weights[pair] = w
+            edges.insert(i, (u, v, w))
+            added[pair] = w
         else:
-            if pair not in weights:
+            if not present:
                 raise InapplicableFlip(f"remove on missing edge {pair}")
-            del weights[pair]
-    edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    return LabeledGraph._trusted(g.graph_id, g.node_labels, g.node_tiers, edges)
+            del edges[i]
+            added.pop(pair, None)
+    out = LabeledGraph._trusted(g.graph_id, g.node_labels, g.node_tiers, tuple(edges))
+    out.__dict__["_node_memo"] = g._node_memo
+    return out
+
+
+def _running_mean(edges: list, added: dict) -> float:
+    """Mean weight of the running edge set, summed in the order an edge map
+    keeps it: the base graph's surviving edges by (u, v), then the additions
+    in the order they were made."""
+    total = _sum_left_to_right(w for u, v, w in edges if (u, v) not in added)
+    return _sum_left_to_right(added.values(), total) / len(edges)
+
+
+def _sum_left_to_right(values: Iterable[float], total: float = 0.0) -> float:
+    """Plain left-to-right float sum. The builtin sum compensates its rounding
+    from Python 3.12 on, which would change mean weights, and with them
+    digests and path costs, from one interpreter version to the next."""
+    for x in values:
+        total += x
+    return total
 
 
 def graph_hash(g: LabeledGraph) -> str:

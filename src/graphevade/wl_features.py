@@ -87,6 +87,17 @@ def _initial_ids(labels: Iterable[str], count: int) -> np.ndarray:
     return np.fromiter(map(_label_id, labels), dtype=np.uint64, count=count)
 
 
+def _level0(g: LabeledGraph) -> np.ndarray:
+    """g's level-0 ids, read-only, kept among the memos that g shares with
+    the graphs apply_flips builds from it."""
+    memo = g._node_memo
+    ids = memo.get("wl0")
+    if ids is None:
+        ids = memo["wl0"] = _initial_ids(g.node_labels, g.n)
+        ids.setflags(write=False)
+    return ids
+
+
 def initial_labels(g: LabeledGraph) -> np.ndarray:
     return _initial_ids(g.node_labels, g.n)
 
@@ -123,10 +134,11 @@ def wl_feature_vectors(graphs: Sequence[LabeledGraph], wl_iters: int) -> list[Wl
 
 
 def _extract(graphs: Sequence[LabeledGraph], wl_iters: int) -> list[WlFeatureVector]:
-    """The batched refinement and histograms of wl_feature_vectors, memo aside."""
+    """The batched refinement and histograms of wl_feature_vectors, the
+    vector memo aside."""
     sizes = [g.n for g in graphs]
     starts = list(accumulate(sizes, initial=0))
-    labels = _initial_ids(chain.from_iterable(g.node_labels for g in graphs), starts[-1])
+    labels = np.concatenate([_level0(g) for g in graphs])
     src, dst = _union_arcs(graphs, starts[:-1])
     rows = [labels]
     for _ in range(wl_iters):

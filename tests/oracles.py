@@ -8,7 +8,8 @@ planners recomputed in full at every step) so
 tests never share code with the paths they verify. The dict-keyed feature
 paths (dense matrix, projection, per-vector naive Bayes, the linear margin
 sum, unit normalisation) and the plain structural digest are the earlier
-implementations those paths must match bit for bit.
+implementations those paths must match bit for bit, and so is the edge-map
+apply_flips.
 """
 
 from __future__ import annotations
@@ -417,11 +418,55 @@ def unit_counts(counts):
 def linear_margin(support_vectors, coef, bias, query):
     """Linear-kernel decision value of a dict query: the weight vector
     coef @ X over the support vectors' sorted keys, then w_k * value_k
-    summed over the query's keys in its order."""
+    added left to right over the query's keys in its order."""
     x, keys = dict_matrix(support_vectors)
     w = coef @ x
     weights = {k: float(w[i]) for i, k in enumerate(keys)}
-    return sum(weights.get(k, 0.0) * val for k, val in query.items()) + bias
+    total = 0.0
+    for k, val in query.items():
+        total += weights.get(k, 0.0) * val
+    return total + bias
+
+
+class FlipError(Exception):
+    """dict_apply_flips stopped at flips[index]: kind "inapplicable" (add on
+    an existing edge, remove on a missing one) or "range" (an add outside
+    the nodes)."""
+
+    def __init__(self, index, kind):
+        super().__init__(f"flip {index}: {kind}")
+        self.index = index
+        self.kind = kind
+
+
+def dict_apply_flips(edges, n, flips):
+    """Sorted edge triples after applying flips in order to an edge map
+    {(u, v): w}. A weight-less add takes the mean of the running map, its
+    values added left to right in the map's order: the surviving starting
+    edges in the order given, then the additions in the order made."""
+    weights = {(u, v): w for u, v, w in edges}
+    for index, flip in enumerate(flips):
+        pair = (flip.u, flip.v)
+        if flip.direction == "add":
+            if pair in weights:
+                raise FlipError(index, "inapplicable")
+            if not (0 <= flip.u and flip.v < n):
+                raise FlipError(index, "range")
+            if flip.weight is not None:
+                w = float(flip.weight)
+            elif weights:
+                total = 0.0
+                for x in weights.values():
+                    total += x
+                w = total / len(weights)
+            else:
+                w = 1.0
+            weights[pair] = w
+        else:
+            if pair not in weights:
+                raise FlipError(index, "inapplicable")
+            del weights[pair]
+    return tuple((u, v, w) for (u, v), w in sorted(weights.items()))
 
 
 def structural_digest(g) -> str:

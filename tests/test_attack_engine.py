@@ -429,6 +429,8 @@ def test_workers_agree_on_graphs_that_carry_wl_vectors(trained):
     test = ds.subset("test")
     for vec in wl_feature_vectors(list(test.graphs), 3):
         vec.counts  # the read-only view a graph cannot be pickled with
+    for g in test.graphs:
+        graph_hash(g)  # and the label memos: a sha256 state is not picklable either
     cfg = AttackConfig(r=3.0 / 900, max_queries=15, k_candidates=5, rounds=2, seed=13)
     one = attack_testset(target, test, cfg, workers=1)
     two = attack_testset(target, test, cfg, workers=2)

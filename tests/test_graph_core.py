@@ -20,7 +20,7 @@ from graphevade.graph_core import (
 )
 from graphevade.synth_data import GeneratorConfig, generate
 
-from oracles import structural_digest
+from oracles import FlipError, dict_apply_flips, structural_digest, wl_histogram
 
 from conftest import graph_strategy, make_graph, random_graph
 
@@ -167,15 +167,110 @@ def test_graph_pickles_without_its_memos(rng):
     from graphevade.wl_features import wl_feature_vector
 
     g = random_graph(7, 0.4, rng, graph_id="memo")
-    digest = graph_hash(g)
-    vec = wl_feature_vector(g, 3)
-    vec.counts  # a read-only view, which pickle cannot take
-    g.neighbors
-    back = pickle.loads(pickle.dumps(g))
-    assert sorted(vars(back)) == ["edges", "graph_id", "node_labels", "node_tiers"]
-    assert back == g and graph_hash(back) == digest
-    assert wl_feature_vector(back, 3).counts == vec.counts
-    assert "_wl" in vars(g)  # the original keeps its memo
+    flip = EdgeFlip(0, 1, "remove") if g.has_edge(0, 1) else EdgeFlip(0, 1, "add", 1.0)
+    candidate = apply_flips(g, [flip])
+    for h in (g, candidate):
+        digest = graph_hash(h)
+        vec = wl_feature_vector(h, 3)
+        vec.counts  # a read-only view, which pickle cannot take
+        h.neighbors
+        back = pickle.loads(pickle.dumps(h))
+        assert sorted(vars(back)) == ["edges", "graph_id", "node_labels", "node_tiers"]
+        assert back == h and graph_hash(back) == digest
+        assert wl_feature_vector(back, 3).counts == vec.counts
+        assert "_wl" in vars(h)  # the original keeps its memos
+        assert set(h._node_memo) == {"sha256", "wl0"}  # a hash state and an array
+    assert candidate._node_memo is g._node_memo
+
+
+def test_mean_weight_adds_left_to_right():
+    # 0.1 added ten times left to right is 0.9999999999999999; the builtin
+    # sum compensates from Python 3.12 on and gives 1.0
+    g = make_graph(11, [(0, v, 0.1) for v in range(1, 11)])
+    assert g.mean_weight.hex() == (0.9999999999999999 / 10).hex()
+    out = apply_flips(g, [EdgeFlip(1, 2, "add")])
+    assert out.edge_weights[(1, 2)].hex() == g.mean_weight.hex()
+
+
+def test_weightless_add_sums_in_edge_map_order():
+    # the running edge map holds the starting edges, then the additions in
+    # the order made: 0.1 + 0.1 + 0.1 + 0.3 is 0.6000000000000001, while the
+    # sorted edges (0, 1), (0, 3), (1, 2), (2, 3) sum to 0.6
+    g = make_graph(4, [(0, 1, 0.1), (1, 2, 0.1)])
+    adds = [EdgeFlip(2, 3, "add", 0.1), EdgeFlip(0, 3, "add", 0.3)]
+    out = apply_flips(g, adds + [EdgeFlip(0, 2, "add")])
+    assert out.edge_weights[(0, 2)].hex() == (0.6000000000000001 / 4).hex()
+    # a starting edge removed and added back counts as an addition: the map
+    # order (0, 1), (2, 3), (1, 2), (0, 3) sums to 1.9, while (1, 2) in its
+    # old place gives 1.9000000000000001 and sorted order 1.9000000000000004
+    g = make_graph(4, [(0, 1, 0.1), (1, 2, 0.1), (2, 3, 0.6)])
+    out = apply_flips(g, [EdgeFlip(1, 2, "remove"), EdgeFlip(1, 2, "add", 0.1),
+                          EdgeFlip(0, 3, "add", 1.1), EdgeFlip(0, 2, "add")])
+    assert out.edge_weights[(0, 2)].hex() == (1.9 / 4).hex()
+
+
+@st.composite
+def flip_lists(draw, g):
+    """Flips over a few pairs, so pairs repeat (add then remove, remove then
+    add back); most apply to the running edge set, some do not, and some
+    pairs lie outside the nodes."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)] + [(-1, 0), (0, g.n)]
+    pool = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=4))
+    present = set(g.edge_pairs)
+    flips = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        pair = draw(st.sampled_from(pool))
+        applicable = draw(st.integers(min_value=0, max_value=9)) > 0
+        if (pair not in present) == applicable:
+            weight = draw(st.none() | st.floats(min_value=0.0, max_value=10.0))
+            flips.append(EdgeFlip(*pair, "add", weight=weight))
+            present.add(pair)
+        else:
+            flips.append(EdgeFlip(*pair, "remove"))
+            present.discard(pair)
+    return flips
+
+
+def _hexed(edges):
+    return [(u, v, w.hex()) for u, v, w in edges]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_strategy(), st.data())
+def test_apply_flips_matches_the_edge_map_oracle(g, data):
+    base = g
+    for _ in range(3):  # a chain: each step flips the graph the last one built
+        flips = data.draw(flip_lists(base))
+        try:
+            want = dict_apply_flips(base.edges, base.n, flips)
+        except FlipError as exc:
+            error = InapplicableFlip if exc.kind == "inapplicable" else ValueError
+            apply_flips(base, flips[:exc.index])  # every flip before it applies
+            for upto in (exc.index + 1, len(flips)):
+                with pytest.raises(error):
+                    apply_flips(base, flips[:upto])
+            return
+        out = apply_flips(base, flips)
+        assert _hexed(out.edges) == _hexed(want)
+        assert out == LabeledGraph(out.graph_id, out.node_labels, out.node_tiers, want)
+        base = out
+
+
+@settings(max_examples=80, deadline=None)
+@given(graph_strategy(), st.data())
+def test_candidates_share_label_memos_with_their_base(g, data):
+    from graphevade.wl_features import wl_feature_vector
+
+    wl_iters = data.draw(st.integers(min_value=0, max_value=3))
+    chain = [g]
+    for _ in range(3):  # candidates of candidates, as the attack's mutations are
+        chain.append(apply_flips(chain[-1], data.draw(applicable_flips(chain[-1]))))
+    # whichever graph of the chain fills a memo first, every other reads it
+    for h in data.draw(st.permutations(chain)):
+        assert h._node_memo is g._node_memo
+        assert graph_hash(h) == structural_digest(h)
+        vec = wl_feature_vector(h, wl_iters)
+        assert list(vec.counts.items()) == list(wl_histogram(h, wl_iters).items())
 
 
 def test_apply_flips_rejects_out_of_range_add():

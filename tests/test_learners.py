@@ -21,7 +21,8 @@ from graphevade.learners import (
     svm_to_json,
     svm_train,
 )
-from graphevade.learners import _as_matrix, _project
+import graphevade.learners as learners_module
+from graphevade.learners import DidNotConverge, TrainedSvm, _as_matrix, _project
 from oracles import (
     dict_matrix,
     dict_project,
@@ -29,6 +30,7 @@ from oracles import (
     dual_qp_projected_gradient,
     jacobi_eigh,
     kernel_eval,
+    linear_margin,
     nb_predict_one,
 )
 
@@ -226,6 +228,69 @@ def test_svm_did_not_converge_raises():
     from graphevade.learners import DidNotConverge
     with pytest.raises(DidNotConverge):
         svm_train(XOR_X, XOR_Y, RBF1, C=10.0, tol=1e-9, max_passes=1)
+
+
+def _smo_run(lists, k, y, c, max_passes, seed):
+    """Everything a run of one _smo form leaves behind, floats as hex."""
+    rng = np.random.default_rng(seed)
+    try:
+        alpha, b, path, passes = learners_module._smo(k, y, c, 1e-3, max_passes, rng, lists)
+    except DidNotConverge as exc:
+        out = ("DidNotConverge", exc.limit)
+    else:
+        out = ([float(a).hex() for a in alpha], float(b).hex(), [v.hex() for v in path], passes)
+    return out, rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_list_and_array_smo_take_the_same_steps(data):
+    switch = learners_module._LIST_SMO_MAX_N
+    n = data.draw(st.integers(min_value=2, max_value=24)
+                  | st.integers(min_value=switch - 2, max_value=switch + 12))
+    r = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    # WL-like rows: small counts, most of them zero, some rows repeated
+    d = int(r.integers(1, 12))
+    x = r.integers(1, 4, size=(n, d)) * (r.random((n, d)) < 0.3)
+    x[r.random(n) < 0.2] = x[0]
+    y = np.where(r.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    spec = data.draw(st.sampled_from([KernelSpec("linear"),
+                                      KernelSpec("polynomial", degree=3, coef0=1.0),
+                                      KernelSpec("rbf", gamma=0.05), RBF1]))
+    k = learners_module._gram(spec, x.astype(float))
+    c = data.draw(st.sampled_from([0.5, 10.0, math.inf]))
+    max_passes = data.draw(st.just(200) | st.integers(min_value=1, max_value=3))
+    seed = data.draw(st.integers(min_value=0, max_value=1000))
+    assert _smo_run(True, k, y, c, max_passes, seed) == _smo_run(False, k, y, c, max_passes, seed)
+
+
+@pytest.mark.parametrize("n, lists", [(learners_module._LIST_SMO_MAX_N, True),
+                                      (learners_module._LIST_SMO_MAX_N + 1, False)])
+def test_svm_train_picks_the_smo_form_by_size(n, lists, monkeypatch):
+    forms = []
+    smo = learners_module._smo
+
+    def spy(*args, lists):
+        forms.append(lists)
+        return smo(*args, lists=lists)
+
+    monkeypatch.setattr(learners_module, "_smo", spy)
+    x = [np.array([float(i % 7), float(i % 3)]) for i in range(n)]
+    svm_train(x, [1 if i % 2 else -1 for i in range(n)], KernelSpec("linear"), C=1.0)
+    assert forms == [lists]
+
+
+def test_sparse_linear_margin_adds_left_to_right():
+    # ten terms of 0.1 add up to 0.9999999999999999 left to right; the builtin
+    # sum compensates from Python 3.12 on and gives 1.0
+    keys = {(0, i): 1.0 for i in range(10)}
+    model = TrainedSvm(support_vectors=(sparse(keys),), alphas=np.array([0.1]),
+                       sv_labels=np.array([1.0]), bias=0.0, spec=KernelSpec("linear"),
+                       C=1.0, platt_a=-1.0, platt_b=0.0)
+    margin = float(svm_margins(model, [sparse(keys)])[0])
+    assert margin.hex() == (0.9999999999999999).hex()
+    assert margin.hex() == float(linear_margin([keys], np.array([0.1]), 0.0, keys)).hex()
 
 
 def test_probability_monotone_in_margin(rng):
