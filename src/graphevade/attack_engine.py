@@ -39,7 +39,7 @@ from .perturb import (
     plan_shortest_path,
 )
 from .target_lcd import BlackBoxQuery, QueryBudgetExhausted, attack_loss, evaluate
-from .wl_features import WlFeatureVector, wl_feature_vector, wl_feature_vectors
+from .wl_features import wl_feature_vector, wl_feature_vectors
 
 STRATEGIES = ("eigencentrality", "random_walk", "shortest_path")
 SURROGATES = ("svm_rbf", "svm_linear", "svm_poly", "naive_bayes")
@@ -151,17 +151,20 @@ def _binarize(losses) -> list[int] | None:
     return labels
 
 
-def _train_scorer(vectors, losses, cfg: AttackConfig, seed: int):
-    """Fit the configured surrogate on binarized attack losses (see _binarize)
-    and return a batch scoring callable (vectors -> P(high loss)), or
-    (None, reason)."""
+def _train_scorer(graphs, losses, cfg: AttackConfig, seed: int):
+    """Fit the configured surrogate on the WL vectors of graphs and their
+    binarized losses (see _binarize) and return a batch scoring callable
+    (graphs -> P(high loss)), or (None, reason). Nothing is featurised when
+    the losses leave nothing to fit."""
     labels = _binarize(losses)
     if labels is None:
         return None, _SINGLE_CLASS
+    featurise = lambda gs: wl_feature_vectors(gs, cfg.wl_iters)
+    vectors = featurise(graphs)
     try:
         if cfg.surrogate == "naive_bayes":
             model = nb_train(vectors, labels)
-            return (lambda vs: nb_predict(model, vs)[1]), "trained"
+            return (lambda gs: nb_predict(model, featurise(gs))[1]), "trained"
         if cfg.surrogate == "svm_rbf":
             # median-distance heuristic: attack records cluster within a few
             # flips of the original, where a gamma scaled by the spread of
@@ -179,8 +182,8 @@ def _train_scorer(vectors, losses, cfg: AttackConfig, seed: int):
         # fits the observed loss geometry instead of regularizing it away
         model = svm_train(vectors, labels, spec, C=10.0, tol=1e-3,
                           max_passes=cfg.epochs, seed=seed)
-        scorer = lambda vs: np.array(
-            [svm_probability(model, float(m)) for m in svm_margins(model, vs)]
+        scorer = lambda gs: np.array(
+            [svm_probability(model, float(m)) for m in svm_margins(model, featurise(gs))]
         )
         return scorer, "trained"
     except (DegenerateLabels, DidNotConverge) as exc:
@@ -211,53 +214,23 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
                              query_iface.queries_used, (), ())
     scores = eigencentrality(g) if cfg.strategy == "eigencentrality" else None
     records: list[AttackRecord] = []
-    # surrogate training set: one vector per loss, None until featurised
-    record_vectors: list[WlFeatureVector | None] = []
-    unfeaturised: list[tuple[int, LabeledGraph]] = []
+    # the surrogate's training set: the anchor and each queried candidate,
+    # parallel to losses; each graph keeps its own WL vector
+    graphs: list[LabeledGraph] = []
     losses: list[float] = []
-    queried: set[str] = set()
     diagnostics: list[dict] = []
     best_loss = 0.0
     best_graph = g
     best_flips: tuple[EdgeFlip, ...] = ()
-    exhausted = False
     if clean_observation is not None:
-        record_vectors.append(wl_feature_vector(g, cfg.wl_iters))
+        wl_feature_vector(g, cfg.wl_iters)  # memoised on g; attackbench traces this name
+        graphs.append(g)
         losses.append(attack_loss(clean_observation, y))
-
-    def consider(candidate: LabeledGraph, flips: tuple[EdgeFlip, ...], digest: str,
-                 vector: WlFeatureVector | None) -> bool:
-        """Query one candidate whose digest is not yet queried; vector holds its
-        features when a scored pool computed them. Returns True on a
-        prediction flip."""
-        nonlocal best_loss, best_graph, best_flips, exhausted
-        try:
-            observed = query_iface.query(candidate)
-        except QueryBudgetExhausted:
-            exhausted = True
-            return False
-        queried.add(digest)
-        loss = attack_loss(observed, y)
-        success = observed[0] != y
-        rec = AttackRecord(digest, flips, observed[0], observed[1], loss,
-                           success, len(records))
-        records.append(rec)
-        if vector is None:
-            unfeaturised.append((len(record_vectors), candidate))
-        record_vectors.append(vector)
-        losses.append(loss)
-        if loss > best_loss:
-            best_loss = loss
-            best_graph = candidate
-            best_flips = flips
-        return success
 
     # an optional batching hint: one target pass over each round's query list
     prefetch = getattr(query_iface, "prefetch", None)
-    done = False
+    stop = False
     for round_idx in range(cfg.rounds):
-        if done or exhausted:
-            break
         # round 0 queries raw strategy plans; guided rounds draw a wider pool
         # (3x strategy windows plus local mutations) for the surrogate to cull
         pool_k = cfg.k_candidates if round_idx == 0 else 3 * cfg.k_candidates
@@ -272,51 +245,58 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
                     g, best_graph, best_flips, budget, 2 * cfg.k_candidates,
                     _stream_seed(cfg.seed, g.graph_id, "mutate", round_idx)):
                 pool.append((best_graph, flips[-1:], flips))
-        # (candidate, flips, features): an unscored pool builds each candidate
-        # only when the loop below reaches it
-        entries = ((apply_flips(base, step), flips, None) for base, step, flips in pool)
+        # (candidate, flips): an unscored pool builds each candidate only when
+        # the loop below reaches it
+        entries = ((apply_flips(base, step), flips) for base, step, flips in pool)
         note = "strategy-only"
         if round_idx > 0 and len(losses) >= 2:
-            scorer, note = None, _SINGLE_CLASS
-            # records that stay single-class (hard labels) are never featurised
-            if _binarize(losses) is not None:
-                if unfeaturised:
-                    vecs = wl_feature_vectors([c for _, c in unfeaturised], cfg.wl_iters)
-                    for (i, _), v in zip(unfeaturised, vecs):
-                        record_vectors[i] = v
-                    unfeaturised.clear()
-                scorer, note = _train_scorer(
-                    record_vectors, losses, cfg,
-                    _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
-            if scorer is not None and pool:
-                cands = [apply_flips(base, step) for base, step, _ in pool]
-                vecs = wl_feature_vectors(cands, cfg.wl_iters)
-                order = np.argsort(-scorer(vecs), kind="stable")
-                entries = [(cands[i], pool[i][2], vecs[i]) for i in order.tolist()]
-            elif scorer is None:
+            scorer, note = _train_scorer(
+                graphs, losses, cfg,
+                _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
+            if scorer is None:
                 note = f"fallback:{note}"
+            elif pool:
+                cands = [apply_flips(base, step) for base, step, _ in pool]
+                order = np.argsort(-scorer(cands), kind="stable")
+                entries = [(cands[i], pool[i][2]) for i in order.tolist()]
         # the round's query list: the first k entries not queried before, one
         # per digest; no entry is built past it
-        picked: dict[str, tuple[LabeledGraph, tuple[EdgeFlip, ...], WlFeatureVector | None]] = {}
-        for candidate, flips, vector in entries:
+        queried = {rec.digest for rec in records}
+        picked: dict[str, tuple[LabeledGraph, tuple[EdgeFlip, ...]]] = {}
+        for candidate, flips in entries:
             digest = graph_hash(candidate)
             if digest not in queried and digest not in picked:
-                picked[digest] = (candidate, flips, vector)
+                picked[digest] = (candidate, flips)
                 if len(picked) >= cfg.k_candidates:
                     break
         if prefetch is not None:
-            prefetch([candidate for candidate, _, _ in picked.values()])
+            prefetch([candidate for candidate, _ in picked.values()])
         fresh = 0
-        for digest, (candidate, flips, vector) in picked.items():
+        for digest, (candidate, flips) in picked.items():
             fresh += 1
-            if consider(candidate, flips, digest, vector):
-                done = True
+            try:
+                observed = query_iface.query(candidate)
+            except QueryBudgetExhausted:
+                stop = True
                 break
-            if exhausted:
+            loss = attack_loss(observed, y)
+            success = observed[0] != y
+            records.append(AttackRecord(digest, flips, observed[0], observed[1], loss,
+                                        success, len(records)))
+            graphs.append(candidate)
+            losses.append(loss)
+            if loss > best_loss:
+                best_loss = loss
+                best_graph = candidate
+                best_flips = flips
+            if success:
+                stop = True
                 break
         diagnostics.append({"round": round_idx, "surrogate": note,
                             "pool": len(pool), "queried": fresh,
                             "records": len(records)})
+        if stop:
+            break
     return AttackOutcome(
         graph_id=g.graph_id,
         true_label=int(y),

@@ -295,6 +295,14 @@ def _run_cell(args) -> tuple[int, int, int, float, AttackSummary]:
     return row_idx, method_idx, rep, summary.decline_pp, summary
 
 
+def bench_rows(configs, budgets: list[float] | None) -> list[tuple[str, str, float | None]]:
+    """(row name, config name, budget ratio or None) of each benchmark row:
+    one per config, or with budgets given one per (config, budget)."""
+    if budgets:
+        return [(f"{cname}:r={r:g}", cname, r) for cname in configs for r in budgets]
+    return [(cname, cname, None) for cname in configs]
+
+
 @dataclass
 class BenchResult:
     table: ResultTable
@@ -323,13 +331,7 @@ def run_benchmark(
     """
     if not methods or not configs or repetitions < 1:
         raise ValueError("need methods, configs, and repetitions >= 1")
-    rows: list[tuple[str, str, float | None]] = []
-    for cname in configs:
-        if budgets:
-            for r in budgets:
-                rows.append((f"{cname}:r={r:g}", cname, r))
-        else:
-            rows.append((cname, cname, None))
+    rows = bench_rows(configs, budgets)
     tasks = []
     for row_idx, (_, cname, row_r) in enumerate(rows):
         for rep in range(repetitions):

@@ -17,12 +17,14 @@ from .bench_stats import (
     BenchResult,
     MethodSpec,
     ResultTable,
+    bench_rows,
     cd_diagram_text,
     friedman_nemenyi,
     method_config,
     run_benchmark,
 )
 from .graph_core import ParseError, SchemaError, read_dataset, write_dataset
+from .learners import DegenerateLabels
 from .synth_data import GeneratorConfig, InvalidConfig, generate
 from .target_lcd import load_target, save_target, train_target
 
@@ -52,31 +54,32 @@ def _emit(args, human: str, payload: dict) -> None:
         sys.stdout.write(human)
 
 
-def _dataclass_from_dict(cls, data: dict, what: str):
-    allowed = {f.name for f in fields(cls)}
+def _check_keys(data: dict, allowed, what: str) -> None:
     for key in data:
         if key not in allowed:
             raise InvalidConfig(f"unknown key {key!r} in {what}")
+
+
+def _dataclass_from_dict(cls, data: dict, what: str):
+    _check_keys(data, {f.name for f in fields(cls)}, what)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(f"bad {what}: {exc}") from exc
 
 
+def _config_from_args(cls, args):
+    """cls built from the parsed flags, whose destinations are its field names
+    (a two-value flag gives a tuple)."""
+    values = {f.name: getattr(args, f.name) for f in fields(cls)}
+    try:
+        return cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in values.items()})
+    except ValueError as exc:
+        raise InvalidConfig(str(exc)) from exc
+
+
 def cmd_gen(args) -> int:
-    cfg = GeneratorConfig(
-        n_train_per_class=args.n_train,
-        n_test_per_class=args.n_test,
-        objects_range=(args.objects[0], args.objects[1]),
-        features_per_object_range=(args.features[0], args.features[1]),
-        vocab_size=args.vocab_size,
-        p_obj=args.p_obj,
-        p_feat=args.p_feat,
-        weight_low=args.weight_low,
-        weight_high=args.weight_high,
-        delta=args.delta,
-        seed=args.seed,
-    )
+    cfg = _config_from_args(GeneratorConfig, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = generate(cfg)
@@ -100,42 +103,21 @@ def cmd_train_target(args) -> int:
     ds = read_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = train_target(ds, wl_iters=args.wl_iters, C=args.C, seed=args.seed)
+    knobs = {"wl_iters": args.wl_iters, "C": args.C, "seed": args.seed}
+    try:
+        model = train_target(ds, **knobs)
+    except DegenerateLabels as exc:
+        raise InvalidConfig(f"dataset {args.dataset}: train split: {exc}") from exc
     save_target(model, out_dir / "model.json")
-    metrics = {
-        "train_accuracy": model.train_accuracy,
-        "test_accuracy": model.test_accuracy,
-        "wl_iters": args.wl_iters,
-        "C": args.C,
-        "seed": args.seed,
-    }
+    metrics = {"train_accuracy": model.train_accuracy,
+               "test_accuracy": model.test_accuracy, **knobs}
     _write_json(out_dir / "metrics.json", metrics)
-    _echo_config(out_dir, "train-target",
-                 {"dataset": str(args.dataset), "wl_iters": args.wl_iters,
-                  "C": args.C, "seed": args.seed})
+    _echo_config(out_dir, "train-target", {"dataset": str(args.dataset), **knobs})
     _emit(args,
           f"train accuracy {model.train_accuracy:.4f}, "
           f"test accuracy {model.test_accuracy if model.test_accuracy is not None else 'n/a'}\n",
           {"model": str(out_dir / "model.json"), **metrics})
     return 0
-
-
-def _attack_config(args) -> AttackConfig:
-    try:
-        return AttackConfig(
-            r=args.r,
-            strategy=args.strategy,
-            surrogate=args.surrogate,
-            max_queries=args.max_queries,
-            k_candidates=args.k_candidates,
-            rounds=args.rounds,
-            epochs=args.epochs,
-            wl_iters=args.wl_iters,
-            oracle=args.oracle,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise InvalidConfig(str(exc)) from exc
 
 
 def cmd_attack(args) -> int:
@@ -144,10 +126,12 @@ def cmd_attack(args) -> int:
     except ValueError as exc:  # an unsupported model version or a malformed field
         raise InvalidConfig(f"model {args.model}: {exc}") from exc
     ds = read_dataset(args.dataset)
+    if len(ds) == 0:
+        raise InvalidConfig(f"dataset {args.dataset} holds no graphs")
     test = ds.subset("test")
     if len(test) == 0:
         test = ds
-    cfg = _attack_config(args)
+    cfg = _config_from_args(AttackConfig, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = attack_testset(model, test, cfg, workers=args.workers)
@@ -170,9 +154,8 @@ def cmd_attack(args) -> int:
 
 _BENCH_KEYS = ("seed", "repetitions", "alpha", "configs", "methods", "budgets",
                "attack", "target")
-_ATTACK_KEYS = ("r", "max_queries", "k_candidates", "rounds", "epochs",
-                "wl_iters", "oracle")
-_METHOD_KEYS = ("name", "strategy", "surrogate", "r")
+# a spec's "attack" section sets every knob but a method's and the seed
+_ATTACK_KEYS = {f.name for f in fields(AttackConfig)} - {"strategy", "surrogate", "seed"}
 _SECTION_TYPES = {"seed": int, "repetitions": int, "alpha": float, "configs": dict,
                   "methods": list, "budgets": list, "attack": dict, "target": dict}
 _JSON_TYPES = {dict: "object", list: "array", int: "integer", float: "number"}
@@ -192,9 +175,8 @@ def _load_bench_spec(path) -> dict:
         spec = json.load(fh)
     if not isinstance(spec, dict) or not spec:
         raise InvalidConfig("bench spec must be a non-empty JSON object")
+    _check_keys(spec, _BENCH_KEYS, "bench spec")
     for key in spec:
-        if key not in _BENCH_KEYS:
-            raise InvalidConfig(f"unknown key {key!r} in bench spec")
         if key in _SECTION_TYPES:
             _expect(spec[key], _SECTION_TYPES[key], f"bench spec {key!r}")
     for r in spec.get("budgets", ()):
@@ -220,25 +202,13 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
                                              f"generator config {name!r}")
     methods = []
     for raw in spec["methods"]:
-        for key in _expect(raw, dict, "each method spec"):
-            if key not in _METHOD_KEYS:
-                raise InvalidConfig(f"unknown key {key!r} in method spec")
-        if "name" not in raw:
+        if "name" not in _expect(raw, dict, "each method spec"):
             raise InvalidConfig("each method needs a 'name'")
-        methods.append(MethodSpec(
-            name=raw["name"],
-            strategy=raw.get("strategy", "eigencentrality"),
-            surrogate=raw.get("surrogate", "svm_rbf"),
-            r=raw.get("r"),
-        ))
+        methods.append(_dataclass_from_dict(MethodSpec, raw, "method spec"))
     attack_raw = dict(spec.get("attack", {}))
-    for key in attack_raw:
-        if key not in _ATTACK_KEYS:
-            raise InvalidConfig(f"unknown key {key!r} in attack spec")
+    _check_keys(attack_raw, _ATTACK_KEYS, "attack spec")
     target_raw = dict(spec.get("target", {}))
-    for key in target_raw:
-        if key not in ("wl_iters", "C"):
-            raise InvalidConfig(f"unknown key {key!r} in target spec")
+    _check_keys(target_raw, ("wl_iters", "C"), "target spec")
     wl_iters = _expect(target_raw.get("wl_iters", 3), int, "target 'wl_iters'")
     c = _expect(target_raw.get("C", 10.0), float, "target 'C'")
     budgets = spec.get("budgets")
@@ -251,6 +221,11 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
                 method_config(base, method, r)
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        for what, names in (("method name", [m.name for m in methods]),
+                            ("row", [row for row, _, _ in bench_rows(configs, budgets)])):
+            repeats = [x for i, x in enumerate(names) if x in names[:i]]
+            if repeats:
+                raise ValueError(f"repeated {what} {repeats[0]!r}")
         if wl_iters < 0:
             raise ValueError("target wl_iters must be >= 0")
         if not c > 0:
@@ -334,14 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
     gen.add_argument("--out", required=True)
     gen.add_argument("--seed", type=int, default=gen_defaults.seed)
-    gen.add_argument("--n-train", type=int, default=gen_defaults.n_train_per_class,
-                     help="train graphs per class")
-    gen.add_argument("--n-test", type=int, default=gen_defaults.n_test_per_class,
-                     help="test graphs per class")
-    gen.add_argument("--objects", type=int, nargs=2,
-                     default=list(gen_defaults.objects_range), metavar=("LO", "HI"))
-    gen.add_argument("--features", type=int, nargs=2,
-                     default=list(gen_defaults.features_per_object_range),
+    gen.add_argument("--n-train", dest="n_train_per_class", metavar="N_TRAIN", type=int,
+                     default=gen_defaults.n_train_per_class, help="train graphs per class")
+    gen.add_argument("--n-test", dest="n_test_per_class", metavar="N_TEST", type=int,
+                     default=gen_defaults.n_test_per_class, help="test graphs per class")
+    gen.add_argument("--objects", dest="objects_range", type=int, nargs=2,
+                     default=gen_defaults.objects_range, metavar=("LO", "HI"))
+    gen.add_argument("--features", dest="features_per_object_range", type=int, nargs=2,
+                     default=gen_defaults.features_per_object_range,
                      metavar=("LO", "HI"), help="feature nodes per object")
     gen.add_argument("--vocab-size", type=int, default=gen_defaults.vocab_size)
     gen.add_argument("--p-obj", type=float, default=gen_defaults.p_obj)
@@ -361,20 +336,21 @@ def build_parser() -> argparse.ArgumentParser:
     tt.add_argument("--json", action="store_true")
     tt.set_defaults(func=cmd_train_target)
 
+    atk_defaults = AttackConfig()
     atk = sub.add_parser("attack", help="attack a trained target over a test set")
     atk.add_argument("--model", required=True)
     atk.add_argument("--dataset", required=True)
     atk.add_argument("--out", required=True)
-    atk.add_argument("--r", type=float, default=3e-4)
-    atk.add_argument("--strategy", choices=STRATEGIES, default="eigencentrality")
-    atk.add_argument("--surrogate", choices=SURROGATES, default="svm_rbf")
-    atk.add_argument("--max-queries", type=int, default=50)
-    atk.add_argument("--k-candidates", type=int, default=10)
-    atk.add_argument("--rounds", type=int, default=10)
-    atk.add_argument("--epochs", type=int, default=200)
-    atk.add_argument("--wl-iters", type=int, default=3)
-    atk.add_argument("--oracle", choices=("score", "label"), default="score")
-    atk.add_argument("--seed", type=int, default=42)
+    atk.add_argument("--r", type=float, default=atk_defaults.r)
+    atk.add_argument("--strategy", choices=STRATEGIES, default=atk_defaults.strategy)
+    atk.add_argument("--surrogate", choices=SURROGATES, default=atk_defaults.surrogate)
+    atk.add_argument("--max-queries", type=int, default=atk_defaults.max_queries)
+    atk.add_argument("--k-candidates", type=int, default=atk_defaults.k_candidates)
+    atk.add_argument("--rounds", type=int, default=atk_defaults.rounds)
+    atk.add_argument("--epochs", type=int, default=atk_defaults.epochs)
+    atk.add_argument("--wl-iters", type=int, default=atk_defaults.wl_iters)
+    atk.add_argument("--oracle", choices=("score", "label"), default=atk_defaults.oracle)
+    atk.add_argument("--seed", type=int, default=atk_defaults.seed)
     atk.add_argument("--workers", type=int, default=1)
     atk.add_argument("--json", action="store_true")
     atk.set_defaults(func=cmd_attack)
@@ -401,6 +377,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "workers", 1) < 1:
+            raise InvalidConfig(f"--workers must be >= 1, got {args.workers}")
         return args.func(args)
     except _CONFIG_ERRORS as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -171,35 +171,20 @@ def _gram(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     return np.exp(-spec.gamma * d2)
 
 
-def _pairwise_distances(vectors: Sequence, max_exact: int, seed: int) -> np.ndarray:
+def median_heuristic_gamma(vectors: Sequence) -> float:
+    """gamma = 1 / (2 m^2) with m the median pairwise Euclidean distance.
+
+    Exact over all pairs. Scaling by the median distance (not by the spread
+    of distances) keeps gamma * distance^2 near 1 when the vectors cluster
+    tightly, which is exactly the geometry of perturbed-graph features.
+    """
     x, _ = _as_matrix(vectors)
     n = x.shape[0]
     if n < 2:
         raise ValueError("need at least two vectors")
-    if n <= max_exact:
-        sq = np.sum(x * x, axis=1)
-        d2 = np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
-        iu = np.triu_indices(n, k=1)
-        return np.sqrt(d2[iu])
-    rng = np.random.default_rng(seed)
-    m = max_exact * max_exact
-    ii = rng.integers(0, n, size=m)
-    jj = (ii + 1 + rng.integers(0, n - 1, size=m)) % n
-    diff = x[ii] - x[jj]
-    return np.sqrt(np.sum(diff * diff, axis=1))
-
-
-def median_heuristic_gamma(vectors: Sequence, max_exact: int = 512, seed: int = 0) -> float:
-    """gamma = 1 / (2 m^2) with m the median pairwise Euclidean distance.
-
-    Exact over all pairs for N <= max_exact, otherwise over max_exact^2 pairs
-    sampled with a fixed seed. Scaling by the median distance (not by the
-    spread of distances) keeps gamma * distance^2 near 1 when the vectors
-    cluster tightly, which is exactly the geometry of perturbed-graph
-    features.
-    """
-    dists = _pairwise_distances(vectors, max_exact, seed)
-    med = float(np.median(dists))
+    sq = np.sum(x * x, axis=1)
+    d2 = np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
+    med = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
     if med <= 0:
         raise DegenerateData("median pairwise distance is zero; supply gamma explicitly")
     return 1.0 / (2.0 * med * med)

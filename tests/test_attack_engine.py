@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import graphevade.attack_engine as engine_module
 import graphevade.target_lcd as target_module
+import graphevade.wl_features as wl_module
 from graphevade.attack_engine import (
     AttackConfig,
     attack_one,
@@ -23,6 +24,7 @@ from graphevade.target_lcd import BlackBoxQuery, QueryBudgetExhausted, evaluate,
 from graphevade.wl_features import wl_feature_vectors
 
 from conftest import make_graph, random_graph
+from oracles import wl_histogram
 
 
 class StubQuery:
@@ -204,34 +206,54 @@ def test_success_rate_counts_only_clean_correct_graphs(trained):
 
 
 def test_surrogate_training_set_matches_records(trained, monkeypatch):
+    # every fit trains on the clean anchor, then each record so far in query
+    # order, each row the WL histogram of the graph that record queried
     ds, target = trained
     test = ds.subset("test")
-    captured = []
-    original = engine_module._train_scorer
+    fits = []
 
-    def spy(vectors, losses, cfg, seed):
-        captured.append((len(vectors), len(losses)))
-        return original(vectors, losses, cfg, seed)
+    def spy_on(name):
+        original = getattr(engine_module, name)
 
-    monkeypatch.setattr(engine_module, "_train_scorer", spy)
-    from graphevade.target_lcd import BlackBoxQuery, evaluate
-    g, y = test.graphs[1], test.labels[1]
-    cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=6, rounds=3, seed=23)
-    clean = evaluate(target, [g])[0]
-    out = attack_one(BlackBoxQuery(target, 30), g, y, cfg, clean_observation=clean)
-    for n_vec, n_loss in captured:
-        assert n_vec == n_loss  # clean anchor plus one row per record
+        def spy(vectors, labels, *args, **kwargs):
+            fits.append([list(v.counts.items()) for v in vectors])
+            return original(vectors, labels, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, name, spy)
+
+    spy_on("svm_train")
+    spy_on("nb_train")
+    graphs = test.graphs[:4]
+    for surrogate in ("svm_rbf", "naive_bayes"):
+        cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=6, rounds=3,
+                           surrogate=surrogate, seed=23)
+        guided = 0
+        for g, y, clean in zip(graphs, test.labels, evaluate(target, graphs)):
+            fits.clear()
+            out = attack_one(BlackBoxQuery(target, 30), g, y, cfg, clean_observation=clean)
+            rows = [list(wl_histogram(g, cfg.wl_iters).items())]
+            rows += [list(wl_histogram(apply_flips(g, rec.flips), cfg.wl_iters).items())
+                     for rec in out.records]
+            trained_after = [d["records"] for d, nxt in zip(out.diagnostics, out.diagnostics[1:])
+                             if nxt["surrogate"] == "trained"]
+            assert [len(f) - 1 for f in fits] == trained_after
+            for f in fits:
+                assert f == rows[:len(f)]
+            guided += len(fits)
+        assert guided
 
 
 class WorkCounter:
-    """Wraps the attacker's hash and WL entry points, keeping every graph they
-    were given (kept alive, so ids stay unique)."""
+    """Wraps the attacker's hash and WL entry points and the WL refinement
+    that every caller shares, keeping every graph they were given (kept
+    alive, so ids stay unique)."""
 
     def __init__(self, monkeypatch):
         self.reset()
         hash_fn = engine_module.graph_hash
         single_fn = engine_module.wl_feature_vector
         batch_fn = engine_module.wl_feature_vectors
+        extract_fn = wl_module._extract
 
         def counted_hash(g):
             self.hashed.append(g)
@@ -243,18 +265,22 @@ class WorkCounter:
 
         def counted_batch(graphs, wl_iters):
             self.batch_calls += 1
-            self.batched.extend(graphs)
             return batch_fn(graphs, wl_iters)
+
+        def counted_extract(graphs, wl_iters):
+            self.refined.extend(graphs)
+            return extract_fn(graphs, wl_iters)
 
         monkeypatch.setattr(engine_module, "graph_hash", counted_hash)
         monkeypatch.setattr(engine_module, "wl_feature_vector", counted_single)
         monkeypatch.setattr(engine_module, "wl_feature_vectors", counted_batch)
+        monkeypatch.setattr(wl_module, "_extract", counted_extract)
 
     def reset(self):
-        self.hashed, self.single, self.batched, self.batch_calls = [], [], [], 0
+        self.hashed, self.single, self.refined, self.batch_calls = [], [], [], 0
 
     def featurised(self, g) -> int:
-        return sum(x is g for x in self.single + self.batched)
+        return sum(x is g for x in self.refined)
 
 
 class RecordingQuery:

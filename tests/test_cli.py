@@ -72,6 +72,18 @@ def test_train_target_missing_file_exit_2(tmp_path, capsys):
     assert "nope.jsonl" in err
 
 
+def test_train_target_one_class_train_split_exit_2(tmp_path, gen_dir, capsys):
+    lines = (gen_dir / "dataset.jsonl").read_text().splitlines()
+    keep = [line for line in lines
+            if json.loads(line).get("split", "train") != "train" or json.loads(line)["y"] == 1]
+    one_class = tmp_path / "one_class.jsonl"
+    one_class.write_text("\n".join(keep) + "\n")
+    assert run(["train-target", "--dataset", one_class, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "one_class.jsonl" in err
+
+
 def test_train_target_rerun_identical_metrics(tmp_path, gen_dir, model_dir):
     out = tmp_path / "retrain"
     assert run(["train-target", "--dataset", gen_dir / "dataset.jsonl", "--out", out]) == 0
@@ -123,6 +135,46 @@ def test_attack_stale_model_version_exit_2(tmp_path, gen_dir, model_dir, capsys)
     err = capsys.readouterr().err
     assert "config error" in err
     assert "target-v1" in err
+
+
+def test_attack_defaults_come_from_attack_config(tmp_path, model_dir):
+    from dataclasses import asdict
+
+    from graphevade.attack_engine import AttackConfig
+
+    tiny = tmp_path / "tiny"
+    assert run(["gen", "--out", tiny, "--n-train", "1", "--n-test", "1"]) == 0
+    out = tmp_path / "out"
+    assert run(["attack", "--model", model_dir / "model.json",
+                "--dataset", tiny / "dataset.jsonl", "--out", out]) == 0
+    echo = json.loads((out / "run_config.json").read_text())
+    assert echo["config"] == asdict(AttackConfig())
+
+
+def test_attack_empty_dataset_exit_2(tmp_path, model_dir, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    assert run(["attack", "--model", model_dir / "model.json", "--dataset", empty,
+                "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error")
+    assert "empty.jsonl" in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_attack_and_bench_workers_below_one_exit_2(tmp_path, gen_dir, model_dir,
+                                                  capsys, workers):
+    assert run(["attack", "--model", model_dir / "model.json",
+                "--dataset", gen_dir / "dataset.jsonl", "--out", tmp_path / "a",
+                "--max-queries", "0", "--workers", workers]) == 2
+    spec = write_spec(tmp_path / "spec.json")
+    assert run(["bench", "--spec", spec, "--out", tmp_path / "b",
+                "--workers", workers]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    assert all(line.startswith("config error") and "--workers" in line for line in err)
+    assert not (tmp_path / "a" / "summary.json").exists()
+    assert not (tmp_path / "b" / "results.csv").exists()
 
 
 BENCH_SPEC = {
@@ -204,6 +256,11 @@ def test_bench_section_of_wrong_json_type_exit_2(tmp_path, capsys, section, valu
     ("target", {"wl_iters": 1.5}),
     ("target", {"C": 0}),
     ("target", {"C": "x"}),
+    ("methods", [{"strategy": "random_walk"}]),
+    ("methods", [{"name": "m", "mystery": 1}]),
+    ("methods", [{"name": "m"}, {"name": "m", "strategy": "random_walk"}]),
+    ("budgets", [0.002, 0.002]),
+    ("budgets", [0.002, 0.0020000001]),
 ])
 def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
     # values of the right JSON type that no run accepts are config errors too

@@ -109,15 +109,6 @@ def test_median_scaling_homogeneity(rng):
     assert g2 == pytest.approx(g1 / 16.0, rel=1e-9)
 
 
-def test_median_sampled_branch_deterministic(rng):
-    vectors = [np.array([float(v)]) for v in rng.normal(size=600)]
-    a = median_heuristic_gamma(vectors, max_exact=512)
-    b = median_heuristic_gamma(vectors, max_exact=512)
-    assert a == b
-    exact = median_heuristic_gamma(vectors, max_exact=600)
-    assert a == pytest.approx(exact, rel=0.05)
-
-
 # --- SVM training ----------------------------------------------------------------
 
 def test_two_point_symmetric_problem():
