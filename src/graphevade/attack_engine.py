@@ -394,7 +394,7 @@ def attack_testset(target, ds_test: GraphDataset, cfg: AttackConfig,
     )
 
 
-def summary_to_json(summary: AttackSummary, include_records: bool = True) -> dict:
+def summary_to_json(summary: AttackSummary) -> dict:
     doc = {
         "config": asdict(summary.config),
         "clean_accuracy": summary.clean_accuracy,
@@ -406,7 +406,7 @@ def summary_to_json(summary: AttackSummary, include_records: bool = True) -> dic
     }
     for res in summary.results:
         o = res.outcome
-        row = {
+        doc["graphs"].append({
             "graph_id": res.graph_id,
             "true_label": res.true_label,
             "clean_label": res.clean_label,
@@ -417,8 +417,6 @@ def summary_to_json(summary: AttackSummary, include_records: bool = True) -> dic
             "success": o.success,
             "queries_used": o.queries_used,
             "best_flips": [asdict(f) for f in o.best_flips],
-        }
-        if include_records:
-            row["records"] = [asdict(r) for r in o.records]
-        doc["graphs"].append(row)
+            "records": [asdict(r) for r in o.records],
+        })
     return doc

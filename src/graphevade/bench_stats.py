@@ -19,7 +19,7 @@ from .synth_data import GeneratorConfig, generate
 from .target_lcd import train_target
 
 
-class TooFewBlocks(Exception):
+class TooFewBlocks(ValueError):
     """Ranking needs at least 2 methods and 2 blocks."""
 
 
@@ -159,12 +159,21 @@ class RankReport:
         return out.getvalue()
 
 
-def nemenyi_critical_difference(k: int, n_blocks: int, alpha: float = 0.05) -> float:
-    """CD = q_alpha * sqrt(k (k+1) / (6 N))."""
+def check_rankable(k: int, n_blocks: int, alpha: float) -> None:
+    """Raise unless friedman_nemenyi can rank k methods over n_blocks blocks
+    at alpha: ValueError when alpha has no embedded q table or k > 10,
+    TooFewBlocks when k < 2 or n_blocks < 2."""
     if alpha not in _NEMENYI_Q:
         raise ValueError(f"no embedded q table for alpha={alpha}")
-    if not (2 <= k <= 10):
-        raise ValueError("embedded q constants cover 2 <= k <= 10 methods")
+    if k > 10:
+        raise ValueError(f"embedded q constants cover 2 <= k <= 10 methods, got k={k}")
+    if k < 2 or n_blocks < 2:
+        raise TooFewBlocks(f"need >= 2 methods and >= 2 blocks, got k={k}, N={n_blocks}")
+
+
+def nemenyi_critical_difference(k: int, n_blocks: int, alpha: float = 0.05) -> float:
+    """CD = q_alpha * sqrt(k (k+1) / (6 N))."""
+    check_rankable(k, n_blocks, alpha)
     q = _NEMENYI_Q[alpha][k - 2]
     return q * np.sqrt(k * (k + 1) / (6.0 * n_blocks))
 
@@ -195,8 +204,7 @@ def friedman_nemenyi(table: ResultTable, alpha: float = 0.05) -> RankReport:
     k = len(table.method_names)
     blocks = table.values.transpose(0, 2, 1).reshape(-1, k)
     n = blocks.shape[0]
-    if k < 2 or n < 2:
-        raise TooFewBlocks(f"need >= 2 methods and >= 2 blocks, got k={k}, N={n}")
+    check_rankable(k, n, alpha)
     ranks = np.empty_like(blocks)
     for b in range(n):
         ranks[b] = k + 1 - rankdata(blocks[b])

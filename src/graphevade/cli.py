@@ -19,6 +19,7 @@ from .bench_stats import (
     ResultTable,
     bench_rows,
     cd_diagram_text,
+    check_rankable,
     friedman_nemenyi,
     method_config,
     run_benchmark,
@@ -78,6 +79,17 @@ def _config_from_args(cls, args):
         raise InvalidConfig(str(exc)) from exc
 
 
+def _check_target(wl_iters: int, c: float, seed: int) -> None:
+    """The victim's knobs, checked before any work (train-target's flags, and
+    a bench spec's target section and seed)."""
+    if wl_iters < 0:
+        raise InvalidConfig(f"target wl_iters must be >= 0, got {wl_iters}")
+    if not c > 0:
+        raise InvalidConfig(f"target C must be positive, got {c}")
+    if seed < 0:
+        raise InvalidConfig(f"seed must be >= 0, got {seed}")
+
+
 def cmd_gen(args) -> int:
     cfg = _config_from_args(GeneratorConfig, args)
     out_dir = Path(args.out)
@@ -100,10 +112,11 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train_target(args) -> int:
+    knobs = {"wl_iters": args.wl_iters, "C": args.C, "seed": args.seed}
+    _check_target(args.wl_iters, args.C, args.seed)
     ds = read_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    knobs = {"wl_iters": args.wl_iters, "C": args.C, "seed": args.seed}
     try:
         model = train_target(ds, **knobs)
     except DegenerateLabels as exc:
@@ -135,7 +148,7 @@ def cmd_attack(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = attack_testset(model, test, cfg, workers=args.workers)
-    doc = summary_to_json(summary, include_records=True)
+    doc = summary_to_json(summary)
     _write_json(out_dir / "summary.json", doc)
     _echo_config(out_dir, "attack", doc["config"])
     _emit(args,
@@ -152,8 +165,6 @@ def cmd_attack(args) -> int:
     return 0
 
 
-_BENCH_KEYS = ("seed", "repetitions", "alpha", "configs", "methods", "budgets",
-               "attack", "target")
 # a spec's "attack" section sets every knob but a method's and the seed
 _ATTACK_KEYS = {f.name for f in fields(AttackConfig)} - {"strategy", "surrogate", "seed"}
 _SECTION_TYPES = {"seed": int, "repetitions": int, "alpha": float, "configs": dict,
@@ -175,10 +186,9 @@ def _load_bench_spec(path) -> dict:
         spec = json.load(fh)
     if not isinstance(spec, dict) or not spec:
         raise InvalidConfig("bench spec must be a non-empty JSON object")
-    _check_keys(spec, _BENCH_KEYS, "bench spec")
+    _check_keys(spec, _SECTION_TYPES, "bench spec")
     for key in spec:
-        if key in _SECTION_TYPES:
-            _expect(spec[key], _SECTION_TYPES[key], f"bench spec {key!r}")
+        _expect(spec[key], _SECTION_TYPES[key], f"bench spec {key!r}")
     for r in spec.get("budgets", ()):
         _expect(r, float, "each budget")
     if not spec.get("configs"):
@@ -212,8 +222,10 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
     wl_iters = _expect(target_raw.get("wl_iters", 3), int, "target 'wl_iters'")
     c = _expect(target_raw.get("C", 10.0), float, "target 'C'")
     budgets = spec.get("budgets")
-    # every cell's attack config is built here, so a bad value fails before
-    # the first cell runs
+    _check_target(wl_iters, c, seed)
+    # every cell's attack config and the ranking are checked here, so a bad
+    # value fails before the first cell runs
+    rows = bench_rows(configs, budgets)
     try:
         base = AttackConfig(seed=seed, **attack_raw)
         for method in methods:
@@ -222,14 +234,12 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
         if repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for what, names in (("method name", [m.name for m in methods]),
-                            ("row", [row for row, _, _ in bench_rows(configs, budgets)])):
+                            ("row", [row for row, _, _ in rows])):
             repeats = [x for i, x in enumerate(names) if x in names[:i]]
             if repeats:
                 raise ValueError(f"repeated {what} {repeats[0]!r}")
-        if wl_iters < 0:
-            raise ValueError("target wl_iters must be >= 0")
-        if not c > 0:
-            raise ValueError("target C must be positive")
+        # one method is run and tabled but not ranked
+        check_rankable(max(len(methods), 2), len(rows) * repetitions, alpha)
     except (TypeError, ValueError) as exc:
         raise InvalidConfig(str(exc)) from exc
     started = time.monotonic()
@@ -256,9 +266,13 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
 
 
 def _write_rank_outputs(out_dir: Path, table: ResultTable, alpha: float) -> dict:
-    report = friedman_nemenyi(table, alpha=alpha)
     (out_dir / "results.csv").write_text(table.to_csv(), encoding="utf-8")
     _write_json(out_dir / "results.json", table.to_json())
+    if len(table.method_names) < 2:
+        sys.stderr.write("bench: one method, nothing to rank: no rank_report.json, "
+                         "rank_report.csv or cd_diagram.txt\n")
+        return {}
+    report = friedman_nemenyi(table, alpha=alpha)
     _write_json(out_dir / "rank_report.json", report.to_json())
     (out_dir / "rank_report.csv").write_text(report.to_csv(), encoding="utf-8")
     (out_dir / "cd_diagram.txt").write_text(cd_diagram_text(report), encoding="utf-8")
@@ -279,16 +293,18 @@ def cmd_bench(args) -> int:
     human = "mean decline per method (pp):\n" + "".join(
         f"  {m}: {means[m]:+.3f}\n" for m in result.table.method_names)
     _emit(args, human, {"out": str(out_dir), "mean_decline_pp": means,
-                        "friedman_p": report_doc["friedman_p"],
-                        "critical_difference": report_doc["critical_difference"]})
+                        "friedman_p": report_doc.get("friedman_p"),
+                        "critical_difference": report_doc.get("critical_difference")})
     return 0
 
 
 def cmd_rank(args) -> int:
     try:
         table = ResultTable.from_csv(Path(args.table).read_text(encoding="utf-8"))
+        check_rankable(len(table.method_names), len(table.row_names) * table.repetitions,
+                       args.alpha)
     except ValueError as exc:
-        raise InvalidConfig(f"bad results table {args.table}: {exc}") from exc
+        raise InvalidConfig(f"cannot rank results table {args.table}: {exc}") from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report_doc = _write_rank_outputs(out_dir, table, args.alpha)

@@ -40,11 +40,8 @@ class SchemaError(Exception):
 
 @dataclass(frozen=True)
 class EdgeFlip:
-    """One edge toggle: add or remove the undirected pair (u, v).
-
-    ``weight`` applies only to additions; ``None`` means "mean weight of the
-    edges present when the flip is applied" (1.0 on an edgeless graph).
-    """
+    """One edge toggle: add or remove the undirected pair (u, v). An addition
+    carries the new edge's weight; a removal carries none."""
 
     u: int
     v: int
@@ -56,12 +53,10 @@ class EdgeFlip:
             raise ValueError(f"flip endpoints must satisfy u < v, got ({self.u}, {self.v})")
         if self.direction not in ("add", "remove"):
             raise ValueError(f"unknown flip direction {self.direction!r}")
+        if self.direction == "add" and self.weight is None:
+            raise ValueError(f"add of ({self.u}, {self.v}) needs a weight")
         if self.weight is not None and not (math.isfinite(self.weight) and self.weight >= 0):
             raise ValueError(f"flip weight must be finite and >= 0, got {self.weight}")
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.u, self.v)
 
 
 @dataclass(frozen=True)
@@ -133,17 +128,8 @@ class LabeledGraph:
         return {(u, v): w for u, v, w in self.edges}
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted adjacency lists, one tuple per node."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v, _ in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
     def mean_weight(self) -> float:
-        """Mean edge weight; 1.0 for an edgeless graph (default weight for added edges)."""
+        """Mean edge weight (the planners' weight for an add); 1.0 if edgeless."""
         if not self.edges:
             return 1.0
         return _sum_left_to_right(w for _, _, w in self.edges) / len(self.edges)
@@ -201,7 +187,6 @@ def apply_flips(g: LabeledGraph, flips: Sequence[EdgeFlip]) -> LabeledGraph:
     shares g's memos of the node labels and tiers.
     """
     edges = list(g.edges)  # kept sorted: each flip is found by bisection
-    added: dict[tuple[int, int], float] = {}  # surviving additions, oldest first
     for flip in flips:
         u, v = pair = flip.u, flip.v
         i = bisect_left(edges, pair)
@@ -211,36 +196,21 @@ def apply_flips(g: LabeledGraph, flips: Sequence[EdgeFlip]) -> LabeledGraph:
                 raise InapplicableFlip(f"add on existing edge {pair}")
             if not (0 <= u and v < g.n):
                 raise ValueError(f"edge {pair} endpoint out of range for n={g.n}")
-            if flip.weight is not None:
-                w = float(flip.weight)
-            elif edges:
-                w = _running_mean(edges, added)
-            else:
-                w = 1.0
-            edges.insert(i, (u, v, w))
-            added[pair] = w
+            edges.insert(i, (u, v, float(flip.weight)))
         else:
             if not present:
                 raise InapplicableFlip(f"remove on missing edge {pair}")
             del edges[i]
-            added.pop(pair, None)
     out = LabeledGraph._trusted(g.graph_id, g.node_labels, g.node_tiers, tuple(edges))
     out.__dict__["_node_memo"] = g._node_memo
     return out
 
 
-def _running_mean(edges: list, added: dict) -> float:
-    """Mean weight of the running edge set, summed in the order an edge map
-    keeps it: the base graph's surviving edges by (u, v), then the additions
-    in the order they were made."""
-    total = _sum_left_to_right(w for u, v, w in edges if (u, v) not in added)
-    return _sum_left_to_right(added.values(), total) / len(edges)
-
-
-def _sum_left_to_right(values: Iterable[float], total: float = 0.0) -> float:
+def _sum_left_to_right(values: Iterable[float]) -> float:
     """Plain left-to-right float sum. The builtin sum compensates its rounding
     from Python 3.12 on, which would change mean weights, and with them
     digests and path costs, from one interpreter version to the next."""
+    total = 0.0
     for x in values:
         total += x
     return total
@@ -263,7 +233,6 @@ class GraphDataset:
     graphs: tuple[LabeledGraph, ...]
     labels: tuple[int, ...]
     splits: tuple[str, ...]
-    label_vocabulary: tuple[str, ...]
 
     def __post_init__(self):
         if not (len(self.graphs) == len(self.labels) == len(self.splits)):
@@ -274,27 +243,15 @@ class GraphDataset:
         for s in self.splits:
             if s not in ("train", "test"):
                 raise ValueError(f"unknown split tag {s!r}")
-        vocab = set(self.label_vocabulary)
-        for g in self.graphs:
-            for lab in g.node_labels:
-                if lab not in vocab:
-                    raise ValueError(f"node label {lab!r} missing from vocabulary")
 
     @classmethod
     def from_graphs(
         cls,
         graphs: Iterable[LabeledGraph],
         labels: Iterable[int],
-        splits: Iterable[str] | None = None,
+        splits: Iterable[str],
     ) -> "GraphDataset":
-        graphs = tuple(graphs)
-        labels = tuple(int(y) for y in labels)
-        if splits is None:
-            splits = tuple("train" for _ in graphs)
-        else:
-            splits = tuple(splits)
-        vocab = tuple(sorted({lab for g in graphs for lab in g.node_labels}))
-        return cls(graphs, labels, splits, vocab)
+        return cls(tuple(graphs), tuple(int(y) for y in labels), tuple(splits))
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -403,9 +360,7 @@ def read_dataset(path) -> GraphDataset:
                 raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
             try:
                 g, y, split = _graph_from_record(rec)
-            except SchemaError:
-                raise
-            except ValueError as exc:
+            except ValueError as exc:  # a graph invariant, not a SchemaError
                 raise ParseError(line_no, str(exc)) from exc
             graphs.append(g)
             labels.append(y)

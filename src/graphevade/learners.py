@@ -48,7 +48,6 @@ class DidNotConverge(Exception):
 
     def __init__(self, solver: str, limit: int, unit: str):
         super().__init__(f"{solver} did not converge within {limit} {unit}")
-        self.limit = limit
 
 
 KERNEL_KINDS = ("rbf", "linear", "polynomial")
@@ -209,7 +208,6 @@ class TrainedSvm:
     sv_indices: tuple[int, ...] | None = None
     n_train: int = 0
     objective_path: tuple[float, ...] = ()
-    passes: int = 0
     _cache: dict | None = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
@@ -229,7 +227,7 @@ _LIST_SMO_MAX_N = 48
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
-         rng: np.random.Generator, lists: bool) -> tuple[np.ndarray, float, list[float], int]:
+         rng: np.random.Generator, lists: bool) -> tuple[np.ndarray, float, list[float]]:
     """Platt's SMO on the Gram matrix k. lists picks the form of the working
     vectors, Python lists or numpy arrays; both forms take the same steps in
     the same float operations, draw the same random numbers and compute the
@@ -360,13 +358,13 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
             examine_all = True
     if not converged:
         raise DidNotConverge("SMO", max_passes, "passes")
-    return np.array(alpha, dtype=float), b, objective_path, passes
+    return np.array(alpha, dtype=float), b, objective_path
 
 
-def _fit_platt(decisions: np.ndarray, y: np.ndarray, max_iter: int = 100,
-               min_step: float = 1e-10, hessian_eps: float = 1e-12) -> tuple[float, float]:
+def _fit_platt(decisions: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     """Newton fit of P(y=+1 | f) = 1 / (1 + exp(a f + b)) with Platt's smoothed
-    targets and backtracking line search."""
+    targets and backtracking line search: at most 100 steps, each step down
+    to 1e-10, and 1e-12 added to the Hessian's diagonal."""
     f = np.asarray(decisions, dtype=float)
     prior1 = int(np.sum(y > 0))
     prior0 = len(y) - prior1
@@ -384,13 +382,13 @@ def _fit_platt(decisions: np.ndarray, y: np.ndarray, max_iter: int = 100,
         return float(np.sum(np.where(z >= 0, t * z + soft, (t - 1.0) * z + soft)))
 
     fval = nll(a, b)
-    for _ in range(max_iter):
+    for _ in range(100):
         z = f * a + b
         ez = np.exp(-np.abs(z))
         p = np.where(z >= 0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
         w = p * (1.0 - p)
-        h11 = hessian_eps + float(np.sum(f * f * w))
-        h22 = hessian_eps + float(np.sum(w))
+        h11 = 1e-12 + float(np.sum(f * f * w))
+        h22 = 1e-12 + float(np.sum(w))
         h21 = float(np.sum(f * w))
         d1 = t - p
         g1 = float(np.sum(f * d1))
@@ -402,7 +400,7 @@ def _fit_platt(decisions: np.ndarray, y: np.ndarray, max_iter: int = 100,
         db = -(-h21 * g1 + h11 * g2) / det
         gd = g1 * da + g2 * db
         step = 1.0
-        while step >= min_step:
+        while step >= 1e-10:
             na, nb = a + step * da, b + step * db
             nf = nll(na, nb)
             if nf < fval + 1e-4 * step * gd:
@@ -414,7 +412,7 @@ def _fit_platt(decisions: np.ndarray, y: np.ndarray, max_iter: int = 100,
     return a, b
 
 
-def svm_train(X: Sequence, y: Sequence, spec: KernelSpec | None = None, C: float = 1.0,
+def svm_train(X: Sequence, y: Sequence, spec: KernelSpec, C: float = 1.0,
               tol: float = 1e-3, max_passes: int = 200, seed: int = 0) -> TrainedSvm:
     """Train a soft-margin binary SVM by sequential minimal optimization.
 
@@ -432,15 +430,13 @@ def svm_train(X: Sequence, y: Sequence, spec: KernelSpec | None = None, C: float
         raise ValueError("labels must be +1 or -1")
     if len(np.unique(labels)) < 2:
         raise DegenerateLabels("need at least one example of each class")
-    if spec is None:
-        spec = KernelSpec("linear")
     if not (C > 0):
         raise ValueError("C must be positive")
     xd, _ = _as_matrix(vectors)
     gram = _gram(spec, xd)
     rng = np.random.default_rng(seed)
-    alpha, bias, objective_path, passes = _smo(gram, labels, C, tol, max_passes, rng,
-                                               lists=len(labels) <= _LIST_SMO_MAX_N)
+    alpha, bias, objective_path = _smo(gram, labels, C, tol, max_passes, rng,
+                                       lists=len(labels) <= _LIST_SMO_MAX_N)
     margins = (alpha * labels) @ gram + bias
     platt_a, platt_b = _fit_platt(margins, labels)
     sv = np.nonzero(alpha > 0)[0]
@@ -456,7 +452,6 @@ def svm_train(X: Sequence, y: Sequence, spec: KernelSpec | None = None, C: float
         sv_indices=tuple(int(i) for i in sv),
         n_train=len(vectors),
         objective_path=tuple(objective_path),
-        passes=passes,
     )
 
 
@@ -615,14 +610,11 @@ class TrainedNaiveBayes:
     means: np.ndarray  # rows: class +1, class -1
     variances: np.ndarray
     priors: np.ndarray
-    smoothing: float
 
 
-def nb_train(X: Sequence, y: Sequence, smoothing: float = 1e-9) -> TrainedNaiveBayes:
-    """Gaussian naive Bayes; every variance gets += smoothing * max variance so
+def nb_train(X: Sequence, y: Sequence) -> TrainedNaiveBayes:
+    """Gaussian naive Bayes; every variance gets += 1e-9 * max variance so
     zero-variance features stay usable."""
-    if not (smoothing > 0):
-        raise ValueError("smoothing must be positive")
     vectors = list(X)
     labels = np.asarray(list(y), dtype=float)
     if len(np.unique(labels)) < 2:
@@ -637,8 +629,8 @@ def nb_train(X: Sequence, y: Sequence, smoothing: float = 1e-9) -> TrainedNaiveB
     means = np.vstack(means)
     variances = np.vstack(variances)
     max_var = float(variances.max())
-    variances = variances + smoothing * (max_var if max_var > 0 else 1.0)
-    return TrainedNaiveBayes(keys, means, variances, np.asarray(priors), smoothing)
+    variances = variances + 1e-9 * (max_var if max_var > 0 else 1.0)
+    return TrainedNaiveBayes(keys, means, variances, np.asarray(priors))
 
 
 def nb_predict(model: TrainedNaiveBayes, X: Sequence) -> tuple[np.ndarray, np.ndarray]:

@@ -56,6 +56,8 @@ class GeneratorConfig:
             raise InvalidConfig("need 0 < weight_low <= weight_high")
         if self.delta < 0:
             raise InvalidConfig("delta must be >= 0")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 
 
 def _clip01(p: float) -> float:

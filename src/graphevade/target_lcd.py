@@ -48,10 +48,9 @@ class TargetModel:
 
 def _unit_counts(v: WlFeatureVector) -> SparseVector:
     """The histogram over its L2 norm, taken from the exact integer sum of
-    squares of the counts."""
+    squares of the counts (at least 1: a graph has a node, so level 0 counts
+    it)."""
     norm = math.sqrt(int(v.values @ v.values))
-    if norm == 0:
-        return v
     return SparseVector(v.levels, v.ids, v.values / norm)
 
 
@@ -80,9 +79,10 @@ class QueryLedger:
         return len(self._cache)
 
 
-def _predict_graphs(model: TargetModel, graphs) -> list[tuple[int, float]]:
-    """(label, confidence-of-that-label) per graph; the label is the calibrated
-    probability thresholded at 0.5 so confidence is always >= 0.5."""
+def evaluate(model: TargetModel, graphs) -> list[tuple[int, float]]:
+    """Direct (non-counting) predictions: (label, confidence-of-that-label)
+    per graph; the label is the calibrated probability thresholded at 0.5 so
+    confidence is always >= 0.5."""
     vecs = wl_feature_vectors(list(graphs), model.wl_iters)
     margins = svm_margins(model.svm, [_unit_counts(v) for v in vecs])
     out = []
@@ -95,16 +95,12 @@ def _predict_graphs(model: TargetModel, graphs) -> list[tuple[int, float]]:
     return out
 
 
-def evaluate(model: TargetModel, graphs) -> list[tuple[int, float]]:
-    """Direct (non-counting) predictions; evaluation harness use only."""
-    return _predict_graphs(model, graphs)
-
-
 def train_target(ds: GraphDataset, wl_iters: int = 3, C: float = 10.0,
-                 tol: float = 1e-3, max_passes: int = 500, seed: int = 0) -> TargetModel:
+                 seed: int = 0) -> TargetModel:
     """Train the loop-closure classifier: WL feature extraction over the train
-    split, then a linear-kernel SVM on the histograms (the WL kernel machine),
-    reporting train and test accuracy."""
+    split, then a linear-kernel SVM on the histograms (the WL kernel machine,
+    SMO to tolerance 1e-3 within 500 passes), reporting train and test
+    accuracy."""
     train = ds.subset("train")
     test = ds.subset("test")
     vecs = wl_feature_vectors(list(train.graphs), wl_iters)
@@ -113,21 +109,20 @@ def train_target(ds: GraphDataset, wl_iters: int = 3, C: float = 10.0,
         list(train.labels),
         KernelSpec("linear"),
         C=C,
-        tol=tol,
-        max_passes=max_passes,
+        tol=1e-3,
+        max_passes=500,
         seed=seed,
     )
     model = TargetModel(svm, wl_iters, 0.0, None)
-    preds = _predict_graphs(model, train.graphs)
-    model.train_accuracy = sum(
-        1 for (lab, _), y in zip(preds, train.labels) if lab == y
-    ) / len(train)
+    model.train_accuracy = _accuracy(model, train)
     if len(test):
-        preds = _predict_graphs(model, test.graphs)
-        model.test_accuracy = sum(
-            1 for (lab, _), y in zip(preds, test.labels) if lab == y
-        ) / len(test)
+        model.test_accuracy = _accuracy(model, test)
     return model
+
+
+def _accuracy(model: TargetModel, ds: GraphDataset) -> float:
+    preds = evaluate(model, ds.graphs)
+    return sum(1 for (lab, _), y in zip(preds, ds.labels) if lab == y) / len(ds)
 
 
 def query(model: TargetModel, ledger: QueryLedger, g: LabeledGraph) -> tuple[int, float]:
@@ -142,7 +137,7 @@ def query(model: TargetModel, ledger: QueryLedger, g: LabeledGraph) -> tuple[int
         raise QueryBudgetExhausted(f"max_queries={ledger.max_queries} spent")
     answer = ledger._pending.pop(digest, None)
     if answer is None:
-        answer, = _predict_graphs(model, [g])
+        answer, = evaluate(model, [g])
     label, conf = answer
     if ledger.oracle == "label":
         conf = 1.0
@@ -183,16 +178,12 @@ class BlackBoxQuery:
             digest = graph_hash(g)
             if digest not in ledger._cache:
                 todo.setdefault(digest, g)
-        answers = _predict_graphs(self._model, todo.values()) if todo else []
+        answers = evaluate(self._model, todo.values()) if todo else []
         ledger._pending = dict(zip(todo, answers))
 
     @property
     def queries_used(self) -> int:
         return self.ledger.count
-
-    @property
-    def max_queries(self) -> int:
-        return self.ledger.max_queries
 
 
 def target_to_json(model: TargetModel) -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -83,29 +83,16 @@ class WlFeatureVector(SparseVector):
                            minlength=self.wl_iters + 1).astype(np.int64).tolist()
 
 
-def _initial_ids(labels: Iterable[str], count: int) -> np.ndarray:
-    return np.fromiter(map(_label_id, labels), dtype=np.uint64, count=count)
-
-
 def _level0(g: LabeledGraph) -> np.ndarray:
     """g's level-0 ids, read-only, kept among the memos that g shares with
     the graphs apply_flips builds from it."""
     memo = g._node_memo
     ids = memo.get("wl0")
     if ids is None:
-        ids = memo["wl0"] = _initial_ids(g.node_labels, g.n)
+        ids = memo["wl0"] = np.fromiter(map(_label_id, g.node_labels), dtype=np.uint64,
+                                        count=g.n)
         ids.setflags(write=False)
     return ids
-
-
-def initial_labels(g: LabeledGraph) -> np.ndarray:
-    return _initial_ids(g.node_labels, g.n)
-
-
-def wl_relabel_step(g: LabeledGraph, labels: np.ndarray) -> np.ndarray:
-    """One WL iteration: each node's new label hashes its own label together
-    with the multiset of its neighbours' labels."""
-    return _refine(np.asarray(labels, dtype=np.uint64), *_union_arcs([g], [0]))
 
 
 def wl_feature_vector(g: LabeledGraph, wl_iters: int) -> WlFeatureVector:

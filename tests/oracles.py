@@ -69,11 +69,21 @@ def dominant_eigenspace_cosine(a, x, rel_tol: float = 1e-6) -> float:
     return float(np.linalg.norm(proj))
 
 
+def adjacency_lists(g) -> list:
+    """Sorted neighbour lists, one per node, built from g.edges."""
+    adj = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return [sorted(a) for a in adj]
+
+
 def wl_pair_kernel(g1, g2, iters: int) -> int:
     """Direct two-graph WL subtree kernel: sum over h = 0..iters of the dot
     product of the label histograms. Labels are tracked as tuples, no shared
     dictionary involved."""
     labels = [list(g.node_labels) for g in (g1, g2)]
+    adjs = [adjacency_lists(g) for g in (g1, g2)]
     total = 0
     for h in range(iters + 1):
         c1, c2 = Counter(labels[0]), Counter(labels[1])
@@ -81,10 +91,10 @@ def wl_pair_kernel(g1, g2, iters: int) -> int:
         if h == iters:
             break
         new_labels = []
-        for g, labs in zip((g1, g2), labels):
+        for adj, labs in zip(adjs, labels):
             new_labels.append([
-                (labs[v], tuple(sorted(labs[u] for u in g.neighbors[v])))
-                for v in range(g.n)
+                (labs[v], tuple(sorted(labs[u] for u in adj[v])))
+                for v in range(len(adj))
             ])
         labels = new_labels
     return total
@@ -107,12 +117,13 @@ def wl_histogram(g, iters: int) -> dict:
     modulo 2**64."""
     labels = [int.from_bytes(hashlib.blake2b(lab.encode("utf-8"), digest_size=8).digest(),
                              "little") for lab in g.node_labels]
+    adj = adjacency_lists(g)
     counts: dict = {}
     for h in range(iters + 1):
         for lab in labels:
             counts[(h, lab)] = counts.get((h, lab), 0) + 1
         labels = [_splitmix64((labels[v] * 0x9E3779B97F4A7C15
-                               + sum(_splitmix64(labels[u]) for u in g.neighbors[v])) & _MASK64)
+                               + sum(_splitmix64(labels[u]) for u in adj[v])) & _MASK64)
                   for v in range(g.n)]
     return counts
 
@@ -441,9 +452,7 @@ class FlipError(Exception):
 
 def dict_apply_flips(edges, n, flips):
     """Sorted edge triples after applying flips in order to an edge map
-    {(u, v): w}. A weight-less add takes the mean of the running map, its
-    values added left to right in the map's order: the surviving starting
-    edges in the order given, then the additions in the order made."""
+    {(u, v): w}; an add brings its own weight."""
     weights = {(u, v): w for u, v, w in edges}
     for index, flip in enumerate(flips):
         pair = (flip.u, flip.v)
@@ -452,16 +461,7 @@ def dict_apply_flips(edges, n, flips):
                 raise FlipError(index, "inapplicable")
             if not (0 <= flip.u and flip.v < n):
                 raise FlipError(index, "range")
-            if flip.weight is not None:
-                w = float(flip.weight)
-            elif weights:
-                total = 0.0
-                for x in weights.values():
-                    total += x
-                w = total / len(weights)
-            else:
-                w = 1.0
-            weights[pair] = w
+            weights[pair] = float(flip.weight)
         else:
             if pair not in weights:
                 raise FlipError(index, "inapplicable")

@@ -106,6 +106,20 @@ def test_ties_use_average_ranks():
     assert rep.mean_ranks == (2.5, 2.5, 1.0)
 
 
+def test_check_rankable_is_friedman_nemenyis_precondition():
+    from graphevade.bench_stats import check_rankable
+
+    check_rankable(2, 2, 0.05)
+    check_rankable(10, 2, 0.10)
+    for k, n_blocks, alpha, exc in ((2, 2, 0.01, ValueError), (11, 2, 0.05, ValueError),
+                                    (1, 2, 0.05, TooFewBlocks), (2, 1, 0.05, TooFewBlocks)):
+        with pytest.raises(exc):
+            check_rankable(k, n_blocks, alpha)
+        table = table_from(np.zeros((1, k, n_blocks)))
+        with pytest.raises(exc):
+            friedman_nemenyi(table, alpha=alpha)
+
+
 def test_too_few_blocks():
     with pytest.raises(TooFewBlocks):
         friedman_nemenyi(table_from(np.zeros((1, 3, 1))))

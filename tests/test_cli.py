@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from graphevade.bench_stats import ResultTable
 from graphevade.cli import main
 
 
@@ -82,6 +83,22 @@ def test_train_target_one_class_train_split_exit_2(tmp_path, gen_dir, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error")
     assert "one_class.jsonl" in err
+
+
+@pytest.mark.parametrize("flags", [["--wl-iters", "-1"], ["--C", "0"], ["--seed", "-1"]])
+def test_train_target_invalid_value_exit_2(tmp_path, gen_dir, capsys, flags):
+    out = tmp_path / "out"
+    assert run(["train-target", "--dataset", gen_dir / "dataset.jsonl",
+                "--out", out, *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (out / "model.json").exists()
+
+
+def test_gen_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run(["gen", "--out", out, "--seed", "-1", "--n-train", "2", "--n-test", "1"]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (out / "dataset.jsonl").exists()
 
 
 def test_train_target_rerun_identical_metrics(tmp_path, gen_dir, model_dir):
@@ -261,13 +278,42 @@ def test_bench_section_of_wrong_json_type_exit_2(tmp_path, capsys, section, valu
     ("methods", [{"name": "m"}, {"name": "m", "strategy": "random_walk"}]),
     ("budgets", [0.002, 0.002]),
     ("budgets", [0.002, 0.0020000001]),
+    ("seed", -1),
+    # tables that friedman_nemenyi cannot rank: no q table for the alpha,
+    # more than 10 methods, fewer than 2 blocks
+    ("alpha", 0.01),
+    ("methods", [{"name": f"m{i}"} for i in range(11)]),
+    ("repetitions", 1),
 ])
 def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
-    # values of the right JSON type that no run accepts are config errors too
+    # values of the right JSON type that no run accepts are config errors
+    # too, caught before the first cell runs (no progress line)
     spec = write_spec(tmp_path / "bad.json", dict(BENCH_SPEC, **{section: value}))
     assert run(["bench", "--spec", spec, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_bench_negative_seed_override_exit_2(tmp_path, capsys):
+    spec = write_spec(tmp_path / "spec.json")
+    assert run(["bench", "--spec", spec, "--out", tmp_path / "o", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "o" / "results.csv").exists()
+
+
+def test_bench_one_method_writes_results_without_ranks(tmp_path, capsys):
+    spec = write_spec(tmp_path / "one.json", dict(BENCH_SPEC, methods=BENCH_SPEC["methods"][:1]))
+    out = tmp_path / "o"
+    assert run(["bench", "--spec", spec, "--out", out, "--json"]) == 0
+    stdout, err = capsys.readouterr()
+    doc = json.loads(stdout)
+    assert doc["friedman_p"] is None and doc["critical_difference"] is None
+    assert list(doc["mean_decline_pp"]) == ["eig"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "results.csv", "results.json", "run_config.json"]
+    assert "nothing to rank" in err.splitlines()[-1]
+    table = ResultTable.from_csv((out / "results.csv").read_text())
+    assert table.method_names == ("eig",) and table.values.shape == (1, 1, 2)
 
 
 def test_bench_reports_progress_on_stderr(tmp_path, capsys):
@@ -306,8 +352,6 @@ def test_rank_command_roundtrip(tmp_path):
 
 
 def test_rank_quoted_names_roundtrip(tmp_path):
-    from graphevade.bench_stats import ResultTable
-
     table = ResultTable(("a,b", 'say "hi"'), ("m,1", "m2"),
                         np.arange(8, dtype=float).reshape(2, 2, 2) - 4.0)
     path = tmp_path / "results.csv"
@@ -327,6 +371,34 @@ def test_rank_rep_gap_exit_2(tmp_path, capsys):
                     "c,a,0,-1.0\nc,a,2,-2.0\nc,b,0,-1.5\nc,b,2,-0.5\n")
     assert run(["rank", "--table", path, "--out", tmp_path / "rank"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha,methods,reps", [
+    ("0.01", ("a", "b"), 2),  # no embedded q table
+    ("0.05", ("a",), 2),      # one method
+    ("0.05", ("a", "b"), 1),  # one block
+])
+def test_rank_unrankable_table_exit_2(tmp_path, capsys, alpha, methods, reps):
+    table = ResultTable(("c",), methods, np.zeros((1, len(methods), reps)))
+    path = tmp_path / "results.csv"
+    path.write_text(table.to_csv(), encoding="utf-8")
+    assert run(["rank", "--table", path, "--out", tmp_path / "rank", "--alpha", alpha]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "rank").exists()
+
+
+def test_shipped_bench_specs_pass_every_check(monkeypatch):
+    import graphevade.cli as cli_module
+    from graphevade.cli import _bench_from_spec, _load_bench_spec
+
+    def reached(**kw):
+        raise RuntimeError("checks passed")
+
+    monkeypatch.setattr(cli_module, "run_benchmark", reached)
+    root = Path(__file__).resolve().parent.parent / "benchmarks"
+    for name in ("reference.json", "budgets.json", "smoke.json"):
+        with pytest.raises(RuntimeError, match="checks passed"):
+            _bench_from_spec(_load_bench_spec(root / name), None, 1)
 
 
 def test_json_mode_stdout_is_pure_json(tmp_path, capsys):

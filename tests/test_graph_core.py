@@ -39,22 +39,21 @@ def test_empty_flip_list_is_identity():
 
 def test_adds_on_empty_graph():
     g = make_graph(4, [])
-    out = apply_flips(g, [EdgeFlip(0, 1, "add"), EdgeFlip(2, 3, "add")])
+    out = apply_flips(g, [EdgeFlip(0, 1, "add", 1.0), EdgeFlip(2, 3, "add", 0.5)])
     assert out.edge_pairs == {(0, 1), (2, 3)}
+    assert out.edge_weights == {(0, 1): 1.0, (2, 3): 0.5}
 
 
-def test_added_edge_defaults_to_mean_weight():
-    g = make_graph(3, [(0, 1, 2.0), (1, 2, 4.0)])
-    out = apply_flips(g, [EdgeFlip(0, 2, "add")])
-    assert out.edge_weights[(0, 2)] == pytest.approx(3.0)
-    lone = apply_flips(make_graph(2, []), [EdgeFlip(0, 1, "add")])
-    assert lone.edge_weights[(0, 1)] == 1.0
+def test_add_without_weight_raises():
+    with pytest.raises(ValueError, match="weight"):
+        EdgeFlip(0, 1, "add")
+    assert EdgeFlip(0, 1, "remove").weight is None
 
 
 def test_inapplicable_flips_raise():
     g = make_graph(3, [(0, 1)])
     with pytest.raises(InapplicableFlip):
-        apply_flips(g, [EdgeFlip(0, 1, "add")])
+        apply_flips(g, [EdgeFlip(0, 1, "add", 1.0)])
     with pytest.raises(InapplicableFlip):
         apply_flips(g, [EdgeFlip(1, 2, "remove")])
 
@@ -120,7 +119,7 @@ def test_hash_ignores_graph_id():
 @st.composite
 def applicable_flips(draw, g):
     """A flip sequence valid against the running edge set: pairs may repeat,
-    adds carry no weight (mean of the running edges) or an explicit one."""
+    and each add carries its weight."""
     pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
     if not pairs:
         return []
@@ -132,7 +131,7 @@ def applicable_flips(draw, g):
             flips.append(EdgeFlip(u, v, "remove"))
         else:
             present.add((u, v))
-            weight = draw(st.none() | st.floats(min_value=0.0, max_value=10.0))
+            weight = draw(st.floats(min_value=0.0, max_value=10.0))
             flips.append(EdgeFlip(u, v, "add", weight=weight))
     return flips
 
@@ -173,7 +172,7 @@ def test_graph_pickles_without_its_memos(rng):
         digest = graph_hash(h)
         vec = wl_feature_vector(h, 3)
         vec.counts  # a read-only view, which pickle cannot take
-        h.neighbors
+        h.edge_weights
         back = pickle.loads(pickle.dumps(h))
         assert sorted(vars(back)) == ["edges", "graph_id", "node_labels", "node_tiers"]
         assert back == h and graph_hash(back) == digest
@@ -188,25 +187,6 @@ def test_mean_weight_adds_left_to_right():
     # sum compensates from Python 3.12 on and gives 1.0
     g = make_graph(11, [(0, v, 0.1) for v in range(1, 11)])
     assert g.mean_weight.hex() == (0.9999999999999999 / 10).hex()
-    out = apply_flips(g, [EdgeFlip(1, 2, "add")])
-    assert out.edge_weights[(1, 2)].hex() == g.mean_weight.hex()
-
-
-def test_weightless_add_sums_in_edge_map_order():
-    # the running edge map holds the starting edges, then the additions in
-    # the order made: 0.1 + 0.1 + 0.1 + 0.3 is 0.6000000000000001, while the
-    # sorted edges (0, 1), (0, 3), (1, 2), (2, 3) sum to 0.6
-    g = make_graph(4, [(0, 1, 0.1), (1, 2, 0.1)])
-    adds = [EdgeFlip(2, 3, "add", 0.1), EdgeFlip(0, 3, "add", 0.3)]
-    out = apply_flips(g, adds + [EdgeFlip(0, 2, "add")])
-    assert out.edge_weights[(0, 2)].hex() == (0.6000000000000001 / 4).hex()
-    # a starting edge removed and added back counts as an addition: the map
-    # order (0, 1), (2, 3), (1, 2), (0, 3) sums to 1.9, while (1, 2) in its
-    # old place gives 1.9000000000000001 and sorted order 1.9000000000000004
-    g = make_graph(4, [(0, 1, 0.1), (1, 2, 0.1), (2, 3, 0.6)])
-    out = apply_flips(g, [EdgeFlip(1, 2, "remove"), EdgeFlip(1, 2, "add", 0.1),
-                          EdgeFlip(0, 3, "add", 1.1), EdgeFlip(0, 2, "add")])
-    assert out.edge_weights[(0, 2)].hex() == (1.9 / 4).hex()
 
 
 @st.composite
@@ -222,7 +202,7 @@ def flip_lists(draw, g):
         pair = draw(st.sampled_from(pool))
         applicable = draw(st.integers(min_value=0, max_value=9)) > 0
         if (pair not in present) == applicable:
-            weight = draw(st.none() | st.floats(min_value=0.0, max_value=10.0))
+            weight = draw(st.floats(min_value=0.0, max_value=10.0))
             flips.append(EdgeFlip(*pair, "add", weight=weight))
             present.add(pair)
         else:
@@ -276,9 +256,9 @@ def test_candidates_share_label_memos_with_their_base(g, data):
 def test_apply_flips_rejects_out_of_range_add():
     g = make_graph(3, [(0, 1)])
     with pytest.raises(ValueError):
-        apply_flips(g, [EdgeFlip(1, 3, "add")])
+        apply_flips(g, [EdgeFlip(1, 3, "add", 1.0)])
     with pytest.raises(ValueError):
-        apply_flips(g, [EdgeFlip(-1, 2, "add")])
+        apply_flips(g, [EdgeFlip(-1, 2, "add", 1.0)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -391,11 +371,9 @@ def test_roundtrip_property(tmp_path_factory, graphs, data):
 def test_dataset_validation():
     g = make_graph(2, [(0, 1)])
     with pytest.raises(ValueError):
-        GraphDataset.from_graphs([g], [2])
+        GraphDataset.from_graphs([g], [2], ["train"])
     with pytest.raises(ValueError):
-        GraphDataset((g,), (1,), ("train", "test"), ("a",))
-    with pytest.raises(ValueError):
-        GraphDataset((g,), (1,), ("train",), ("zzz",))
+        GraphDataset((g,), (1,), ("train", "test"))
 
 
 def test_subset_filters_splits():

@@ -13,6 +13,8 @@ from graphevade.synth_data import (
 )
 from graphevade.target_lcd import train_target
 
+from oracles import adjacency_lists
+
 
 def test_default_config_shape():
     cfg = GeneratorConfig(n_train_per_class=10, n_test_per_class=5)
@@ -34,9 +36,10 @@ def test_graphs_satisfy_core_invariants():
             assert 0 <= u < v < g.n
             assert w >= 0
         # every feature node anchors to exactly one object via its star edge
+        adj = adjacency_lists(g)
         for v, tier in enumerate(g.node_tiers):
             if tier == "feature":
-                anchors = [u for u in g.neighbors[v] if g.node_tiers[u] == "object"]
+                anchors = [u for u in adj[v] if g.node_tiers[u] == "object"]
                 assert len(anchors) >= 1
 
 

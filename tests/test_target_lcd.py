@@ -141,7 +141,7 @@ def test_black_box_wrapper_counts(target, small_ds):
     iface.query(small_ds.graphs[0])
     iface.query(small_ds.graphs[1])
     assert iface.queries_used == 2
-    assert iface.max_queries == 3
+    assert iface.ledger.max_queries == 3
 
 
 # --- prefetch ------------------------------------------------------------------
@@ -157,7 +157,7 @@ def probe_pool(small_ds):
     pool = []
     for g in small_ds.subset("test").graphs[:6]:
         flip = (EdgeFlip(0, g.n - 1, "remove") if g.has_edge(0, g.n - 1)
-                else EdgeFlip(0, g.n - 1, "add"))
+                else EdgeFlip(0, g.n - 1, "add", weight=g.mean_weight))
         pool += [g, apply_flips(g, [flip])]
     return pool
 
@@ -203,14 +203,14 @@ def test_prefetch_skips_answered_graphs_and_caps_at_budget(target, probe_pool, m
     import graphevade.target_lcd as target_module
 
     batches = []
-    predict = target_module._predict_graphs
+    predict = target_module.evaluate
 
     def spy(model, graphs):
         graphs = list(graphs)
         batches.append(graphs)
         return predict(model, graphs)
 
-    monkeypatch.setattr(target_module, "_predict_graphs", spy)
+    monkeypatch.setattr(target_module, "evaluate", spy)
     iface = BlackBoxQuery(target, 5)
     first = iface.query(probe_pool[0])
     batches.clear()

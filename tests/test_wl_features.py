@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphevade.wl_features as wl_module
-from graphevade.wl_features import (
-    initial_labels,
-    sparse_dot,
-    wl_feature_vector,
-    wl_feature_vectors,
-    wl_relabel_step,
-)
+from graphevade.wl_features import sparse_dot, wl_feature_vector, wl_feature_vectors
 from oracles import are_isomorphic, jacobi_eigh, wl_histogram, wl_pair_kernel
 
 from conftest import graph_strategy, make_graph, random_graph
@@ -43,17 +37,24 @@ def wl_kernel_matrix(graphs, wl_iters, normalize=False):
     return k
 
 
+def level_histograms(g, wl_iters):
+    """{label id: count} of each level h = 0..wl_iters: the multiset of the
+    node labels at that level."""
+    levels = [{} for _ in range(wl_iters + 1)]
+    for (h, label), count in wl_feature_vector(g, wl_iters).counts.items():
+        levels[h][label] = count
+    return levels
+
+
 def test_isolated_equal_nodes_stay_equal():
     g = make_graph(2, [], labels=["a", "a"])
-    new = wl_relabel_step(g, initial_labels(g))
-    assert new[0] == new[1]
+    assert list(level_histograms(g, 1)[1].values()) == [2]
 
 
 def test_path_degree_asymmetry_after_one_step():
+    # the two ends share a label, the middle node gets another
     g = make_graph(3, [(0, 1), (1, 2)], labels=["a", "a", "a"])
-    new = wl_relabel_step(g, initial_labels(g))
-    assert new[0] == new[2]
-    assert new[0] != new[1]
+    assert list(level_histograms(g, 1)[1].values()) == [2, 1]
 
 
 def test_isomorphic_graphs_share_label_multisets(rng):
@@ -62,11 +63,7 @@ def test_isomorphic_graphs_share_label_multisets(rng):
         perm = rng.permutation(g.n)
         h = permute(g, perm)
         assert are_isomorphic(g, h)
-        lg, lh = initial_labels(g), initial_labels(h)
-        for _ in range(3):
-            assert sorted(lg) == sorted(lh)
-            lg = wl_relabel_step(g, lg)
-            lh = wl_relabel_step(h, lh)
+        assert level_histograms(g, 2) == level_histograms(h, 2)
 
 
 def test_multiset_difference_implies_non_isomorphic(rng):
@@ -74,15 +71,7 @@ def test_multiset_difference_implies_non_isomorphic(rng):
     for trial in range(40):
         a = random_graph(5, 0.4, rng, graph_id=f"a{trial}")
         b = random_graph(5, 0.4, rng, graph_id=f"b{trial}")
-        la, lb = initial_labels(a), initial_labels(b)
-        differ = False
-        for _ in range(4):
-            if sorted(la) != sorted(lb):
-                differ = True
-                break
-            la = wl_relabel_step(a, la)
-            lb = wl_relabel_step(b, lb)
-        if differ:
+        if level_histograms(a, 3) != level_histograms(b, 3):
             found += 1
             assert not are_isomorphic(a, b)
     assert found > 10
@@ -187,13 +176,8 @@ def test_feature_arrays_follow_first_seen_order(rng):
 def test_monotone_label_refinement(rng):
     for trial in range(10):
         g = random_graph(7, 0.4, rng, graph_id=f"r{trial}")
-        labels = initial_labels(g)
-        prev = len(set(labels))
-        for _ in range(3):
-            labels = wl_relabel_step(g, labels)
-            cur = len(set(labels))
-            assert cur >= prev
-            prev = cur
+        distinct = [len(level) for level in level_histograms(g, 3)]
+        assert distinct == sorted(distinct)
 
 
 def test_ids_independent_of_extraction_order(rng):
