@@ -13,10 +13,10 @@ from .graph_core import (
     write_dataset,
 )
 from .perturb import (
-    Budget,
     BudgetExceedsPairs,
     CentralityScores,
     eigencentrality,
+    flip_budget,
     plan_eigencentrality,
     plan_random_walk,
     plan_shortest_path,

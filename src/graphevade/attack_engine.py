@@ -19,7 +19,6 @@ import numpy as np
 from .graph_core import EdgeFlip, GraphDataset, LabeledGraph, apply_flips, graph_hash
 from .learners import (
     DegenerateData,
-    DegenerateLabels,
     DidNotConverge,
     KernelSpec,
     median_heuristic_gamma,
@@ -30,9 +29,9 @@ from .learners import (
     svm_train,
 )
 from .perturb import (
-    Budget,
     BudgetExceedsPairs,
     eigencentrality,
+    flip_budget,
     plan_eigencentrality,
     plan_mutations,
     plan_random_walk,
@@ -98,7 +97,6 @@ class AttackRecord:
 @dataclass
 class AttackOutcome:
     graph_id: str
-    true_label: int
     beta: int
     best_graph: LabeledGraph
     best_flips: tuple[EdgeFlip, ...]
@@ -115,17 +113,17 @@ def _stream_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _strategy_plans(g: LabeledGraph, budget: Budget, cfg: AttackConfig,
+def _strategy_plans(g: LabeledGraph, beta: int, cfg: AttackConfig,
                     round_idx: int, count: int, scores) -> list[tuple[EdgeFlip, ...]]:
     seed = _stream_seed(cfg.seed, g.graph_id, "strategy", round_idx)
     if cfg.strategy == "eigencentrality":
         # rounds slide over fresh ranked-pair windows so candidates never repeat
         offset = cfg.k_candidates if round_idx > 0 else 0
         offset += max(0, round_idx - 1) * count
-        return plan_eigencentrality(g, budget, count, offset=offset, scores=scores)
+        return plan_eigencentrality(g, beta, scores, count, offset=offset)
     if cfg.strategy == "random_walk":
-        return plan_random_walk(g, budget, count, seed)
-    return plan_shortest_path(g, budget, count, seed)
+        return plan_random_walk(g, beta, count, seed)
+    return plan_shortest_path(g, beta, count, seed)
 
 
 _SINGLE_CLASS = "single-class records"
@@ -186,7 +184,7 @@ def _train_scorer(graphs, losses, cfg: AttackConfig, seed: int):
             [svm_probability(model, float(m)) for m in svm_margins(model, featurise(gs))]
         )
         return scorer, "trained"
-    except (DegenerateLabels, DidNotConverge) as exc:
+    except DidNotConverge as exc:
         return None, f"{type(exc).__name__}"
 
 
@@ -208,9 +206,9 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
     unattacked: beta 0, no records, no queries.
     """
     try:
-        budget = Budget(cfg.r, g.n)
+        beta = flip_budget(cfg.r, g.n)
     except BudgetExceedsPairs:
-        return AttackOutcome(g.graph_id, int(y), 0, g, (), 0.0, False,
+        return AttackOutcome(g.graph_id, 0, g, (), 0.0, False,
                              query_iface.queries_used, (), ())
     scores = eigencentrality(g) if cfg.strategy == "eigencentrality" else None
     records: list[AttackRecord] = []
@@ -234,20 +232,15 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         # round 0 queries raw strategy plans; guided rounds draw a wider pool
         # (3x strategy windows plus local mutations) for the surrogate to cull
         pool_k = cfg.k_candidates if round_idx == 0 else 3 * cfg.k_candidates
-        # (base, step, flips): the candidate is apply_flips(base, step), and
-        # flips takes g to it
-        pool: list[tuple[LabeledGraph, tuple[EdgeFlip, ...], tuple[EdgeFlip, ...]]] = []
-        for flips in _strategy_plans(g, budget, cfg, round_idx, pool_k, scores):
-            if flips:
-                pool.append((g, flips, flips))
+        # each entry's candidate is apply_flips(g, flips)
+        pool = [flips for flips in _strategy_plans(g, beta, cfg, round_idx, pool_k, scores)
+                if flips]
         if round_idx > 0 and records:
-            for flips in plan_mutations(
-                    g, best_graph, best_flips, budget, 2 * cfg.k_candidates,
-                    _stream_seed(cfg.seed, g.graph_id, "mutate", round_idx)):
-                pool.append((best_graph, flips[-1:], flips))
+            pool += plan_mutations(g, best_graph, best_flips, beta, 2 * cfg.k_candidates,
+                                   _stream_seed(cfg.seed, g.graph_id, "mutate", round_idx))
         # (candidate, flips): an unscored pool builds each candidate only when
         # the loop below reaches it
-        entries = ((apply_flips(base, step), flips) for base, step, flips in pool)
+        entries = ((apply_flips(g, flips), flips) for flips in pool)
         note = "strategy-only"
         if round_idx > 0 and len(losses) >= 2:
             scorer, note = _train_scorer(
@@ -256,9 +249,9 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
             if scorer is None:
                 note = f"fallback:{note}"
             elif pool:
-                cands = [apply_flips(base, step) for base, step, _ in pool]
+                cands = [apply_flips(g, flips) for flips in pool]
                 order = np.argsort(-scorer(cands), kind="stable")
-                entries = [(cands[i], pool[i][2]) for i in order.tolist()]
+                entries = [(cands[i], pool[i]) for i in order.tolist()]
         # the round's query list: the first k entries not queried before, one
         # per digest; no entry is built past it
         queried = {rec.digest for rec in records}
@@ -299,8 +292,7 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
             break
     return AttackOutcome(
         graph_id=g.graph_id,
-        true_label=int(y),
-        beta=budget.beta,
+        beta=beta,
         best_graph=best_graph,
         best_flips=best_flips,
         best_loss=best_loss,

@@ -24,12 +24,12 @@ from .bench_stats import (
     method_config,
     run_benchmark,
 )
-from .graph_core import ParseError, SchemaError, read_dataset, write_dataset
+from .graph_core import ParseError, read_dataset, write_dataset
 from .learners import DegenerateLabels
 from .synth_data import GeneratorConfig, InvalidConfig, generate
 from .target_lcd import load_target, save_target, train_target
 
-_CONFIG_ERRORS = (InvalidConfig, SchemaError, ParseError, FileNotFoundError,
+_CONFIG_ERRORS = (InvalidConfig, ParseError, FileNotFoundError,
                   IsADirectoryError, json.JSONDecodeError)
 
 
@@ -61,8 +61,8 @@ def _check_keys(data: dict, allowed, what: str) -> None:
             raise InvalidConfig(f"unknown key {key!r} in {what}")
 
 
-def _dataclass_from_dict(cls, data: dict, what: str):
-    _check_keys(data, {f.name for f in fields(cls)}, what)
+def _dataclass_from_dict(cls, data: dict, what: str, exclude=()):
+    _check_keys(data, {f.name for f in fields(cls)} - set(exclude), what)
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -208,8 +208,9 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
         for key in ("objects_range", "features_per_object_range"):
             if key in data:
                 data[key] = tuple(_expect(data[key], list, f"{key} of generator config {name!r}"))
+        # a block's seed is the spec's seed plus its repetition
         configs[name] = _dataclass_from_dict(GeneratorConfig, data,
-                                             f"generator config {name!r}")
+                                             f"generator config {name!r}", exclude=("seed",))
     methods = []
     for raw in spec["methods"]:
         if "name" not in _expect(raw, dict, "each method spec"):

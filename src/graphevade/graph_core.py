@@ -10,7 +10,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, KeysView, Mapping, Sequence
 
 TIERS = ("object", "feature")
 _RECORD_FIELDS = ("id", "y", "split", "nodes", "edges")
@@ -23,14 +23,14 @@ class InapplicableFlip(Exception):
 
 
 class ParseError(Exception):
-    """A dataset line is malformed JSON or violates a graph invariant."""
+    """A dataset line is malformed JSON, breaks the schema or a graph invariant."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-class SchemaError(Exception):
+class SchemaError(ValueError):
     """A record carries a missing, unknown, or mistyped field."""
 
     def __init__(self, field: str, message: str):
@@ -120,12 +120,13 @@ class LabeledGraph:
         return len(self.node_labels)
 
     @cached_property
-    def edge_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
-
-    @cached_property
     def edge_weights(self) -> Mapping[tuple[int, int], float]:
         return {(u, v): w for u, v, w in self.edges}
+
+    @property
+    def edge_pairs(self) -> KeysView[tuple[int, int]]:
+        """The (u, v) pairs of the edges: a set-like view of edge_weights."""
+        return self.edge_weights.keys()
 
     @cached_property
     def mean_weight(self) -> float:
@@ -172,7 +173,7 @@ class LabeledGraph:
     def has_edge(self, u: int, v: int) -> bool:
         if u > v:
             u, v = v, u
-        return (u, v) in self.edge_pairs
+        return (u, v) in self.edge_weights
 
 
 def apply_flips(g: LabeledGraph, flips: Sequence[EdgeFlip]) -> LabeledGraph:
@@ -360,7 +361,7 @@ def read_dataset(path) -> GraphDataset:
                 raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
             try:
                 g, y, split = _graph_from_record(rec)
-            except ValueError as exc:  # a graph invariant, not a SchemaError
+            except ValueError as exc:  # a SchemaError or a graph invariant
                 raise ParseError(line_no, str(exc)) from exc
             graphs.append(g)
             labels.append(y)

@@ -572,6 +572,11 @@ def svm_to_json(model: TrainedSvm) -> dict:
 
 
 def svm_from_json(doc: dict) -> TrainedSvm:
+    """Rebuild an svm-v1 model. A document that is not a JSON object, or whose
+    support vectors, alphas and sv_labels differ in count, raises ValueError;
+    a missing field raises KeyError."""
+    if not isinstance(doc, dict):
+        raise ValueError("an svm-v1 model must be a JSON object")
     if doc.get("version") != "svm-v1":
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     spec = KernelSpec(
@@ -589,7 +594,7 @@ def svm_from_json(doc: dict) -> TrainedSvm:
         )
     else:
         vectors = tuple(np.asarray(v, dtype=float) for v in doc["support_vectors"])
-    return TrainedSvm(
+    model = TrainedSvm(
         support_vectors=vectors,
         alphas=np.asarray(doc["alphas"], dtype=float),
         sv_labels=np.asarray(doc["sv_labels"], dtype=float),
@@ -600,6 +605,10 @@ def svm_from_json(doc: dict) -> TrainedSvm:
         platt_b=float(doc["platt_b"]),
         n_train=int(doc.get("n_train", 0)),
     )
+    if not len(vectors) == len(model.alphas) == len(model.sv_labels):
+        raise ValueError(f"svm-v1 model holds {len(vectors)} support vectors, "
+                         f"{len(model.alphas)} alphas and {len(model.sv_labels)} sv_labels")
+    return model
 
 
 @dataclass

@@ -9,7 +9,7 @@ import heapq
 import math
 from bisect import bisect_left, insort
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -22,35 +22,26 @@ class BudgetExceedsPairs(Exception):
     """The flip budget is larger than the number of available node pairs."""
 
 
-@dataclass(frozen=True)
-class Budget:
+def flip_budget(r: float, n: int) -> int:
     """Flip budget beta = max(1, ceil(r * n^2)) for perturbation ratio r and n nodes."""
-
-    r: float
-    n: int
-    beta: int = field(init=False)
-
-    def __post_init__(self):
-        if not (self.r > 0 and math.isfinite(self.r)):
-            raise ValueError(f"perturbation ratio must be positive, got {self.r}")
-        if self.n < 1:
-            raise ValueError(f"node count must be >= 1, got {self.n}")
-        beta = max(1, math.ceil(self.r * self.n * self.n))
-        pairs = self.n * (self.n - 1) // 2
-        if beta > pairs:
-            raise BudgetExceedsPairs(
-                f"beta={beta} exceeds the {pairs} unordered pairs of an n={self.n} graph"
-            )
-        object.__setattr__(self, "beta", beta)
+    if not (r > 0 and math.isfinite(r)):
+        raise ValueError(f"perturbation ratio must be positive, got {r}")
+    if n < 1:
+        raise ValueError(f"node count must be >= 1, got {n}")
+    beta = max(1, math.ceil(r * n * n))
+    pairs = n * (n - 1) // 2
+    if beta > pairs:
+        raise BudgetExceedsPairs(
+            f"beta={beta} exceeds the {pairs} unordered pairs of an n={n} graph"
+        )
+    return beta
 
 
 @dataclass(frozen=True)
 class CentralityScores:
-    """Dominant eigenvector of the binary adjacency matrix plus its Rayleigh eigenvalue."""
+    """Dominant eigenvector of the binary adjacency matrix."""
 
     x: np.ndarray
-    lambda_max: float
-    iterations: int
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -97,20 +88,17 @@ def eigencentrality(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 100_000
     primitive, which breaks both the period-2 oscillation on bipartite graphs
     and the stagnation on edgeless ones, while leaving the eigenvectors of A
     untouched. Converges when successive iterates differ by < tol in the
-    infinity norm; the reported eigenvalue is the Rayleigh quotient of A.
+    infinity norm.
     """
-    a = adjacency_matrix(g)
-    m = a + np.eye(g.n)
+    m = adjacency_matrix(g) + np.eye(g.n)
     x = np.full(g.n, 1.0 / math.sqrt(g.n))
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         x_new = m @ x
         x_new /= math.sqrt(x_new @ x_new)
         if float(np.abs(x_new - x).max()) < tol:
-            x = x_new
-            lam = float(x @ a @ x)
-            x = np.clip(x, 0.0, None)
+            x = np.clip(x_new, 0.0, None)
             x /= np.linalg.norm(x)
-            return CentralityScores(x, lam, it)
+            return CentralityScores(x)
         x = x_new
     raise DidNotConverge("power iteration", max_iter, "iterations")
 
@@ -125,29 +113,26 @@ def _flip_for_pair(g: LabeledGraph, pair: tuple[int, int], weight: float) -> Edg
 
 def plan_eigencentrality(
     g: LabeledGraph,
-    budget: Budget,
+    beta: int,
+    scores: CentralityScores,
     k_candidates: int = 1,
     offset: int = 0,
-    scores: CentralityScores | None = None,
 ) -> list[tuple[EdgeFlip, ...]]:
     """Plans built from the centrality-ranked pair list.
 
     Plan i covers ranked pairs offset+i .. offset+i+beta-1 (a sliding window, so
     successive candidates differ); each pair becomes a removal if the edge
-    exists in g, otherwise an addition. Ranking is deterministic, so no seed
-    is taken; precomputed scores may be passed to skip the power iteration.
-    Emits fewer than k_candidates plans when the pair list runs out past the
-    requested offset.
+    exists in g, otherwise an addition. scores is eigencentrality(g); the
+    ranking is deterministic, so no seed is taken. Emits fewer than
+    k_candidates plans when the pair list runs out past the requested offset.
     """
-    if scores is None:
-        scores = eigencentrality(g)
     pairs = scores.ranking
-    if budget.beta > len(pairs):
-        raise BudgetExceedsPairs(f"beta={budget.beta} > {len(pairs)} pairs")
-    n_plans = min(k_candidates, max(0, len(pairs) - budget.beta + 1 - offset))
+    if beta > len(pairs):
+        raise BudgetExceedsPairs(f"beta={beta} > {len(pairs)} pairs")
+    n_plans = min(k_candidates, max(0, len(pairs) - beta + 1 - offset))
     mean_w = g.mean_weight
     return [tuple(_flip_for_pair(g, p, mean_w)
-                  for p in pairs[offset + i : offset + i + budget.beta])
+                  for p in pairs[offset + i : offset + i + beta])
             for i in range(n_plans)]
 
 
@@ -172,7 +157,7 @@ def _walk_pairs(g: LabeledGraph, beta: int, rng: np.random.Generator) -> list[tu
 
 def plan_random_walk(
     g: LabeledGraph,
-    budget: Budget,
+    beta: int,
     k_candidates: int = 1,
     seed: int = 0,
 ) -> list[tuple[EdgeFlip, ...]]:
@@ -182,11 +167,11 @@ def plan_random_walk(
     The walk visits 4 * beta steps; the first beta distinct non-self pairs
     become flips. One plan per rng draw.
     """
-    if budget.beta > g.n * (g.n - 1) // 2:
-        raise BudgetExceedsPairs(f"beta={budget.beta} too large for n={g.n}")
+    if beta > g.n * (g.n - 1) // 2:
+        raise BudgetExceedsPairs(f"beta={beta} too large for n={g.n}")
     rng = np.random.default_rng(seed)
     mean_w = g.mean_weight
-    return [tuple(_flip_for_pair(g, p, mean_w) for p in _walk_pairs(g, budget.beta, rng))
+    return [tuple(_flip_for_pair(g, p, mean_w) for p in _walk_pairs(g, beta, rng))
             for _ in range(k_candidates)]
 
 
@@ -313,7 +298,7 @@ def _shortest_path_flips(
 
 def plan_shortest_path(
     g: LabeledGraph,
-    budget: Budget,
+    beta: int,
     k_candidates: int = 1,
     seed: int = 0,
 ) -> list[tuple[EdgeFlip, ...]]:
@@ -323,20 +308,20 @@ def plan_shortest_path(
     the teleporting-walk plans of the same seed.
     """
     if not g.edges:
-        return plan_random_walk(g, budget, k_candidates, seed)
-    if budget.beta > g.n * (g.n - 1) // 2:
-        raise BudgetExceedsPairs(f"beta={budget.beta} too large for n={g.n}")
+        return plan_random_walk(g, beta, k_candidates, seed)
+    if beta > g.n * (g.n - 1) // 2:
+        raise BudgetExceedsPairs(f"beta={beta} too large for n={g.n}")
     rng = np.random.default_rng(seed)
     adj = _adjacency(g.edge_weights, g.n)
     comp = _components(adj)
-    return [_shortest_path_flips(g, budget.beta, rng, adj, comp) for _ in range(k_candidates)]
+    return [_shortest_path_flips(g, beta, rng, adj, comp) for _ in range(k_candidates)]
 
 
 def plan_mutations(
     g: LabeledGraph,
     best_graph: LabeledGraph,
     best_flips: tuple[EdgeFlip, ...],
-    budget: Budget,
+    beta: int,
     count: int,
     seed: int,
 ) -> list[tuple[EdgeFlip, ...]]:
@@ -344,7 +329,8 @@ def plan_mutations(
     best_flips), staying within beta flips of g measured as edge-set symmetric
     difference.
 
-    Each mutation appends one flip of a drawn pair: any pair (by its index in
+    Each mutation is best_flips plus one flip, a plan that takes g to the
+    mutated graph. The flip is of a drawn pair: any pair (by its index in
     lexicographic order) while the incumbent is under budget, otherwise one
     of the pairs it already differs on, so the flip reverts it. The flip
     removes the pair's edge if the incumbent has it and otherwise adds it at
@@ -356,7 +342,7 @@ def plan_mutations(
     mean_w = g.mean_weight
     out = []
     for _ in range(count):
-        if len(diff) >= budget.beta:  # beta >= 1, so diff is not empty
+        if len(diff) >= beta:  # beta >= 1, so diff is not empty
             pair = diff[int(rng.integers(len(diff)))]
         else:
             k = int(rng.integers(len(iu)))

@@ -197,18 +197,24 @@ def target_to_json(model: TargetModel) -> dict:
 
 
 def target_from_json(doc: dict) -> TargetModel:
-    """Rebuild a target-v2 model. target-v1 files keyed their histograms by a
-    stored label dictionary whose ids mean nothing to hashed WL labels, so
-    they must be retrained."""
+    """Rebuild a target-v2 model; a malformed document, a missing field of its
+    svm included, raises ValueError. target-v1 files keyed their histograms
+    by a stored label dictionary whose ids mean nothing to hashed WL labels,
+    so they must be retrained."""
+    if not isinstance(doc, dict):
+        raise ValueError("a target-v2 model must be a JSON object")
     if doc.get("version") != "target-v2":
         raise ValueError(f"unsupported target version {doc.get('version')!r}; "
                          "expected 'target-v2' (retrain target-v1 models)")
-    return TargetModel(
-        svm=svm_from_json(doc["svm"]),
-        wl_iters=int(doc["wl_iters"]),
-        train_accuracy=float(doc["train_accuracy"]),
-        test_accuracy=None if doc["test_accuracy"] is None else float(doc["test_accuracy"]),
-    )
+    try:
+        return TargetModel(
+            svm=svm_from_json(doc["svm"]),
+            wl_iters=int(doc["wl_iters"]),
+            train_accuracy=float(doc["train_accuracy"]),
+            test_accuracy=None if doc["test_accuracy"] is None else float(doc["test_accuracy"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"model lacks field {exc}") from exc
 
 
 def save_target(model: TargetModel, path) -> None:

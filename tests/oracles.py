@@ -248,20 +248,19 @@ def brute_force_pair_ranking(x):
 def power_iteration(a, tol: float = 1e-10, max_iter: int = 100_000):
     """The straightforward power iteration on A + I, step for step as the
     library defines it (np.linalg.norm, np.max of the absolute change):
-    returns (x, Rayleigh eigenvalue of A, iterations), or None when it does
-    not settle within max_iter."""
+    returns the clipped unit eigenvector, or None when it does not settle
+    within max_iter."""
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     m = a + np.eye(n)
     x = np.full(n, 1.0 / math.sqrt(n))
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         x_new = m @ x
         x_new /= np.linalg.norm(x_new)
         if float(np.max(np.abs(x_new - x))) < tol:
-            lam = float(x_new @ a @ x_new)
             x_new = np.clip(x_new, 0.0, None)
             x_new /= np.linalg.norm(x_new)
-            return x_new, lam, it
+            return x_new
         x = x_new
     return None
 

@@ -85,6 +85,17 @@ def test_train_target_one_class_train_split_exit_2(tmp_path, gen_dir, capsys):
     assert "one_class.jsonl" in err
 
 
+def test_train_target_schema_error_names_its_line(tmp_path, gen_dir, capsys):
+    lines = (gen_dir / "dataset.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["edges"][0]["u"] = "a"
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:3] + [json.dumps(rec)] + lines[4:]) + "\n")
+    assert run(["train-target", "--dataset", bad, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: line 4: field 'u': edge endpoints must be integers\n")
+
+
 @pytest.mark.parametrize("flags", [["--wl-iters", "-1"], ["--C", "0"], ["--seed", "-1"]])
 def test_train_target_invalid_value_exit_2(tmp_path, gen_dir, capsys, flags):
     out = tmp_path / "out"
@@ -152,6 +163,28 @@ def test_attack_stale_model_version_exit_2(tmp_path, gen_dir, model_dir, capsys)
     err = capsys.readouterr().err
     assert "config error" in err
     assert "target-v1" in err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: {k: v for k, v in doc.items() if k != "svm"}, "'svm'"),
+    (lambda doc: [doc], "JSON object"),
+    (lambda doc: dict(doc, svm=[]), "JSON object"),
+    (lambda doc: dict(doc, svm={k: v for k, v in doc["svm"].items() if k != "bias"}),
+     "'bias'"),
+    (lambda doc: dict(doc, svm=dict(doc["svm"], alphas=doc["svm"]["alphas"][:-1])),
+     "alphas"),
+    (lambda doc: dict(doc, svm=dict(doc["svm"], sv_labels=doc["svm"]["sv_labels"] + [1])),
+     "sv_labels"),
+], ids=["no-svm", "array", "svm-array", "no-bias", "short-alphas", "long-sv-labels"])
+def test_attack_malformed_model_file_exit_2(tmp_path, gen_dir, model_dir, capsys, edit, message):
+    bad = tmp_path / "bad_model.json"
+    bad.write_text(json.dumps(edit(json.loads((model_dir / "model.json").read_text()))))
+    assert run(["attack", "--model", bad, "--dataset", gen_dir / "dataset.jsonl",
+                "--out", tmp_path / "out", "--max-queries", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: model {bad}: ")
+    assert message in err
+    assert not (tmp_path / "out" / "summary.json").exists()
 
 
 def test_attack_defaults_come_from_attack_config(tmp_path, model_dir):
@@ -284,6 +317,8 @@ def test_bench_section_of_wrong_json_type_exit_2(tmp_path, capsys, section, valu
     ("alpha", 0.01),
     ("methods", [{"name": f"m{i}"} for i in range(11)]),
     ("repetitions", 1),
+    # each block is seeded by the spec's seed plus its repetition
+    ("configs", {"tiny": {"n_train_per_class": 10, "n_test_per_class": 5, "seed": 1}}),
 ])
 def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
     # values of the right JSON type that no run accepts are config errors

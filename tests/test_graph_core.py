@@ -327,15 +327,16 @@ def test_unknown_field_is_schema_error(tmp_path):
            "edges": []}
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(rec) + "\n")
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(ParseError, match=r"^line 1: field 'bogus': ") as err:
         read_dataset(path)
-    assert err.value.field == "bogus"
+    assert isinstance(err.value.__cause__, SchemaError)
+    assert err.value.__cause__.field == "bogus"
 
 
 def test_missing_field_and_bad_json(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "g0", "y": 1, "nodes": [{"id": 0, "label": "a", "tier": "object"}]}\n')
-    with pytest.raises(SchemaError):
+    with pytest.raises(ParseError, match=r"^line 1: field 'edges': missing"):
         read_dataset(path)
     path.write_text("{not json\n")
     with pytest.raises(ParseError):
@@ -349,7 +350,7 @@ def test_noncontiguous_node_ids_rejected(tmp_path):
            "edges": []}
     path = tmp_path / "bad.jsonl"
     path.write_text(json.dumps(rec) + "\n")
-    with pytest.raises(SchemaError):
+    with pytest.raises(ParseError, match=r"^line 1: field 'id': "):
         read_dataset(path)
 
 

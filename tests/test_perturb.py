@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphevade.graph_core import apply_flips
+from graphevade.graph_core import apply_flips, graph_hash
 from graphevade.perturb import (
-    Budget,
     BudgetExceedsPairs,
     CentralityScores,
     adjacency_matrix,
     eigencentrality,
+    flip_budget,
     plan_eigencentrality,
     plan_mutations,
     plan_random_walk,
@@ -39,38 +39,43 @@ def flip_pair(flip):
 # --- budget ---------------------------------------------------------------
 
 def test_budget_formula():
-    b = Budget(r=3e-4, n=50)
-    assert b.beta == 1  # 0.75 floors up to the minimum of one flip
-    assert Budget(r=0.01, n=30).beta == 9
-    assert Budget(r=2.0 / 900, n=30).beta == 2
+    assert flip_budget(3e-4, 50) == 1  # 0.75 floors up to the minimum of one flip
+    assert flip_budget(0.01, 30) == 9
+    assert flip_budget(2.0 / 900, 30) == 2
 
 
 def test_budget_exceeds_pairs():
     with pytest.raises(BudgetExceedsPairs):
-        Budget(r=1.0, n=3)  # beta 9 > 3 pairs
+        flip_budget(1.0, 3)  # beta 9 > 3 pairs
 
 
 def test_budget_validation():
     with pytest.raises(ValueError):
-        Budget(r=0.0, n=5)
+        flip_budget(0.0, 5)
     with pytest.raises(ValueError):
-        Budget(r=1e-4, n=0)
+        flip_budget(1e-4, 0)
 
 
 # --- eigencentrality --------------------------------------------------------
+
+def rayleigh(g, scores):
+    """x·A·x of the unit centrality vector: A's dominant eigenvalue when x is
+    its eigenvector."""
+    return float(scores.x @ adjacency_matrix(g) @ scores.x)
+
 
 def test_complete_graph_scores():
     g = make_graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)])
     s = eigencentrality(g)
     assert np.allclose(s.x, 0.5, atol=1e-9)
-    assert s.lambda_max == pytest.approx(3.0, abs=1e-9)
+    assert rayleigh(g, s) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_star_center_dominates():
     g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
     s = eigencentrality(g)
     assert all(s.x[0] > s.x[leaf] for leaf in (1, 2, 3))
-    assert s.lambda_max == pytest.approx(math.sqrt(3), abs=1e-6)
+    assert rayleigh(g, s) == pytest.approx(math.sqrt(3), abs=1e-6)
 
 
 def test_matches_jacobi_oracle(rng):
@@ -110,7 +115,7 @@ def test_weight_invariance(rng):
 def test_edgeless_graph_converges():
     g = make_graph(5, [])
     s = eigencentrality(g)
-    assert s.lambda_max == pytest.approx(0.0, abs=1e-12)
+    assert rayleigh(g, s) == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(s.x, 1 / math.sqrt(5))
 
 
@@ -136,23 +141,23 @@ def test_one_did_not_converge_class_with_both_messages():
 
 def test_centrality_scores_validation():
     with pytest.raises(ValueError):
-        CentralityScores(np.array([1.0, 1.0]), 1.0, 1)
+        CentralityScores(np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
-        CentralityScores(np.array([-0.6, 0.8]), 1.0, 1)
+        CentralityScores(np.array([-0.6, 0.8]))
 
 
 # --- eigencentrality plans ---------------------------------------------------
 
 def test_star_plan_touches_center():
     g = make_graph(4, [(0, 1), (0, 2), (0, 3)])
-    plans = plan_eigencentrality(g, Budget(r=1.0 / 16, n=4), k_candidates=1)
+    plans = plan_eigencentrality(g, 1, eigencentrality(g), k_candidates=1)
     (flip,) = plans[0]
     assert 0 in flip_pair(flip)
 
 
 def test_triangle_tie_breaks_lexicographically():
     g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    plans = plan_eigencentrality(g, Budget(r=1.0 / 9, n=3), k_candidates=1)
+    plans = plan_eigencentrality(g, 1, eigencentrality(g), k_candidates=1)
     (flip,) = plans[0]
     assert flip_pair(flip) == (0, 1)
     assert flip.direction == "remove"
@@ -160,9 +165,9 @@ def test_triangle_tie_breaks_lexicographically():
 
 def test_plans_match_reranking_oracle(rng):
     g = random_graph(10, 0.4, rng)
-    budget = Budget(r=3.0 / 100, n=10)
-    assert budget.beta == 3
-    plans = plan_eigencentrality(g, budget, k_candidates=5)
+    beta = flip_budget(3.0 / 100, 10)
+    assert beta == 3
+    plans = plan_eigencentrality(g, beta, eigencentrality(g), k_candidates=5)
     assert len(plans) == 5
     oracle_pairs = brute_force_pair_ranking(eigencentrality(g).x)
     for i, plan in enumerate(plans):
@@ -175,15 +180,15 @@ def test_plans_match_reranking_oracle(rng):
 
 def test_plan_determinism_and_offset(rng):
     g = random_graph(9, 0.3, rng)
-    budget = Budget(r=2.0 / 81, n=9)
-    shifted = plan_eigencentrality(g, budget, k_candidates=3, offset=3)
+    beta = 2
+    shifted = plan_eigencentrality(g, beta, eigencentrality(g), k_candidates=3, offset=3)
     ranked = eigencentrality(g).ranking
-    assert [flip_pair(f) for f in shifted[0]] == list(ranked[3:3 + budget.beta])
+    assert [flip_pair(f) for f in shifted[0]] == list(ranked[3:3 + beta])
 
 
 def test_plan_count_clamps_at_pair_list_end():
     g = make_graph(3, [(0, 1)])
-    plans = plan_eigencentrality(g, Budget(r=1.0 / 9, n=3), k_candidates=10)
+    plans = plan_eigencentrality(g, 1, eigencentrality(g), k_candidates=10)
     assert len(plans) == 3  # only 3 windows of size 1 exist
 
 
@@ -191,10 +196,9 @@ def test_plan_count_clamps_at_pair_list_end():
 
 def test_walk_uniform_over_triangle_edges():
     g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
-    budget = Budget(r=1.0 / 9, n=3)
     counts = {}
     for seed in range(1000):
-        (plan,) = plan_random_walk(g, budget, k_candidates=1, seed=seed)
+        (plan,) = plan_random_walk(g, 1, k_candidates=1, seed=seed)
         # a degenerate walk (all steps equal) legitimately yields no flips
         if plan:
             counts[flip_pair(plan[0])] = counts.get(flip_pair(plan[0]), 0) + 1
@@ -204,8 +208,7 @@ def test_walk_uniform_over_triangle_edges():
 
 def test_walk_on_empty_graph_adds():
     g = make_graph(4, [])
-    budget = Budget(r=2.0 / 16, n=4)
-    (plan,) = plan_random_walk(g, budget, k_candidates=1, seed=3)
+    (plan,) = plan_random_walk(g, 2, k_candidates=1, seed=3)
     assert len(plan) == 2
     assert all(f.direction == "add" for f in plan)
     apply_flips(g, plan)
@@ -213,9 +216,8 @@ def test_walk_on_empty_graph_adds():
 
 def test_walk_determinism():
     g = make_graph(5, [(0, 1), (2, 3)])
-    budget = Budget(r=2.0 / 25, n=5)
-    a = plan_random_walk(g, budget, k_candidates=3, seed=11)
-    b = plan_random_walk(g, budget, k_candidates=3, seed=11)
+    a = plan_random_walk(g, 2, k_candidates=3, seed=11)
+    b = plan_random_walk(g, 2, k_candidates=3, seed=11)
     assert a == b
 
 
@@ -290,17 +292,15 @@ def test_removal_branch_takes_max_weight_edge_on_path():
 
 def test_shortest_path_fallback_on_edgeless_graph():
     g = make_graph(4, [])
-    budget = Budget(r=1.0 / 16, n=4)
-    (plan,) = plan_shortest_path(g, budget, k_candidates=1, seed=5)
-    assert [plan] == plan_random_walk(g, budget, k_candidates=1, seed=5)
+    (plan,) = plan_shortest_path(g, 1, k_candidates=1, seed=5)
+    assert [plan] == plan_random_walk(g, 1, k_candidates=1, seed=5)
     assert all(f.direction == "add" for f in plan)
 
 
 def test_shortest_path_determinism(rng):
     g = random_graph(8, 0.5, rng)
-    budget = Budget(r=3.0 / 64, n=8)
-    a = plan_shortest_path(g, budget, k_candidates=4, seed=21)
-    b = plan_shortest_path(g, budget, k_candidates=4, seed=21)
+    a = plan_shortest_path(g, 3, k_candidates=4, seed=21)
+    b = plan_shortest_path(g, 3, k_candidates=4, seed=21)
     assert a == b
 
 
@@ -308,12 +308,11 @@ def test_shortest_path_determinism(rng):
 
 def test_mutations_extend_the_incumbent_by_one_flip(rng):
     g = random_graph(8, 0.4, rng)
-    budget = Budget(r=3.0 / 64, n=8)
-    (best_flips,) = plan_eigencentrality(g, Budget(r=1.0 / 64, n=8))
+    (best_flips,) = plan_eigencentrality(g, 1, eigencentrality(g))
     best = apply_flips(g, best_flips)
-    muts = plan_mutations(g, best, best_flips, budget, 12, seed=4)
+    muts = plan_mutations(g, best, best_flips, 3, 12, seed=4)
     assert len(muts) == 12
-    assert muts == plan_mutations(g, best, best_flips, budget, 12, seed=4)
+    assert muts == plan_mutations(g, best, best_flips, 3, 12, seed=4)
     for flips in muts:
         assert flips[:-1] == best_flips
         flip = flips[-1]
@@ -325,14 +324,14 @@ def test_mutations_extend_the_incumbent_by_one_flip(rng):
 
 def test_mutations_at_budget_only_revert(rng):
     g = random_graph(8, 0.4, rng)
-    budget = Budget(r=2.0 / 64, n=8)
-    (best_flips,) = plan_eigencentrality(g, budget)
+    beta = 2
+    (best_flips,) = plan_eigencentrality(g, beta, eigencentrality(g))
     best = apply_flips(g, best_flips)
     changed = g.edge_pairs ^ best.edge_pairs
-    assert len(changed) == budget.beta
-    for flips in plan_mutations(g, best, best_flips, budget, 10, seed=9):
+    assert len(changed) == beta
+    for flips in plan_mutations(g, best, best_flips, beta, 10, seed=9):
         assert flip_pair(flips[-1]) in changed
-        assert len(apply_flips(best, flips[-1:]).edge_pairs ^ g.edge_pairs) == budget.beta - 1
+        assert len(apply_flips(g, flips).edge_pairs ^ g.edge_pairs) == beta - 1
 
 
 # --- cross-strategy invariants ----------------------------------------------
@@ -341,11 +340,11 @@ def test_mutations_at_budget_only_revert(rng):
 def test_plans_within_budget_and_applicable(planner, rng):
     for trial in range(10):
         g = random_graph(9, 0.35, rng, graph_id=f"t{trial}")
-        budget = Budget(r=3.0 / 81, n=9)
-        plans = (planner(g, budget, 4) if planner is plan_eigencentrality
-                 else planner(g, budget, 4, trial))
+        beta = flip_budget(3.0 / 81, 9)
+        plans = (planner(g, beta, eigencentrality(g), 4) if planner is plan_eigencentrality
+                 else planner(g, beta, 4, trial))
         for plan in plans:
-            assert len(plan) <= budget.beta
+            assert len(plan) <= beta
             assert len({(flip_pair(f), f.direction) for f in plan}) == len(plan)
             apply_flips(g, plan)  # raises if any flip is inapplicable
 
@@ -384,8 +383,7 @@ def planner_cases(draw):
 @given(planner_cases(), st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=2**32))
 def test_shortest_path_plans_match_reference_planner(case, k, seed):
     g, beta = case
-    budget = Budget(r=(beta - 0.5) / (g.n * g.n), n=g.n)
-    assert budget.beta == beta
+    assert flip_budget((beta - 0.5) / (g.n * g.n), g.n) == beta
     made = []
     default_rng = np.random.default_rng
 
@@ -395,7 +393,7 @@ def test_shortest_path_plans_match_reference_planner(case, k, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np.random, "default_rng", recorded_rng)
-        plans = plan_shortest_path(g, budget, k, seed)
+        plans = plan_shortest_path(g, beta, k, seed)
     ref_rng = default_rng(seed)
     expected = shortest_path_plans(g, beta, k, ref_rng)
     got = [tuple((f.u, f.v, f.direction, f.weight) for f in p) for p in plans]
@@ -412,15 +410,13 @@ def test_eigencentrality_and_ranking_match_plain_power_iteration(case):
     for u, v, _w in g.edges:
         a[u, v] = a[v, u] = 1.0
     s = eigencentrality(g)
-    x, lam, iterations = power_iteration(a)
-    assert np.array_equal(s.x, x)  # bit for bit
-    assert (s.lambda_max, s.iterations) == (lam, iterations)
+    assert np.array_equal(s.x, power_iteration(a))  # bit for bit
     assert list(s.ranking) == brute_force_pair_ranking(list(s.x))
 
 
 def test_ranking_ties_on_equal_scores():
     x = np.full(4, 0.5)
-    assert CentralityScores(x, 3.0, 1).ranking == (
+    assert CentralityScores(x).ranking == (
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
@@ -431,8 +427,28 @@ def test_spent_pairs_match_reference_planner(edges):
     g = make_graph(1 + max(max(e[:2]) for e in edges), edges)
     pairs = g.n * (g.n - 1) // 2
     for beta in range(2, pairs + 1):
-        budget = Budget(r=(beta - 0.5) / (g.n * g.n), n=g.n)
+        assert flip_budget((beta - 0.5) / (g.n * g.n), g.n) == beta
         for seed in range(25):
-            plans = plan_shortest_path(g, budget, 3, seed)
+            plans = plan_shortest_path(g, beta, 3, seed)
             got = [tuple((f.u, f.v, f.direction, f.weight) for f in p) for p in plans]
             assert got == shortest_path_plans(g, beta, 3, np.random.default_rng(seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planner_cases(), st.integers(min_value=0, max_value=2**32), st.data())
+def test_mutation_from_the_original_equals_one_flip_on_the_incumbent(case, seed, data):
+    # the attack builds each mutation as apply_flips(g, flips); over a chain
+    # of incumbents that graph must be the incumbent plus the last flip
+    g, beta = case
+    best, best_flips = g, ()
+    for step in range(4):
+        muts = plan_mutations(g, best, best_flips, beta, 3, seed + step)
+        for flips in muts:
+            assert flips[:-1] == best_flips
+            direct = apply_flips(g, flips)
+            stepped = apply_flips(apply_flips(g, flips[:-1]), flips[-1:])
+            assert ([(u, v, w.hex()) for u, v, w in direct.edges]
+                    == [(u, v, w.hex()) for u, v, w in stepped.edges])
+            assert graph_hash(direct) == graph_hash(stepped)
+        best_flips = data.draw(st.sampled_from(muts))
+        best = apply_flips(best, best_flips[-1:])

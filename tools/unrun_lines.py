@@ -48,13 +48,11 @@ def statement_lines(path: Path) -> set[int]:
     return starts & with_code
 
 
-def walkthrough(work: Path) -> None:
-    """The README CLI commands, each expected to exit 0."""
-    from graphevade.cli import main
-
+def walkthrough_commands(work: Path) -> list[list[str]]:
+    """The README CLI commands, with one worker and every output under work."""
     data, target = work / "data", work / "target"
     dataset, model = str(data / "dataset.jsonl"), str(target / "model.json")
-    commands = [
+    return [
         ["gen", "--out", str(data), "--seed", "42"],
         ["train-target", "--dataset", dataset, "--out", str(target)],
         ["attack", "--model", model, "--dataset", dataset, "--out", str(work / "attack"),
@@ -69,7 +67,13 @@ def walkthrough(work: Path) -> None:
          str(work / "bench"), "--workers", "1"],
         ["rank", "--table", str(work / "bench" / "results.csv"), "--out", str(work / "rank")],
     ]
-    for argv in commands:
+
+
+def walkthrough(work: Path) -> None:
+    """Run the README CLI commands, each expected to exit 0."""
+    from graphevade.cli import main
+
+    for argv in walkthrough_commands(work):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)
         if code != 0:
