@@ -25,7 +25,7 @@ from .bench_stats import (
     run_benchmark,
 )
 from .graph_core import ParseError, read_dataset, write_dataset
-from .learners import DegenerateLabels
+from .learners import JSON_TYPES, DegenerateLabels
 from .synth_data import GeneratorConfig, InvalidConfig, generate
 from .target_lcd import load_target, save_target, train_target
 
@@ -169,7 +169,6 @@ def cmd_attack(args) -> int:
 _ATTACK_KEYS = {f.name for f in fields(AttackConfig)} - {"strategy", "surrogate", "seed"}
 _SECTION_TYPES = {"seed": int, "repetitions": int, "alpha": float, "configs": dict,
                   "methods": list, "budgets": list, "attack": dict, "target": dict}
-_JSON_TYPES = {dict: "object", list: "array", int: "integer", float: "number"}
 
 
 def _expect(value, kind: type, what: str):
@@ -177,7 +176,7 @@ def _expect(value, kind: type, what: str):
     may be an integer; true and false are neither)."""
     accepted = (int, float) if kind is float else kind
     if isinstance(value, bool) or not isinstance(value, accepted):
-        raise InvalidConfig(f"{what} must be a JSON {_JSON_TYPES[kind]}")
+        raise InvalidConfig(f"{what} must be a JSON {JSON_TYPES[kind]}")
     return value
 
 

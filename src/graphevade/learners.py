@@ -1,18 +1,21 @@
 """Kernel functions, an SMO-trained soft-margin SVM with Platt calibration, and
 a Gaussian naive Bayes baseline.
 
-Feature vectors are either dense sequences/arrays or SparseVector rows: three
-parallel arrays of (level, id) keys and their values, as WL histograms come.
-Sparse inputs are densified internally over the union of training keys, in
-sorted (level, id) order; predictions on vectors with unseen keys stay exact
-because the off-union mass only enters through the squared-norm residual,
-which is carried separately.
+Feature vectors are SparseVector rows: three parallel arrays of (level, id)
+keys and their values, as WL histograms come. Each entry point turns a dense
+vector, on entry, into the row whose entry j sits at key (0, j); behind that
+point there is one path. Rows are densified internally over the union of
+training keys, in sorted (level, id) order; predictions on vectors with
+unseen keys stay exact because the off-union mass only enters through the
+squared-norm residual, which is carried separately.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import repeat
 from operator import mul
 from typing import Sequence
@@ -28,10 +31,6 @@ class SparseVector:
     levels: np.ndarray  # int
     ids: np.ndarray  # uint64
     values: np.ndarray  # int or float
-
-
-class DimensionMismatch(Exception):
-    """Two feature vectors cannot be aligned (dense lengths differ or sparse/dense mix)."""
 
 
 class DegenerateData(Exception):
@@ -73,8 +72,16 @@ class KernelSpec:
             raise ValueError("polynomial degree must be >= 1")
 
 
-def _is_sparse(v) -> bool:
-    return isinstance(v, SparseVector)
+def _as_sparse(vectors: Sequence) -> list[SparseVector]:
+    """Each vector as a SparseVector: a dense one becomes the row whose entry j
+    sits at key (0, j)."""
+    rows = []
+    for v in vectors:
+        if not isinstance(v, SparseVector):
+            d = np.asarray(v, dtype=float).ravel()
+            v = SparseVector(np.zeros(len(d), dtype=np.int64), np.arange(len(d), dtype=np.uint64), d)
+        rows.append(v)
+    return rows
 
 
 class _KeySpace:
@@ -107,46 +114,28 @@ def _stack(vectors: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
             np.concatenate([v.values for v in vectors]))
 
 
-def _as_matrix(vectors: Sequence) -> tuple[np.ndarray, _KeySpace | None]:
-    """Stack feature vectors into a dense matrix; returns (matrix, keys) where
-    keys is the sorted union of sparse keys, or None for dense input."""
-    vectors = list(vectors)
-    if not vectors:
-        raise ValueError("need at least one vector")
-    if all(_is_sparse(v) for v in vectors):
-        rows, levels, ids, values = _stack(vectors)
-        order = np.lexsort((ids, levels))
-        levels, ids = levels[order], ids[order]
-        opens = np.ones(len(order), dtype=bool)
-        opens[1:] = (ids[1:] != ids[:-1]) | (levels[1:] != levels[:-1])
-        heads = np.flatnonzero(opens)
-        cols = np.empty(len(order), dtype=np.intp)
-        cols[order] = np.cumsum(opens) - 1
-        x = np.zeros((len(vectors), len(heads)))
-        x[rows, cols] = values
-        return x, _KeySpace(levels[heads], ids[heads])
-    if any(_is_sparse(v) for v in vectors):
-        raise DimensionMismatch("cannot mix sparse and dense feature vectors")
-    rows = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    dim = rows[0].shape[0]
-    for r in rows[1:]:
-        if r.shape[0] != dim:
-            raise DimensionMismatch(f"dense vectors of length {r.shape[0]} vs {dim}")
-    return np.vstack(rows), None
+def _as_matrix(vectors: Sequence[SparseVector]) -> tuple[np.ndarray, _KeySpace]:
+    """Stack sparse vectors into a dense matrix over the sorted union of their
+    keys; returns (matrix, keys)."""
+    rows, levels, ids, values = _stack(vectors)
+    order = np.lexsort((ids, levels))
+    levels, ids = levels[order], ids[order]
+    opens = np.ones(len(order), dtype=bool)
+    opens[1:] = (ids[1:] != ids[:-1]) | (levels[1:] != levels[:-1])
+    heads = np.flatnonzero(opens)
+    cols = np.empty(len(order), dtype=np.intp)
+    cols[order] = np.cumsum(opens) - 1
+    x = np.zeros((len(vectors), len(heads)))
+    x[rows, cols] = values
+    return x, _KeySpace(levels[heads], ids[heads])
 
 
-def _project(vectors: Sequence, keys: _KeySpace | None) -> tuple[np.ndarray, np.ndarray]:
-    """Project vectors onto a model's key space.
+def _project(vectors: Sequence[SparseVector], keys: _KeySpace) -> tuple[np.ndarray, np.ndarray]:
+    """Project sparse vectors onto a model's key space.
 
     Returns (matrix over keys, residual squared norms) where the residual is
-    the squared mass on keys outside the model space (zero for dense input).
+    the squared mass on keys outside the model space.
     """
-    vectors = list(vectors)
-    if keys is None:
-        x, _ = _as_matrix(vectors)
-        return x, np.zeros(len(vectors))
-    if not all(_is_sparse(v) for v in vectors):
-        raise DimensionMismatch("model was trained on sparse vectors")
     x = np.zeros((len(vectors), len(keys.ids)))
     if not vectors:
         return x, np.zeros(0)
@@ -177,13 +166,13 @@ def median_heuristic_gamma(vectors: Sequence) -> float:
     of distances) keeps gamma * distance^2 near 1 when the vectors cluster
     tightly, which is exactly the geometry of perturbed-graph features.
     """
-    x, _ = _as_matrix(vectors)
-    n = x.shape[0]
-    if n < 2:
+    vectors = _as_sparse(vectors)
+    if len(vectors) < 2:
         raise ValueError("need at least two vectors")
+    x, _ = _as_matrix(vectors)
     sq = np.sum(x * x, axis=1)
     d2 = np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
-    med = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    med = float(np.median(np.sqrt(d2[np.triu_indices(len(vectors), k=1)])))
     if med <= 0:
         raise DegenerateData("median pairwise distance is zero; supply gamma explicitly")
     return 1.0 / (2.0 * med * med)
@@ -193,8 +182,9 @@ def median_heuristic_gamma(vectors: Sequence) -> float:
 class TrainedSvm:
     """Support vectors, dual coefficients, bias, kernel spec, and Platt calibration.
 
-    The decision function is fully determined by the stored fields; the dense
-    cache is a derived convenience rebuilt on demand.
+    The decision function is fully determined by the stored fields; _cache
+    (the support vectors as a matrix over their keys and, for a linear kernel,
+    the weight of each key) is derived from them on demand.
     """
 
     support_vectors: tuple
@@ -208,12 +198,19 @@ class TrainedSvm:
     sv_indices: tuple[int, ...] | None = None
     n_train: int = 0
     objective_path: tuple[float, ...] = ()
-    _cache: dict | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def _cache(self) -> dict:
+        x, keys = _as_matrix(self.support_vectors)
+        cache = {"x": x, "keys": keys, "sq": np.sum(x * x, axis=1),
+                 "coef": self.alphas * self.sv_labels}
+        if self.spec.kind == "linear":
+            w = cache["coef"] @ x
+            cache["w_sparse"] = dict(zip(zip(keys.levels.tolist(), keys.ids.tolist()), w.tolist()))
+        return cache
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_cache"] = None
-        return state
+        return {name: value for name, value in self.__dict__.items() if name != "_cache"}
 
 
 # Up to this many examples SMO keeps alpha and the error cache as Python
@@ -422,7 +419,7 @@ def svm_train(X: Sequence, y: Sequence, spec: KernelSpec, C: float = 1.0,
     condition by more than tol, then fits Platt calibration on the training
     decision values. C = math.inf gives the hard-margin problem.
     """
-    vectors = list(X)
+    vectors = _as_sparse(X)
     labels = np.asarray(list(y), dtype=float)
     if len(vectors) != len(labels):
         raise ValueError("X and y must have equal length")
@@ -432,8 +429,7 @@ def svm_train(X: Sequence, y: Sequence, spec: KernelSpec, C: float = 1.0,
         raise DegenerateLabels("need at least one example of each class")
     if not (C > 0):
         raise ValueError("C must be positive")
-    xd, _ = _as_matrix(vectors)
-    gram = _gram(spec, xd)
+    gram = _gram(spec, _as_matrix(vectors)[0])
     rng = np.random.default_rng(seed)
     alpha, bias, objective_path = _smo(gram, labels, C, tol, max_passes, rng,
                                        lists=len(labels) <= _LIST_SMO_MAX_N)
@@ -455,31 +451,16 @@ def svm_train(X: Sequence, y: Sequence, spec: KernelSpec, C: float = 1.0,
     )
 
 
-def _model_cache(model: TrainedSvm) -> dict:
-    if model._cache is None:
-        x, keys = _as_matrix(model.support_vectors) if model.support_vectors else (np.zeros((0, 0)), None)
-        cache = {"x": x, "keys": keys, "sq": np.sum(x * x, axis=1)}
-        cache["coef"] = model.alphas * model.sv_labels
-        if model.spec.kind == "linear" and keys is not None:
-            w = cache["coef"] @ x
-            cache["w_sparse"] = dict(zip(zip(keys.levels.tolist(), keys.ids.tolist()), w.tolist()))
-        model._cache = cache
-    return model._cache
-
-
 def svm_margins(model: TrainedSvm, X: Sequence) -> np.ndarray:
     """Decision values sum_i alpha_i y_i K(x_i, x) + b for a batch of vectors."""
-    cache = _model_cache(model)
-    sv = cache["x"]
-    queries = list(X)
-    if sv.shape[0] == 0:
+    queries = _as_sparse(X)
+    if not model.support_vectors:
         return np.full(len(queries), model.bias)
-    if cache["keys"] is None and any(_is_sparse(v) for v in queries):
-        raise DimensionMismatch("model was trained on dense vectors")
-    if "w_sparse" in cache and all(_is_sparse(v) for v in queries):
-        # linear kernel over sparse vectors: w_k * value_k summed left to right
-        # over each query's entries, in a plain loop because the builtin sum
-        # compensates its rounding from Python 3.12 on
+    cache = model._cache
+    if model.spec.kind == "linear":
+        # w_k * value_k summed left to right over each query's entries, in a
+        # plain loop because the builtin sum compensates its rounding from
+        # Python 3.12 on
         weight = cache["w_sparse"].get
         out = []
         for q in queries:
@@ -490,13 +471,8 @@ def svm_margins(model: TrainedSvm, X: Sequence) -> np.ndarray:
             out.append(total + model.bias)
         return np.array(out)
     xq, res = _project(queries, cache["keys"])
-    if cache["keys"] is None and xq.shape[1] != sv.shape[1]:
-        raise DimensionMismatch(f"vector length {xq.shape[1]} vs model dimension {sv.shape[1]}")
-    dots = xq @ sv.T
-    kind = model.spec.kind
-    if kind == "linear":
-        kmat = dots
-    elif kind == "polynomial":
+    dots = xq @ cache["x"].T
+    if model.spec.kind == "polynomial":
         kmat = (dots + model.spec.coef0) ** model.spec.degree
     else:
         q_sq = np.sum(xq * xq, axis=1) + res
@@ -521,8 +497,7 @@ def svm_predict(model: TrainedSvm, x) -> tuple[int, float, float]:
     """Returns (label, P(y=+1 | x), margin); the label is sign(margin), zero
     margin mapping to +1."""
     margin = float(svm_margins(model, [x])[0])
-    label = 1 if margin >= 0 else -1
-    return label, svm_probability(model, margin), margin
+    return (1 if margin >= 0 else -1), svm_probability(model, margin), margin
 
 
 def kkt_max_residual(model: TrainedSvm, X: Sequence, y: Sequence) -> float:
@@ -543,14 +518,6 @@ def kkt_max_residual(model: TrainedSvm, X: Sequence, y: Sequence) -> float:
 
 
 def svm_to_json(model: TrainedSvm) -> dict:
-    def encode_vec(v):
-        if _is_sparse(v):
-            order = np.lexsort((v.ids, v.levels))
-            return [[[h, i], val] for h, i, val in zip(v.levels[order].tolist(), v.ids[order].tolist(),
-                                                       v.values[order].tolist())]
-        return [float(t) for t in np.asarray(v, dtype=float).ravel()]
-
-    sparse = bool(model.support_vectors) and _is_sparse(model.support_vectors[0])
     return {
         "version": "svm-v1",
         "kernel": {
@@ -563,47 +530,74 @@ def svm_to_json(model: TrainedSvm) -> dict:
         "bias": model.bias,
         "platt_a": model.platt_a,
         "platt_b": model.platt_b,
-        "vector_format": "sparse" if sparse else "dense",
-        "support_vectors": [encode_vec(v) for v in model.support_vectors],
+        "vector_format": "sparse",
+        # each support vector's [[level, id], value] entries, by key
+        "support_vectors": [[[[h, i], val] for (h, i), val in
+                             sorted(zip(zip(v.levels.tolist(), v.ids.tolist()), v.values.tolist()))]
+                            for v in model.support_vectors],
         "alphas": [float(a) for a in model.alphas],
         "sv_labels": [int(l) for l in model.sv_labels],
         "n_train": model.n_train,
     }
 
 
+JSON_TYPES = {dict: "object", list: "array", int: "integer", float: "number"}
+
+
+def json_value(value, kind: type, what: str, lo: int = 0, hi: float = math.inf):
+    """value, a number as a float; ValueError unless it is a JSON value of
+    kind: an object, an array, an integer in [lo, hi) or a finite number (an
+    integer counts). true and false are neither integers nor numbers."""
+    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if ok and kind in (int, float):
+        ok = lo <= value < hi if kind is int else abs(value) <= sys.float_info.max
+    if not ok:
+        raise ValueError(f"{what} must be a {'finite ' * (kind is float)}JSON {JSON_TYPES[kind]}"
+                         + (f" in [{lo}, {hi})" if kind is int else ""))
+    return float(value) if kind is float else value
+
+
 def svm_from_json(doc: dict) -> TrainedSvm:
-    """Rebuild an svm-v1 model. A document that is not a JSON object, or whose
-    support vectors, alphas and sv_labels differ in count, raises ValueError;
-    a missing field raises KeyError."""
-    if not isinstance(doc, dict):
-        raise ValueError("an svm-v1 model must be a JSON object")
+    """Rebuild an svm-v1 model. A document that is not a JSON object, holds a
+    field of the wrong JSON type or range, or whose support vectors, alphas
+    and sv_labels differ in count, raises ValueError; a missing field raises
+    KeyError."""
+    json_value(doc, dict, "an svm-v1 model")
     if doc.get("version") != "svm-v1":
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
-    spec = KernelSpec(
-        kind=doc["kernel"]["kind"],
-        gamma=doc["kernel"]["gamma"],
-        degree=doc["kernel"]["degree"],
-        coef0=doc["kernel"]["coef0"],
-    )
-    if doc["vector_format"] == "sparse":
-        vectors = tuple(
-            SparseVector(np.array([k[0] for k, _ in pairs], dtype=np.int64),
-                         np.array([k[1] for k, _ in pairs], dtype=np.uint64),
-                         np.array([val for _, val in pairs]))
-            for pairs in doc["support_vectors"]
-        )
-    else:
-        vectors = tuple(np.asarray(v, dtype=float) for v in doc["support_vectors"])
+    if doc["vector_format"] != "sparse":
+        raise ValueError("vector_format must be 'sparse'")
+    kernel = json_value(doc["kernel"], dict, "kernel")
+    gamma = kernel["gamma"]
+    spec = KernelSpec(kernel["kind"], None if gamma is None else json_value(gamma, float, "kernel gamma"),
+                      json_value(kernel["degree"], int, "kernel degree", 1, 2**63),
+                      json_value(kernel["coef0"], float, "kernel coef0"))
+    vectors = []
+    for pairs in json_value(doc["support_vectors"], list, "support_vectors"):
+        if not all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], list) and len(p[0]) == 2
+                   for p in json_value(pairs, list, "each support vector")):
+            raise ValueError("each support vector entry must be [[level, id], value]")
+        keys = [(json_value(h, int, "each level", 0, 2**63), json_value(i, int, "each id", 0, 2**64))
+                for (h, i), _ in pairs]
+        if len(set(keys)) < len(keys):
+            raise ValueError("a support vector holds a key twice")
+        vectors.append(SparseVector(np.array([h for h, _ in keys], dtype=np.int64),
+                                    np.array([i for _, i in keys], dtype=np.uint64),
+                                    np.array([json_value(v, float, "each value") for _, v in pairs])))
+    alphas = [json_value(a, float, "each alpha") for a in json_value(doc["alphas"], list, "alphas")]
+    labels = json_value(doc["sv_labels"], list, "sv_labels")
+    if not all(type(label) is int and label in (1, -1) for label in labels):
+        raise ValueError("each sv_label must be 1 or -1")
     model = TrainedSvm(
-        support_vectors=vectors,
-        alphas=np.asarray(doc["alphas"], dtype=float),
-        sv_labels=np.asarray(doc["sv_labels"], dtype=float),
-        bias=float(doc["bias"]),
+        support_vectors=tuple(vectors),
+        alphas=np.array(alphas),
+        sv_labels=np.array(labels, dtype=float),
+        bias=json_value(doc["bias"], float, "bias"),
         spec=spec,
-        C=math.inf if doc["C"] is None else float(doc["C"]),
-        platt_a=float(doc["platt_a"]),
-        platt_b=float(doc["platt_b"]),
-        n_train=int(doc.get("n_train", 0)),
+        C=math.inf if doc["C"] is None else json_value(doc["C"], float, "C"),
+        platt_a=json_value(doc["platt_a"], float, "platt_a"),
+        platt_b=json_value(doc["platt_b"], float, "platt_b"),
+        n_train=json_value(doc.get("n_train", 0), int, "n_train"),
     )
     if not len(vectors) == len(model.alphas) == len(model.sv_labels):
         raise ValueError(f"svm-v1 model holds {len(vectors)} support vectors, "
@@ -615,7 +609,7 @@ def svm_from_json(doc: dict) -> TrainedSvm:
 class TrainedNaiveBayes:
     """Per-class diagonal Gaussians over the training key space plus class priors."""
 
-    keys: _KeySpace | None
+    keys: _KeySpace
     means: np.ndarray  # rows: class +1, class -1
     variances: np.ndarray
     priors: np.ndarray
@@ -624,7 +618,7 @@ class TrainedNaiveBayes:
 def nb_train(X: Sequence, y: Sequence) -> TrainedNaiveBayes:
     """Gaussian naive Bayes; every variance gets += 1e-9 * max variance so
     zero-variance features stay usable."""
-    vectors = list(X)
+    vectors = _as_sparse(X)
     labels = np.asarray(list(y), dtype=float)
     if len(np.unique(labels)) < 2:
         raise DegenerateLabels("need at least one example of each class")
@@ -635,8 +629,7 @@ def nb_train(X: Sequence, y: Sequence) -> TrainedNaiveBayes:
         means.append(rows.mean(axis=0))
         variances.append(rows.var(axis=0))
         priors.append(rows.shape[0] / xd.shape[0])
-    means = np.vstack(means)
-    variances = np.vstack(variances)
+    means, variances = np.vstack(means), np.vstack(variances)
     max_var = float(variances.max())
     variances = variances + 1e-9 * (max_var if max_var > 0 else 1.0)
     return TrainedNaiveBayes(keys, means, variances, np.asarray(priors))
@@ -645,8 +638,7 @@ def nb_train(X: Sequence, y: Sequence) -> TrainedNaiveBayes:
 def nb_predict(model: TrainedNaiveBayes, X: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """Returns (labels, P(y=+1 | x)) for a batch of vectors by log-posterior
     comparison."""
-    xq, res = _project(X, model.keys)
-    del res  # unseen keys carry no trained density
+    xq, _ = _project(_as_sparse(X), model.keys)  # unseen keys carry no trained density
     ll = []
     for c in range(2):
         diff = xq - model.means[c]

@@ -17,6 +17,7 @@ from .learners import (
     KernelSpec,
     SparseVector,
     TrainedSvm,
+    json_value,
     svm_from_json,
     svm_margins,
     svm_probability,
@@ -85,14 +86,8 @@ def evaluate(model: TargetModel, graphs) -> list[tuple[int, float]]:
     confidence is always >= 0.5."""
     vecs = wl_feature_vectors(list(graphs), model.wl_iters)
     margins = svm_margins(model.svm, [_unit_counts(v) for v in vecs])
-    out = []
-    for m in margins:
-        p_plus = svm_probability(model.svm, float(m))
-        if p_plus >= 0.5:
-            out.append((1, p_plus))
-        else:
-            out.append((-1, 1.0 - p_plus))
-    return out
+    p_plus = [svm_probability(model.svm, float(m)) for m in margins]
+    return [(1, p) if p >= 0.5 else (-1, 1.0 - p) for p in p_plus]
 
 
 def train_target(ds: GraphDataset, wl_iters: int = 3, C: float = 10.0,
@@ -197,21 +192,21 @@ def target_to_json(model: TargetModel) -> dict:
 
 
 def target_from_json(doc: dict) -> TargetModel:
-    """Rebuild a target-v2 model; a malformed document, a missing field of its
-    svm included, raises ValueError. target-v1 files keyed their histograms
-    by a stored label dictionary whose ids mean nothing to hashed WL labels,
-    so they must be retrained."""
-    if not isinstance(doc, dict):
-        raise ValueError("a target-v2 model must be a JSON object")
+    """Rebuild a target-v2 model; a malformed document (a field missing or of
+    the wrong JSON type or range, its svm's included) raises ValueError.
+    target-v1 files keyed their histograms by a stored label dictionary whose
+    ids mean nothing to hashed WL labels, so they must be retrained."""
+    json_value(doc, dict, "a target-v2 model")
     if doc.get("version") != "target-v2":
         raise ValueError(f"unsupported target version {doc.get('version')!r}; "
                          "expected 'target-v2' (retrain target-v1 models)")
     try:
         return TargetModel(
             svm=svm_from_json(doc["svm"]),
-            wl_iters=int(doc["wl_iters"]),
-            train_accuracy=float(doc["train_accuracy"]),
-            test_accuracy=None if doc["test_accuracy"] is None else float(doc["test_accuracy"]),
+            wl_iters=json_value(doc["wl_iters"], int, "wl_iters"),
+            train_accuracy=json_value(doc["train_accuracy"], float, "train_accuracy"),
+            test_accuracy=(None if doc["test_accuracy"] is None
+                           else json_value(doc["test_accuracy"], float, "test_accuracy")),
         )
     except KeyError as exc:
         raise ValueError(f"model lacks field {exc}") from exc

@@ -165,6 +165,14 @@ def test_attack_stale_model_version_exit_2(tmp_path, gen_dir, model_dir, capsys)
     assert "target-v1" in err
 
 
+def _first_entry(doc, edit):
+    """doc with the first [[level, id], value] entry of its first support
+    vector replaced by edit(entry)."""
+    vector = doc["svm"]["support_vectors"][0]
+    vector[0] = edit(vector[0])
+    return doc
+
+
 @pytest.mark.parametrize("edit,message", [
     (lambda doc: {k: v for k, v in doc.items() if k != "svm"}, "'svm'"),
     (lambda doc: [doc], "JSON object"),
@@ -175,7 +183,19 @@ def test_attack_stale_model_version_exit_2(tmp_path, gen_dir, model_dir, capsys)
      "alphas"),
     (lambda doc: dict(doc, svm=dict(doc["svm"], sv_labels=doc["svm"]["sv_labels"] + [1])),
      "sv_labels"),
-], ids=["no-svm", "array", "svm-array", "no-bias", "short-alphas", "long-sv-labels"])
+    (lambda doc: dict(doc, svm=dict(doc["svm"], kernel=[])), "kernel must be a JSON object"),
+    (lambda doc: dict(doc, svm=dict(doc["svm"], support_vectors=[[1.0, 2.0]] * len(doc["svm"]["alphas"]))),
+     "[[level, id], value]"),
+    (lambda doc: _first_entry(doc, lambda entry: [entry[0]]), "[[level, id], value]"),
+    (lambda doc: dict(doc, svm=dict(doc["svm"], bias=[1])), "bias must be a finite JSON number"),
+    (lambda doc: _first_entry(doc, lambda entry: [[entry[0][0], -1], entry[1]]), "each id"),
+    (lambda doc: _first_entry(doc, lambda entry: [[entry[0][0], 2**64], entry[1]]), "each id"),
+    (lambda doc: dict(doc, svm=dict(doc["svm"], vector_format="dense")), "vector_format"),
+    (lambda doc: dict(doc, wl_iters=-1), "wl_iters must be a JSON integer"),
+    (lambda doc: dict(doc, wl_iters=1.5), "wl_iters must be a JSON integer"),
+], ids=["no-svm", "array", "svm-array", "no-bias", "short-alphas", "long-sv-labels",
+        "kernel-array", "bare-number-vectors", "entry-without-value", "bias-array",
+        "negative-id", "id-past-uint64", "dense-vectors", "negative-wl-iters", "fractional-wl-iters"])
 def test_attack_malformed_model_file_exit_2(tmp_path, gen_dir, model_dir, capsys, edit, message):
     bad = tmp_path / "bad_model.json"
     bad.write_text(json.dumps(edit(json.loads((model_dir / "model.json").read_text()))))

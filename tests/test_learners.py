@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from graphevade.learners import (
     DegenerateData,
     DegenerateLabels,
-    DimensionMismatch,
     KernelSpec,
     kkt_max_residual,
     median_heuristic_gamma,
@@ -68,17 +67,28 @@ def test_kernels_match_dense_oracle(rng):
             assert sparse_val == pytest.approx(dense_val, abs=1e-12)
 
 
-def test_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        svm_train([np.array([1.0, 2.0]), np.array([1.0])], [1, -1], KernelSpec("linear"))
-    with pytest.raises(DimensionMismatch):
-        svm_train([sparse({(0, 1): 1.0}), np.array([1.0])], [1, -1], KernelSpec("linear"))
-    dense = svm_train([np.array([0.0, 1.0]), np.array([1.0, 0.0])], [1, -1],
-                      KernelSpec("linear"))
-    with pytest.raises(DimensionMismatch):
-        svm_margins(dense, [np.array([1.0])])
-    with pytest.raises(DimensionMismatch):
-        svm_margins(dense, [sparse({(0, 1): 1.0})])
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.4),
+                                  KernelSpec("polynomial", degree=3, coef0=1.0)])
+def test_dense_vector_is_the_sparse_row_at_level_zero(spec, rng):
+    """Every entry point reads a dense vector as the SparseVector whose entry j
+    sits at key (0, j), bit for bit."""
+    x, y = _random_problem(rng, n=14, separable=False)
+    probes = [rng.normal(size=3) for _ in range(6)]
+
+    def row(v):
+        return sparse({(0, j): float(t) for j, t in enumerate(v)})
+
+    dense, rows = svm_train(x, y, spec, C=2.0), svm_train([row(v) for v in x], y, spec, C=2.0)
+    assert _bits(dense.alphas) == _bits(rows.alphas)
+    assert ([v.hex() for v in (dense.bias, dense.platt_a, dense.platt_b)]
+            == [v.hex() for v in (rows.bias, rows.platt_a, rows.platt_b)])
+    want = _bits(svm_margins(rows, [row(v) for v in probes]))
+    assert _bits(svm_margins(dense, probes)) == want
+    assert _bits(svm_margins(rows, probes)) == want
+    nb_dense, nb_rows = nb_train(x, y), nb_train([row(v) for v in x], y)
+    for got, wanted in zip(nb_predict(nb_dense, probes), nb_predict(nb_rows, [row(v) for v in probes])):
+        assert _bits(got) == _bits(wanted)
+    assert median_heuristic_gamma(x).hex() == median_heuristic_gamma([row(v) for v in x]).hex()
 
 
 def test_kernel_spec_validation():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graphevade.graph_core import EdgeFlip, LabeledGraph, apply_flips, write_dataset
-from graphevade.learners import DegenerateLabels, svm_margins
+from graphevade.learners import KERNEL_KINDS, DegenerateLabels, KernelSpec, TrainedSvm, svm_margins
 from graphevade.synth_data import GeneratorConfig, generate
 from graphevade.target_lcd import (
     BlackBoxQuery,
     QueryBudgetExhausted,
     QueryLedger,
+    TargetModel,
     attack_loss,
     evaluate,
     load_target,
@@ -30,7 +32,7 @@ from graphevade.target_lcd import _unit_counts
 from graphevade.wl_features import wl_feature_vector
 from oracles import linear_margin, unit_counts, wl_histogram
 
-from conftest import as_dict, graph_strategy, make_graph
+from conftest import as_dict, graph_strategy, make_graph, sparse
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +268,47 @@ def test_target_persistence_roundtrip(tmp_path, target, small_ds):
     assert evaluate(loaded, graphs) == evaluate(target, graphs)
     assert loaded.wl_iters == target.wl_iters
     assert loaded.test_accuracy == target.test_accuracy
+
+
+_KEYS = st.tuples(st.integers(0, 3), st.integers(0, 2**64 - 1))
+_SIGNED = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@st.composite
+def _targets(draw):
+    """(a TargetModel over sparse support vectors, a few keys its vectors use)."""
+    kind = draw(st.sampled_from(KERNEL_KINDS))
+    gamma = st.floats(1e-3, 10.0)
+    spec = KernelSpec(kind, gamma=draw(gamma if kind == "rbf" else st.none() | gamma),
+                      degree=draw(st.integers(1, 4)), coef0=draw(_SIGNED))
+    keys = draw(st.lists(_KEYS, min_size=1, max_size=6, unique=True))
+    n = draw(st.integers(0, 4))
+    vectors = tuple(sparse(draw(st.dictionaries(st.sampled_from(keys) | _KEYS, _SIGNED, max_size=6)))
+                    for _ in range(n))
+    svm = TrainedSvm(
+        support_vectors=vectors,
+        alphas=np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)), dtype=float),
+        sv_labels=np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)),
+                           dtype=float),
+        bias=draw(_SIGNED), spec=spec, C=draw(st.floats(1e-3, 1e6) | st.just(math.inf)),
+        platt_a=draw(_SIGNED), platt_b=draw(_SIGNED), n_train=draw(st.integers(0, 1000)))
+    target = TargetModel(svm, draw(st.integers(0, 5)), draw(st.floats(0.0, 1.0)),
+                         draw(st.none() | st.floats(0.0, 1.0)))
+    return target, keys
+
+
+@settings(max_examples=150, deadline=None)
+@given(_targets(), st.data())
+def test_target_json_round_trip(drawn, data):
+    """target_to_json, JSON text and target_from_json give back the same
+    document, and the rebuilt SVM's margins equal the original's bit for bit."""
+    model, keys = drawn
+    doc = target_to_json(model)
+    loaded = target_from_json(json.loads(json.dumps(doc)))
+    assert target_to_json(loaded) == doc
+    probes = [sparse(d) for d in data.draw(st.lists(
+        st.dictionaries(st.sampled_from(keys) | _KEYS, _SIGNED, max_size=6), max_size=4))]
+    assert svm_margins(loaded.svm, probes).tobytes() == svm_margins(model.svm, probes).tobytes()
 
 
 def test_saved_target_evaluates_identically_in_another_process(tmp_path, target, small_ds):
