@@ -11,6 +11,7 @@ asking the queries one by one, and the attack decides the same either way.
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -73,8 +74,8 @@ class AttackConfig:
             raise ValueError("max_queries must be 0 or >= k_candidates")
         if self.rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if not self.r > 0:
-            raise ValueError("perturbation ratio r must be positive")
+        if not (self.r > 0 and math.isfinite(self.r)):
+            raise ValueError(f"perturbation ratio r must be positive and finite, got {self.r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.wl_iters < 0:

@@ -7,6 +7,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import asdict, fields
@@ -134,6 +135,7 @@ def cmd_train_target(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    cfg = _config_from_args(AttackConfig, args)
     try:
         model = load_target(args.model)
     except ValueError as exc:  # an unsupported model version or a malformed field
@@ -144,7 +146,6 @@ def cmd_attack(args) -> int:
     test = ds.subset("test")
     if len(test) == 0:
         test = ds
-    cfg = _config_from_args(AttackConfig, args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = attack_testset(model, test, cfg, workers=args.workers)
@@ -238,6 +239,12 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
             repeats = [x for i, x in enumerate(names) if x in names[:i]]
             if repeats:
                 raise ValueError(f"repeated {what} {repeats[0]!r}")
+            # results.csv is UTF-8 (no lone surrogates) and is read back with
+            # universal newlines, which turn \r into \n
+            unwritable = [x for x in names if re.search("[\r\ud800-\udfff]", x)]
+            if unwritable:
+                raise ValueError(f"{what} {unwritable[0]!r} holds a carriage return "
+                                 "or a lone surrogate, which results.csv cannot keep")
         # one method is run and tabled but not ranked
         check_rankable(max(len(methods), 2), len(rows) * repetitions, alpha)
     except (TypeError, ValueError) as exc:

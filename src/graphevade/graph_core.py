@@ -283,8 +283,8 @@ def _graph_from_record(rec: dict) -> tuple[LabeledGraph, int, str]:
     if not isinstance(gid, str):
         raise SchemaError("id", "must be a string")
     y = rec["y"]
-    if y not in (1, -1):
-        raise SchemaError("y", "must be 1 or -1")
+    if isinstance(y, bool) or not isinstance(y, int) or y not in (1, -1):
+        raise SchemaError("y", "must be the integer 1 or -1")
     split = rec.get("split", "train")
     if split not in ("train", "test"):
         raise SchemaError("split", "must be 'train' or 'test'")

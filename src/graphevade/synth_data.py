@@ -3,6 +3,7 @@ attached feature nodes, class-conditional edge densities and label skew."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,8 +55,10 @@ class GeneratorConfig:
                 raise InvalidConfig(f"{name} must be in [0, 1], got {p}")
         if not (0.0 < self.weight_low <= self.weight_high):
             raise InvalidConfig("need 0 < weight_low <= weight_high")
-        if self.delta < 0:
-            raise InvalidConfig("delta must be >= 0")
+        if not math.isfinite(0.5 * (self.weight_low + self.weight_high)):
+            raise InvalidConfig("weight_high and the weights' midpoint must be finite")
+        if not (self.delta >= 0 and math.isfinite(self.delta)):
+            raise InvalidConfig(f"delta must be finite and >= 0, got {self.delta}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
 

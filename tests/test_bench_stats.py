@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from graphevade.attack_engine import AttackConfig
@@ -151,6 +153,32 @@ def test_csv_roundtrip(rng):
         assert back.row_names == t.row_names
         assert back.method_names == t.method_names
         assert np.array_equal(back.values, t.values)
+
+
+# names hold any text but \r, which a file read with universal newlines turns
+# into \n, and lone surrogates, which UTF-8 cannot encode (bench rejects both)
+_names = st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                        blacklist_characters="\r"), max_size=6),
+                  min_size=1, max_size=3, unique=True)
+_declines = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308, -1e308]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_names, _names, st.integers(min_value=1, max_value=3), st.data())
+def test_csv_file_round_trip_property(tmp_path_factory, rows, methods, reps, data):
+    values = data.draw(st.lists(_declines, min_size=len(rows) * len(methods) * reps,
+                                max_size=len(rows) * len(methods) * reps))
+    t = ResultTable(tuple(rows), tuple(methods),
+                    np.array(values).reshape(len(rows), len(methods), reps))
+    path = tmp_path_factory.mktemp("csv") / "results.csv"
+    path.write_text(t.to_csv(), encoding="utf-8")  # as bench writes it
+    back = ResultTable.from_csv(path.read_text(encoding="utf-8"))  # as rank reads it
+    assert back.row_names == t.row_names
+    assert back.method_names == t.method_names
+    assert back.values.tobytes() == t.values.tobytes()  # -0.0 keeps its sign
+    assert back.to_csv() == t.to_csv()
 
 
 def test_csv_plain_names_unquoted(rng):

@@ -339,6 +339,15 @@ def test_bench_section_of_wrong_json_type_exit_2(tmp_path, capsys, section, valu
     ("repetitions", 1),
     # each block is seeded by the spec's seed plus its repetition
     ("configs", {"tiny": {"n_train_per_class": 10, "n_test_per_class": 5, "seed": 1}}),
+    # non-finite values (json writes Infinity)
+    ("attack", {"r": float("inf")}),
+    ("budgets", [0.001, float("inf")]),
+    ("methods", [{"name": "m", "r": float("inf")}]),
+    # results.csv cannot keep a \r (rank reads it with universal newlines)
+    # or a lone surrogate (it is UTF-8)
+    ("methods", [{"name": "adv\rlcd"}, {"name": "rw", "strategy": "random_walk"}]),
+    ("configs", {"ti\rny": {"n_train_per_class": 10, "n_test_per_class": 5}}),
+    ("methods", [{"name": "adv\ud800"}, {"name": "rw", "strategy": "random_walk"}]),
 ])
 def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
     # values of the right JSON type that no run accepts are config errors
@@ -496,3 +505,40 @@ def test_spec_omitting_ranges_uses_generator_defaults():
     defaults = GeneratorConfig()
     assert cfg.objects_range == defaults.objects_range
     assert cfg.features_per_object_range == defaults.features_per_object_range
+
+
+# --- non-finite and mistyped values are config errors ------------------------
+
+@pytest.mark.parametrize("r", ["inf", "nan"])
+def test_attack_non_finite_r_exit_2_before_reading_inputs(tmp_path, capsys, r):
+    # the model and dataset do not exist: the ratio is checked first
+    assert run(["attack", "--model", tmp_path / "missing.json",
+                "--dataset", tmp_path / "missing.jsonl", "--out", tmp_path / "a",
+                "--r", r]) == 2
+    assert capsys.readouterr().err.startswith("config error: perturbation ratio")
+    assert not (tmp_path / "a").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--weight-high", "inf"],
+    ["--weight-low", "1e308", "--weight-high", "1.7e308"],  # the midpoint overflows
+    ["--delta", "inf"],
+    ["--delta", "nan"],
+])
+def test_gen_non_finite_value_exit_2(tmp_path, capsys, flags):
+    out = tmp_path / "g"
+    assert run(["gen", "--out", out, "--n-train", "2", "--n-test", "1", *flags]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (out / "dataset.jsonl").exists()
+
+
+@pytest.mark.parametrize("y", [True, -1.0, 1.0])
+def test_train_target_non_integer_label_names_its_line(tmp_path, gen_dir, capsys, y):
+    lines = (gen_dir / "dataset.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])
+    rec["y"] = y
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines[:3] + [json.dumps(rec)] + lines[4:]) + "\n")
+    assert run(["train-target", "--dataset", bad, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("config error: line 4: field 'y': ")
+    assert not (tmp_path / "out" / "model.json").exists()

@@ -9,6 +9,7 @@ from graphevade.graph_core import apply_flips, graph_hash
 from graphevade.perturb import (
     BudgetExceedsPairs,
     CentralityScores,
+    DidNotConverge,
     adjacency_matrix,
     eigencentrality,
     flip_budget,
@@ -19,6 +20,7 @@ from graphevade.perturb import (
     _adjacency,
     _components,
     _dijkstra_lex,
+    _flip_for_pair,
     _shortest_path_flips,
 )
 from oracles import (
@@ -146,6 +148,51 @@ def test_centrality_scores_validation():
         CentralityScores(np.array([-0.6, 0.8]))
 
 
+def oracle_steps(a):
+    """The step at which the oracle's power iteration converges: the least
+    max_iter for which it returns a vector."""
+    lo, hi = 1, 1
+    while power_iteration(a, max_iter=hi) is None:
+        lo, hi = hi + 1, 2 * hi
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if power_iteration(a, max_iter=mid) is None:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def assert_matches_oracle_at(g, max_iter):
+    expected = power_iteration(adjacency_matrix(g), max_iter=max_iter)
+    if expected is None:
+        with pytest.raises(DidNotConverge):
+            eigencentrality(g, max_iter=max_iter)
+    else:
+        assert np.array_equal(eigencentrality(g, max_iter=max_iter).x, expected)
+
+
+def test_blocked_iteration_matches_oracle_at_every_cut(rng):
+    # block edges (31-33, 64-65) and the oracle's own convergence step k and k - 1
+    for trial in range(12):
+        g = random_graph(int(rng.integers(2, 16)), 0.3, rng, graph_id=f"t{trial}")
+        k = oracle_steps(adjacency_matrix(g))
+        for max_iter in (1, 31, 32, 33, 64, 65, k - 1, k):
+            assert_matches_oracle_at(g, max_iter)
+
+
+def test_near_tied_components_cross_many_blocks_bit_for_bit():
+    # a 10-cycle (eigenvalue 2) beside a 20-node path (2 cos(pi/21)): the
+    # second component decays by a ratio of about 0.993 per step
+    cycle = [(i, i + 1) for i in range(9)] + [(0, 9)]
+    path = [(10 + i, 11 + i) for i in range(19)]
+    g = make_graph(30, cycle + path)
+    k = oracle_steps(adjacency_matrix(g))
+    assert k > 2000
+    for max_iter in (k - 1, k, 100_000):
+        assert_matches_oracle_at(g, max_iter)
+
+
 # --- eigencentrality plans ---------------------------------------------------
 
 def test_star_plan_touches_center():
@@ -190,6 +237,21 @@ def test_plan_count_clamps_at_pair_list_end():
     g = make_graph(3, [(0, 1)])
     plans = plan_eigencentrality(g, 1, eigencentrality(g), k_candidates=10)
     assert len(plans) == 3  # only 3 windows of size 1 exist
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end", "past_end"])
+def test_plans_are_windows_over_one_flip_per_ranked_pair(where, rng):
+    g = random_graph(9, 0.4, rng)
+    scores = eigencentrality(g)
+    ranking = scores.ranking
+    beta, k = 3, 5
+    offset = {"start": 0, "middle": len(ranking) // 2,
+              "end": len(ranking) - beta - 1, "past_end": len(ranking) - beta + 1}[where]
+    plans = plan_eigencentrality(g, beta, scores, k_candidates=k, offset=offset)
+    assert len(plans) == {"start": k, "middle": k, "end": 2, "past_end": 0}[where]
+    assert plans == [tuple(_flip_for_pair(g, p, g.mean_weight)
+                           for p in ranking[offset + i : offset + i + beta])
+                     for i in range(len(plans))]
 
 
 # --- random walk plans -------------------------------------------------------
