@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
@@ -83,7 +84,12 @@ class ResultTable:
         for rec in records[1:]:
             if len(rec) != 4:
                 raise ValueError(f"expected 4 fields, got {len(rec)}: {rec!r}")
-            cells.setdefault((rec[0], rec[1]), {})[int(rec[2])] = float(rec[3])
+            cell, rep, decline = (rec[0], rec[1]), int(rec[2]), float(rec[3])
+            if not math.isfinite(decline):
+                raise ValueError(f"decline of {rec!r} is not finite")
+            if rep in cells.setdefault(cell, {}):
+                raise ValueError(f"repeated cell {(*cell, rep)!r}")
+            cells[cell][rep] = decline
         if not cells:
             raise ValueError("result table has no data rows")
         row_names = tuple(dict.fromkeys(row for row, _ in cells))

@@ -7,11 +7,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import re
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .attack_engine import STRATEGIES, SURROGATES, AttackConfig, attack_testset, summary_to_json
 from .bench_stats import (
@@ -25,17 +27,17 @@ from .bench_stats import (
     method_config,
     run_benchmark,
 )
-from .graph_core import ParseError, read_dataset, write_dataset
-from .learners import JSON_TYPES, DegenerateLabels
+from .graph_core import ParseError, SchemaError, json_fields, json_value, read_dataset, write_dataset
+from .learners import DegenerateLabels
 from .synth_data import GeneratorConfig, InvalidConfig, generate
 from .target_lcd import load_target, save_target, train_target
 
-_CONFIG_ERRORS = (InvalidConfig, ParseError, FileNotFoundError,
+_CONFIG_ERRORS = (InvalidConfig, ParseError, SchemaError, FileNotFoundError,
                   IsADirectoryError, json.JSONDecodeError)
 
 
 def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _write_json(path: Path, obj) -> None:
@@ -56,17 +58,27 @@ def _emit(args, human: str, payload: dict) -> None:
         sys.stdout.write(human)
 
 
-def _check_keys(data: dict, allowed, what: str) -> None:
-    for key in data:
-        if key not in allowed:
-            raise InvalidConfig(f"unknown key {key!r} in {what}")
-
-
-def _dataclass_from_dict(cls, data: dict, what: str, exclude=()):
-    _check_keys(data, {f.name for f in fields(cls)} - set(exclude), what)
+def _dataclass_from_dict(cls, data, what: str, exclude=()):
+    """cls from the JSON object data, each value typed by its field: an
+    integer, a finite number, a string or, for a tuple, each element; null
+    only where the field defaults to None. A field without a default is
+    required."""
+    hints = get_type_hints(cls)
+    own = {f.name: f.default for f in fields(cls) if f.name not in exclude}
+    json_fields(data, own, [name for name, default in own.items() if default is MISSING], what)
+    values = {}
+    for key, value in data.items():
+        if value is None and own[key] is None:
+            continue
+        kind, name = hints[key], f"{what}.{key}"
+        element = (get_args(kind) or (kind,))[0]  # int of tuple[int, int], float of float | None
+        if get_origin(kind) is tuple:
+            values[key] = tuple(json_value(x, element, name) for x in json_value(value, list, name))
+        else:
+            values[key] = json_value(value, element, name)
     try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except ValueError as exc:
         raise InvalidConfig(f"bad {what}: {exc}") from exc
 
 
@@ -115,6 +127,7 @@ def cmd_gen(args) -> int:
 def cmd_train_target(args) -> int:
     knobs = {"wl_iters": args.wl_iters, "C": args.C, "seed": args.seed}
     _check_target(args.wl_iters, args.C, args.seed)
+    echo = dict(knobs, C=None if math.isinf(args.C) else args.C)  # as model.json keeps it
     ds = read_dataset(args.dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,9 +137,9 @@ def cmd_train_target(args) -> int:
         raise InvalidConfig(f"dataset {args.dataset}: train split: {exc}") from exc
     save_target(model, out_dir / "model.json")
     metrics = {"train_accuracy": model.train_accuracy,
-               "test_accuracy": model.test_accuracy, **knobs}
+               "test_accuracy": model.test_accuracy, **echo}
     _write_json(out_dir / "metrics.json", metrics)
-    _echo_config(out_dir, "train-target", {"dataset": str(args.dataset), **knobs})
+    _echo_config(out_dir, "train-target", {"dataset": str(args.dataset), **echo})
     _emit(args,
           f"train accuracy {model.train_accuracy:.4f}, "
           f"test accuracy {model.test_accuracy if model.test_accuracy is not None else 'n/a'}\n",
@@ -166,35 +179,19 @@ def cmd_attack(args) -> int:
     return 0
 
 
-# a spec's "attack" section sets every knob but a method's and the seed
-_ATTACK_KEYS = {f.name for f in fields(AttackConfig)} - {"strategy", "surrogate", "seed"}
 _SECTION_TYPES = {"seed": int, "repetitions": int, "alpha": float, "configs": dict,
                   "methods": list, "budgets": list, "attack": dict, "target": dict}
 
 
-def _expect(value, kind: type, what: str):
-    """value, or InvalidConfig when it is not a JSON value of kind (a number
-    may be an integer; true and false are neither)."""
-    accepted = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise InvalidConfig(f"{what} must be a JSON {JSON_TYPES[kind]}")
-    return value
-
-
 def _load_bench_spec(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    if not isinstance(spec, dict) or not spec:
-        raise InvalidConfig("bench spec must be a non-empty JSON object")
-    _check_keys(spec, _SECTION_TYPES, "bench spec")
-    for key in spec:
-        _expect(spec[key], _SECTION_TYPES[key], f"bench spec {key!r}")
+        spec = json_fields(json.load(fh), _SECTION_TYPES, ("configs", "methods"), "bench spec")
+    for key, value in spec.items():
+        json_value(value, _SECTION_TYPES[key], key)
     for r in spec.get("budgets", ()):
-        _expect(r, float, "each budget")
-    if not spec.get("configs"):
-        raise InvalidConfig("bench spec needs a non-empty 'configs' map")
-    if not spec.get("methods"):
-        raise InvalidConfig("bench spec needs a non-empty 'methods' list")
+        json_value(r, float, "budgets")
+    if not (spec["configs"] and spec["methods"]):
+        raise InvalidConfig("bench spec needs a non-empty 'configs' map and 'methods' list")
     return spec
 
 
@@ -202,33 +199,23 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
     seed = spec.get("seed", 42) if seed_override is None else seed_override
     repetitions = spec.get("repetitions", 10)
     alpha = spec.get("alpha", 0.05)
-    configs = {}
-    for name, raw in spec["configs"].items():
-        data = dict(_expect(raw, dict, f"generator config {name!r}"))
-        for key in ("objects_range", "features_per_object_range"):
-            if key in data:
-                data[key] = tuple(_expect(data[key], list, f"{key} of generator config {name!r}"))
-        # a block's seed is the spec's seed plus its repetition
-        configs[name] = _dataclass_from_dict(GeneratorConfig, data,
-                                             f"generator config {name!r}", exclude=("seed",))
-    methods = []
-    for raw in spec["methods"]:
-        if "name" not in _expect(raw, dict, "each method spec"):
-            raise InvalidConfig("each method needs a 'name'")
-        methods.append(_dataclass_from_dict(MethodSpec, raw, "method spec"))
-    attack_raw = dict(spec.get("attack", {}))
-    _check_keys(attack_raw, _ATTACK_KEYS, "attack spec")
-    target_raw = dict(spec.get("target", {}))
-    _check_keys(target_raw, ("wl_iters", "C"), "target spec")
-    wl_iters = _expect(target_raw.get("wl_iters", 3), int, "target 'wl_iters'")
-    c = _expect(target_raw.get("C", 10.0), float, "target 'C'")
+    # a block's seed is the spec's seed plus its repetition
+    configs = {name: _dataclass_from_dict(GeneratorConfig, raw, f"configs.{name}", exclude=("seed",))
+               for name, raw in spec["configs"].items()}
+    methods = [_dataclass_from_dict(MethodSpec, raw, f"methods[{i}]")
+               for i, raw in enumerate(spec["methods"])]
+    # the attack section sets every knob but a method's and the seed
+    base = replace(_dataclass_from_dict(AttackConfig, spec.get("attack", {}), "attack",
+                                        exclude=("strategy", "surrogate", "seed")), seed=seed)
+    target = json_fields(spec.get("target", {}), ("wl_iters", "C"), (), "target")
+    wl_iters = json_value(target.get("wl_iters", 3), int, "target.wl_iters")
+    c = json_value(target.get("C", 10.0), float, "target.C")
     budgets = spec.get("budgets")
     _check_target(wl_iters, c, seed)
     # every cell's attack config and the ranking are checked here, so a bad
     # value fails before the first cell runs
     rows = bench_rows(configs, budgets)
     try:
-        base = AttackConfig(seed=seed, **attack_raw)
         for method in methods:
             for r in budgets or (None,):
                 method_config(base, method, r)
@@ -247,7 +234,7 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
                                  "or a lone surrogate, which results.csv cannot keep")
         # one method is run and tabled but not ranked
         check_rankable(max(len(methods), 2), len(rows) * repetitions, alpha)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InvalidConfig(str(exc)) from exc
     started = time.monotonic()
 

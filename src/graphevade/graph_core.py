@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import struct
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
@@ -266,65 +267,61 @@ class GraphDataset:
         )
 
 
-def _require_fields(obj: dict, allowed: Sequence[str], required: Sequence[str], where: str):
-    for key in obj:
+JSON_TYPES = {dict: "object", list: "array", str: "string", int: "integer", float: "number"}
+
+
+def json_value(value, kind: type, what: str, lo: int = 0, hi: float = math.inf):
+    """value, a number as a float; SchemaError(what) unless it is a JSON value
+    of kind: an object, an array, a string, an integer in [lo, hi) or a finite
+    number (an integer counts). true and false are neither integers nor
+    numbers."""
+    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if ok and kind in (int, float):
+        ok = lo <= value < hi if kind is int else abs(value) <= sys.float_info.max
+    if not ok:
+        raise SchemaError(what, f"must be a {'finite ' * (kind is float)}JSON {JSON_TYPES[kind]}"
+                          + (f" in [{lo}, {hi})" if kind is int else ""))
+    return float(value) if kind is float else value
+
+
+def json_fields(obj, allowed, required, what: str) -> dict:
+    """obj, or SchemaError unless it is a JSON object whose keys are all in
+    allowed and include every key in required."""
+    for key in json_value(obj, dict, what):
         if key not in allowed:
-            raise SchemaError(key, f"unknown field in {where}")
+            raise SchemaError(key, f"unknown key in {what}")
     for key in required:
         if key not in obj:
-            raise SchemaError(key, f"missing from {where}")
+            raise SchemaError(key, f"missing from {what}")
+    return obj
 
 
-def _graph_from_record(rec: dict) -> tuple[LabeledGraph, int, str]:
-    if not isinstance(rec, dict):
-        raise SchemaError("record", "each line must hold a JSON object")
-    _require_fields(rec, _RECORD_FIELDS, ("id", "y", "nodes", "edges"), "graph record")
-    gid = rec["id"]
-    if not isinstance(gid, str):
-        raise SchemaError("id", "must be a string")
-    y = rec["y"]
-    if isinstance(y, bool) or not isinstance(y, int) or y not in (1, -1):
+def _graph_from_record(rec) -> tuple[LabeledGraph, int, str]:
+    json_fields(rec, _RECORD_FIELDS, ("id", "y", "nodes", "edges"), "record")
+    gid = json_value(rec["id"], str, "id")
+    y = json_value(rec["y"], int, "y", -1, 2)
+    if y == 0:
         raise SchemaError("y", "must be the integer 1 or -1")
     split = rec.get("split", "train")
     if split not in ("train", "test"):
         raise SchemaError("split", "must be 'train' or 'test'")
-    nodes = rec["nodes"]
-    if not isinstance(nodes, list) or not nodes:
-        raise SchemaError("nodes", "must be a non-empty list")
+    nodes = json_value(rec["nodes"], list, "nodes")
     n = len(nodes)
     labels: list[str | None] = [None] * n
     tiers: list[str | None] = [None] * n
     for node in nodes:
-        if not isinstance(node, dict):
-            raise SchemaError("nodes", "each node must be an object")
-        _require_fields(node, _NODE_FIELDS, _NODE_FIELDS, "node")
-        nid = node["id"]
-        if not isinstance(nid, int) or isinstance(nid, bool) or not (0 <= nid < n):
-            raise SchemaError("id", f"node ids must be integers 0..{n - 1} contiguous")
+        json_fields(node, _NODE_FIELDS, _NODE_FIELDS, "node")
+        nid = json_value(node["id"], int, "id", 0, n)
         if labels[nid] is not None:
             raise SchemaError("id", f"duplicate node id {nid}")
-        if not isinstance(node["label"], str):
-            raise SchemaError("label", "must be a string")
-        if node["tier"] not in TIERS:
-            raise SchemaError("tier", f"must be one of {TIERS}")
-        labels[nid] = node["label"]
+        labels[nid] = json_value(node["label"], str, "label")
         tiers[nid] = node["tier"]
-    edges = rec["edges"]
-    if not isinstance(edges, list):
-        raise SchemaError("edges", "must be a list")
     triples = []
-    for edge in edges:
-        if not isinstance(edge, dict):
-            raise SchemaError("edges", "each edge must be an object")
-        _require_fields(edge, _EDGE_FIELDS, _EDGE_FIELDS, "edge")
-        u, v, w = edge["u"], edge["v"], edge["w"]
-        if not isinstance(u, int) or not isinstance(v, int) or isinstance(u, bool) or isinstance(v, bool):
-            raise SchemaError("u", "edge endpoints must be integers")
-        if not isinstance(w, (int, float)) or isinstance(w, bool):
-            raise SchemaError("w", "edge weight must be a number")
-        triples.append((u, v, float(w)))
-    graph = LabeledGraph(gid, tuple(labels), tuple(tiers), tuple(triples))
-    return graph, int(y), split
+    for edge in json_value(rec["edges"], list, "edges"):
+        json_fields(edge, _EDGE_FIELDS, _EDGE_FIELDS, "edge")
+        triples.append((json_value(edge["u"], int, "u"), json_value(edge["v"], int, "v"),
+                        json_value(edge["w"], float, "w")))
+    return LabeledGraph(gid, tuple(labels), tuple(tiers), tuple(triples)), y, split
 
 
 def dumps_graph_record(g: LabeledGraph, y: int, split: str = "train") -> str:

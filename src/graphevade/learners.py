@@ -13,7 +13,6 @@ squared-norm residual, which is carried separately.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -21,6 +20,8 @@ from operator import mul
 from typing import Sequence
 
 import numpy as np
+
+from .graph_core import json_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,28 +542,12 @@ def svm_to_json(model: TrainedSvm) -> dict:
     }
 
 
-JSON_TYPES = {dict: "object", list: "array", int: "integer", float: "number"}
-
-
-def json_value(value, kind: type, what: str, lo: int = 0, hi: float = math.inf):
-    """value, a number as a float; ValueError unless it is a JSON value of
-    kind: an object, an array, an integer in [lo, hi) or a finite number (an
-    integer counts). true and false are neither integers nor numbers."""
-    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
-    if ok and kind in (int, float):
-        ok = lo <= value < hi if kind is int else abs(value) <= sys.float_info.max
-    if not ok:
-        raise ValueError(f"{what} must be a {'finite ' * (kind is float)}JSON {JSON_TYPES[kind]}"
-                         + (f" in [{lo}, {hi})" if kind is int else ""))
-    return float(value) if kind is float else value
-
-
 def svm_from_json(doc: dict) -> TrainedSvm:
     """Rebuild an svm-v1 model. A document that is not a JSON object, holds a
     field of the wrong JSON type or range, or whose support vectors, alphas
     and sv_labels differ in count, raises ValueError; a missing field raises
     KeyError."""
-    json_value(doc, dict, "an svm-v1 model")
+    json_value(doc, dict, "svm")
     if doc.get("version") != "svm-v1":
         raise ValueError(f"unsupported model version {doc.get('version')!r}")
     if doc["vector_format"] != "sparse":
@@ -585,8 +570,9 @@ def svm_from_json(doc: dict) -> TrainedSvm:
                                     np.array([i for _, i in keys], dtype=np.uint64),
                                     np.array([json_value(v, float, "each value") for _, v in pairs])))
     alphas = [json_value(a, float, "each alpha") for a in json_value(doc["alphas"], list, "alphas")]
-    labels = json_value(doc["sv_labels"], list, "sv_labels")
-    if not all(type(label) is int and label in (1, -1) for label in labels):
+    labels = [json_value(label, int, "each sv_label", -1, 2)
+              for label in json_value(doc["sv_labels"], list, "sv_labels")]
+    if 0 in labels:
         raise ValueError("each sv_label must be 1 or -1")
     model = TrainedSvm(
         support_vectors=tuple(vectors),

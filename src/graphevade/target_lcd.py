@@ -12,12 +12,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .graph_core import GraphDataset, LabeledGraph, graph_hash
+from .graph_core import GraphDataset, LabeledGraph, graph_hash, json_value
 from .learners import (
     KernelSpec,
     SparseVector,
     TrainedSvm,
-    json_value,
     svm_from_json,
     svm_margins,
     svm_probability,
@@ -196,7 +195,7 @@ def target_from_json(doc: dict) -> TargetModel:
     the wrong JSON type or range, its svm's included) raises ValueError.
     target-v1 files keyed their histograms by a stored label dictionary whose
     ids mean nothing to hashed WL labels, so they must be retrained."""
-    json_value(doc, dict, "a target-v2 model")
+    json_value(doc, dict, "model")
     if doc.get("version") != "target-v2":
         raise ValueError(f"unsupported target version {doc.get('version')!r}; "
                          "expected 'target-v2' (retrain target-v1 models)")

@@ -200,6 +200,17 @@ def test_csv_rejects_malformed_tables():
             ResultTable.from_csv(header + body)
 
 
+@pytest.mark.parametrize("decline", ["nan", "inf", "-inf"])
+def test_csv_rejects_a_non_finite_decline(decline):
+    with pytest.raises(ValueError, match=rf"\['a', 'm2', '0', '{decline}'\] is not finite"):
+        ResultTable.from_csv(f"row,method,rep,decline\na,m1,0,-1.0\na,m2,0,{decline}\n")
+
+
+def test_csv_rejects_a_repeated_cell():
+    with pytest.raises(ValueError, match=r"repeated cell \('a', 'm1', 0\)"):
+        ResultTable.from_csv("row,method,rep,decline\na,m1,0,-1.0\na,m2,0,-2.0\na,m1,0,-99.0\n")
+
+
 def test_cd_diagram_text_mentions_cliques():
     vals = np.zeros((2, 3, 5))
     vals[:, 0, :] = -30.0

@@ -93,7 +93,21 @@ def test_train_target_schema_error_names_its_line(tmp_path, gen_dir, capsys):
     bad.write_text("\n".join(lines[:3] + [json.dumps(rec)] + lines[4:]) + "\n")
     assert run(["train-target", "--dataset", bad, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == (
-        "config error: line 4: field 'u': edge endpoints must be integers\n")
+        "config error: line 4: field 'u': must be a JSON integer in [0, inf)\n")
+
+
+def test_train_target_infinite_c_echoes_null(tmp_path, gen_dir):
+    out = tmp_path / "hard"
+    assert run(["train-target", "--dataset", gen_dir / "dataset.jsonl", "--out", out,
+                "--C", "inf"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    metrics = json.loads((out / "metrics.json").read_text(), parse_constant=reject)
+    echo = json.loads((out / "run_config.json").read_text(), parse_constant=reject)
+    assert metrics["C"] is None and echo["config"]["C"] is None
+    assert json.loads((out / "model.json").read_text())["svm"]["C"] is None
 
 
 @pytest.mark.parametrize("flags", [["--wl-iters", "-1"], ["--C", "0"], ["--seed", "-1"]])
@@ -183,16 +197,16 @@ def _first_entry(doc, edit):
      "alphas"),
     (lambda doc: dict(doc, svm=dict(doc["svm"], sv_labels=doc["svm"]["sv_labels"] + [1])),
      "sv_labels"),
-    (lambda doc: dict(doc, svm=dict(doc["svm"], kernel=[])), "kernel must be a JSON object"),
+    (lambda doc: dict(doc, svm=dict(doc["svm"], kernel=[])), "field 'kernel': must be a JSON object"),
     (lambda doc: dict(doc, svm=dict(doc["svm"], support_vectors=[[1.0, 2.0]] * len(doc["svm"]["alphas"]))),
      "[[level, id], value]"),
     (lambda doc: _first_entry(doc, lambda entry: [entry[0]]), "[[level, id], value]"),
-    (lambda doc: dict(doc, svm=dict(doc["svm"], bias=[1])), "bias must be a finite JSON number"),
+    (lambda doc: dict(doc, svm=dict(doc["svm"], bias=[1])), "field 'bias': must be a finite JSON number"),
     (lambda doc: _first_entry(doc, lambda entry: [[entry[0][0], -1], entry[1]]), "each id"),
     (lambda doc: _first_entry(doc, lambda entry: [[entry[0][0], 2**64], entry[1]]), "each id"),
     (lambda doc: dict(doc, svm=dict(doc["svm"], vector_format="dense")), "vector_format"),
-    (lambda doc: dict(doc, wl_iters=-1), "wl_iters must be a JSON integer"),
-    (lambda doc: dict(doc, wl_iters=1.5), "wl_iters must be a JSON integer"),
+    (lambda doc: dict(doc, wl_iters=-1), "field 'wl_iters': must be a JSON integer"),
+    (lambda doc: dict(doc, wl_iters=1.5), "field 'wl_iters': must be a JSON integer"),
 ], ids=["no-svm", "array", "svm-array", "no-bias", "short-alphas", "long-sv-labels",
         "kernel-array", "bare-number-vectors", "entry-without-value", "bias-array",
         "negative-id", "id-past-uint64", "dense-vectors", "negative-wl-iters", "fractional-wl-iters"])
@@ -348,6 +362,13 @@ def test_bench_section_of_wrong_json_type_exit_2(tmp_path, capsys, section, valu
     ("methods", [{"name": "adv\rlcd"}, {"name": "rw", "strategy": "random_walk"}]),
     ("configs", {"ti\rny": {"n_train_per_class": 10, "n_test_per_class": 5}}),
     ("methods", [{"name": "adv\ud800"}, {"name": "rw", "strategy": "random_walk"}]),
+    # values of a JSON type that their config field does not take
+    ("configs", {"tiny": {"n_train_per_class": 10, "n_test_per_class": 5, "vocab_size": 2.5}}),
+    ("attack", {"rounds": 2.5}),
+    ("attack", {"max_queries": 10.5}),
+    ("attack", {"epochs": True}),
+    ("methods", [{"name": "m", "r": True}, {"name": "rw", "strategy": "random_walk"}]),
+    ("target", {"C": float("inf")}),
 ])
 def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
     # values of the right JSON type that no run accepts are config errors
@@ -437,6 +458,18 @@ def test_rank_rep_gap_exit_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("body", [
+    "c,a,0,-1.0\nc,a,1,nan\nc,b,0,-1.5\nc,b,1,-0.5\n",
+    "c,a,0,-1.0\nc,a,1,-2.0\nc,b,0,-1.5\nc,b,1,-0.5\nc,a,0,-99.0\n",
+], ids=["nan-decline", "repeated-cell"])
+def test_rank_non_finite_or_repeated_decline_exit_2(tmp_path, capsys, body):
+    path = tmp_path / "results.csv"
+    path.write_text("row,method,rep,decline\n" + body)
+    assert run(["rank", "--table", path, "--out", tmp_path / "rank"]) == 2
+    assert capsys.readouterr().err.startswith("config error")
+    assert not (tmp_path / "rank").exists()
+
+
 @pytest.mark.parametrize("alpha,methods,reps", [
     ("0.01", ("a", "b"), 2),  # no embedded q table
     ("0.05", ("a",), 2),      # one method
@@ -449,6 +482,56 @@ def test_rank_unrankable_table_exit_2(tmp_path, capsys, alpha, methods, reps):
     assert run(["rank", "--table", path, "--out", tmp_path / "rank", "--alpha", alpha]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not (tmp_path / "rank").exists()
+
+
+def _replace_at(doc, path, value):
+    """Set the value at path (keys and indexes) in doc to value."""
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# (command, path of the value in its JSON input, mistyped value, field the
+# error names): true where an integer is due, 1.5 for an integer, a string
+# for a number, an array for an object and an integer out of range
+@pytest.mark.parametrize("command,path,value,field", [
+    ("train-target", ("y",), True, "y"),
+    ("train-target", ("edges", 0, "v"), 1.5, "v"),
+    ("train-target", ("edges", 0, "w"), "1.0", "w"),
+    ("train-target", ("nodes", 0), [], "node"),
+    ("train-target", ("nodes", 0, "id"), 10**6, "id"),
+    ("attack", ("wl_iters",), True, "wl_iters"),
+    ("attack", ("svm", "n_train"), 1.5, "n_train"),
+    ("attack", ("svm", "platt_a"), "1.0", "platt_a"),
+    ("attack", ("svm", "kernel"), [], "kernel"),
+    ("attack", ("svm", "kernel", "degree"), 0, "kernel degree"),
+    ("bench", ("attack", "epochs"), True, "attack.epochs"),
+    ("bench", ("configs", "tiny", "vocab_size"), 1.5, "configs.tiny.vocab_size"),
+    ("bench", ("attack", "r"), "0.01", "attack.r"),
+    ("bench", ("attack",), [], "attack"),
+    ("bench", ("seed",), -1, "seed"),
+])
+def test_mistyped_value_exit_2_names_its_field(tmp_path, gen_dir, model_dir, capsys,
+                                               command, path, value, field):
+    bad = tmp_path / "bad.json"
+    if command == "train-target":
+        lines = (gen_dir / "dataset.jsonl").read_text().splitlines()
+        rec = json.loads(lines[0])
+        _replace_at(rec, path, value)
+        bad.write_text("\n".join([json.dumps(rec)] + lines[1:]) + "\n")
+        args = ["--dataset", bad]
+    elif command == "attack":
+        doc = json.loads((model_dir / "model.json").read_text())
+        _replace_at(doc, path, value)
+        bad.write_text(json.dumps(doc))
+        args = ["--model", bad, "--dataset", gen_dir / "dataset.jsonl", "--max-queries", "0"]
+    else:
+        spec = json.loads(json.dumps(BENCH_SPEC))
+        _replace_at(spec, path, value)
+        args = ["--spec", write_spec(bad, spec)]
+    assert run([command, *args, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and f"field '{field}': " in err
 
 
 def test_shipped_bench_specs_pass_every_check(monkeypatch):

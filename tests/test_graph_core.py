@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 
 import numpy as np
@@ -15,6 +16,7 @@ from graphevade.graph_core import (
     SchemaError,
     apply_flips,
     graph_hash,
+    json_value,
     read_dataset,
     write_dataset,
 )
@@ -352,6 +354,30 @@ def test_noncontiguous_node_ids_rejected(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(ParseError, match=r"^line 1: field 'id': "):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("value,kind,lo,hi", [
+    (True, int, 0, math.inf), (False, float, 0, math.inf),  # a bool is neither
+    (1.5, int, 0, math.inf), (1.0, int, 0, math.inf), ("1", float, 0, math.inf),
+    (math.nan, float, 0, math.inf), (math.inf, float, 0, math.inf),
+    (-math.inf, float, 0, math.inf), (10**400, float, 0, math.inf),
+    (-1, int, 0, math.inf), (2, int, -1, 2), (-2, int, -1, 2),
+    ([], dict, 0, math.inf), ({}, list, 0, math.inf), (1, str, 0, math.inf),
+])
+def test_json_value_rejects(value, kind, lo, hi):
+    with pytest.raises(SchemaError, match=r"^field 'x': must be a ") as err:
+        json_value(value, kind, "x", lo, hi)
+    assert err.value.field == "x"
+
+
+def test_json_value_accepts():
+    assert json_value(3, float, "x") == 3.0 and type(json_value(3, float, "x")) is float
+    assert json_value(-2.5, float, "x") == -2.5
+    assert json_value(0, int, "x") == 0 and json_value(1, int, "x", -1, 2) == 1
+    assert json_value(-1, int, "x", -1, 2) == -1
+    assert json_value(10**30, int, "x") == 10**30
+    assert json_value("s", str, "x") == "s"
+    assert json_value([1], list, "x") == [1] and json_value({"a": 1}, dict, "x") == {"a": 1}
 
 
 @settings(max_examples=30, deadline=None)
