@@ -13,7 +13,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.stats import chi2, rankdata
 
 from .attack_engine import AttackConfig, AttackSummary, attack_testset
 from .synth_data import GeneratorConfig, generate
@@ -211,6 +210,10 @@ def friedman_nemenyi(table: ResultTable, alpha: float = 0.05) -> RankReport:
     blocks = table.values.transpose(0, 2, 1).reshape(-1, k)
     n = blocks.shape[0]
     check_rankable(k, n, alpha)
+    # scipy is imported here, by its only user, so that generating, training
+    # and attacking load numpy and nothing heavier
+    from scipy.stats import chi2, rankdata
+
     ranks = np.empty_like(blocks)
     for b in range(n):
         ranks[b] = k + 1 - rankdata(blocks[b])

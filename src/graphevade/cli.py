@@ -60,9 +60,9 @@ def _emit(args, human: str, payload: dict) -> None:
 
 def _dataclass_from_dict(cls, data, what: str, exclude=()):
     """cls from the JSON object data, each value typed by its field: an
-    integer, a finite number, a string or, for a tuple, each element; null
-    only where the field defaults to None. A field without a default is
-    required."""
+    integer, a finite number, a string or, for a tuple, an array of its
+    length whose elements are typed likewise; null only where the field
+    defaults to None. A field without a default is required."""
     hints = get_type_hints(cls)
     own = {f.name: f.default for f in fields(cls) if f.name not in exclude}
     json_fields(data, own, [name for name, default in own.items() if default is MISSING], what)
@@ -73,7 +73,10 @@ def _dataclass_from_dict(cls, data, what: str, exclude=()):
         kind, name = hints[key], f"{what}.{key}"
         element = (get_args(kind) or (kind,))[0]  # int of tuple[int, int], float of float | None
         if get_origin(kind) is tuple:
-            values[key] = tuple(json_value(x, element, name) for x in json_value(value, list, name))
+            items = json_value(value, list, name)
+            if len(items) != len(get_args(kind)):
+                raise SchemaError(name, f"must be a JSON array of {len(get_args(kind))} values")
+            values[key] = tuple(json_value(x, element, name) for x in items)
         else:
             values[key] = json_value(value, element, name)
     try:

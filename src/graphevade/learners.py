@@ -183,9 +183,10 @@ def median_heuristic_gamma(vectors: Sequence) -> float:
 class TrainedSvm:
     """Support vectors, dual coefficients, bias, kernel spec, and Platt calibration.
 
-    The decision function is fully determined by the stored fields; _cache
-    (the support vectors as a matrix over their keys and, for a linear kernel,
-    the weight of each key) is derived from them on demand.
+    The decision function is fully determined by the stored fields; _cache is
+    derived from them on demand. For a linear kernel it holds only the weight
+    of each key (w_sparse); for any other kernel, the support vectors as a
+    matrix over their keys, their squared norms and their dual coefficients.
     """
 
     support_vectors: tuple
@@ -203,12 +204,11 @@ class TrainedSvm:
     @cached_property
     def _cache(self) -> dict:
         x, keys = _as_matrix(self.support_vectors)
-        cache = {"x": x, "keys": keys, "sq": np.sum(x * x, axis=1),
-                 "coef": self.alphas * self.sv_labels}
+        coef = self.alphas * self.sv_labels
         if self.spec.kind == "linear":
-            w = cache["coef"] @ x
-            cache["w_sparse"] = dict(zip(zip(keys.levels.tolist(), keys.ids.tolist()), w.tolist()))
-        return cache
+            w = coef @ x
+            return {"w_sparse": dict(zip(zip(keys.levels.tolist(), keys.ids.tolist()), w.tolist()))}
+        return {"x": x, "keys": keys, "sq": np.sum(x * x, axis=1), "coef": coef}
 
     def __getstate__(self):
         return {name: value for name, value in self.__dict__.items() if name != "_cache"}

@@ -1,9 +1,17 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+import graphevade
 from graphevade.attack_engine import AttackConfig
 from graphevade.bench_stats import (
     MethodSpec,
@@ -255,3 +263,33 @@ def test_run_benchmark_worker_invariance():
     b = run_benchmark(methods, {"tiny": gen}, base, repetitions=2, seed=0, workers=2)
     assert np.array_equal(a.table.values, b.table.values)
     assert a.table.to_csv() == b.table.to_csv()
+
+
+def test_attack_path_imports_no_scipy():
+    """Generating, training and attacking load no scipy module; the Friedman
+    test imports it when it runs and returns scipy's p-value bit for bit."""
+    code = textwrap.dedent("""
+        import json, sys
+        import graphevade, graphevade.cli
+        from graphevade.attack_engine import AttackConfig, attack_testset
+        from graphevade.bench_stats import ResultTable, friedman_nemenyi
+        from graphevade.synth_data import GeneratorConfig, generate
+        from graphevade.target_lcd import train_target
+
+        ds = generate(GeneratorConfig(n_train_per_class=4, n_test_per_class=2, objects_range=(2, 3),
+                                      features_per_object_range=(1, 2), seed=7))
+        target = train_target(ds, wl_iters=1, seed=7)
+        attack_testset(target, ds.subset("test"), AttackConfig(max_queries=4, k_candidates=2, rounds=1))
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        values = [[[-3.0, 0.5, -1.0], [-2.0, -2.0, 1.5]], [[-1.0, 0.0, -4.0], [2.0, -0.5, -0.5]]]
+        report = friedman_nemenyi(ResultTable(("r0", "r1"), ("m0", "m1"), values))
+        from scipy.stats import chi2
+        want = float(chi2.sf(report.friedman_chi2, df=1))
+        print(json.dumps({"loaded": loaded, "p": report.friedman_p.hex(), "want": want.hex()}))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(Path(graphevade.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["loaded"] == []
+    assert doc["p"] == doc["want"]

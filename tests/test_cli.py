@@ -369,6 +369,10 @@ def test_bench_section_of_wrong_json_type_exit_2(tmp_path, capsys, section, valu
     ("attack", {"epochs": True}),
     ("methods", [{"name": "m", "r": True}, {"name": "rw", "strategy": "random_walk"}]),
     ("target", {"C": float("inf")}),
+    # a generator range is an array of exactly two values
+    ("configs", {"tiny": {"n_train_per_class": 10, "n_test_per_class": 5, "objects_range": [3]}}),
+    ("configs", {"tiny": {"n_train_per_class": 10, "n_test_per_class": 5,
+                          "objects_range": [1, 2, 3]}}),
 ])
 def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
     # values of the right JSON type that no run accepts are config errors
@@ -377,6 +381,16 @@ def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
     assert run(["bench", "--spec", spec, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.startswith("config error")
     assert not (tmp_path / "o" / "results.csv").exists()
+
+
+@pytest.mark.parametrize("field", ["objects_range", "features_per_object_range"])
+@pytest.mark.parametrize("length", [1, 3])
+def test_bench_range_of_wrong_length_names_its_field(tmp_path, capsys, field, length):
+    config = {"n_train_per_class": 10, "n_test_per_class": 5, field: [2] * length}
+    spec = write_spec(tmp_path / "bad.json", dict(BENCH_SPEC, configs={"tiny": config}))
+    assert run(["bench", "--spec", spec, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == (f"config error: field 'configs.tiny.{field}': "
+                                       "must be a JSON array of 2 values\n")
 
 
 def test_bench_negative_seed_override_exit_2(tmp_path, capsys):

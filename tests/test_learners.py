@@ -331,6 +331,35 @@ def test_sparse_training_and_unseen_keys(rng):
     assert svm_margins(model, [probe])[0] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.4),
+                                  KernelSpec("polynomial", degree=2)])
+def test_cache_keeps_a_matrix_only_where_margins_read_one(spec, rng):
+    """After svm_margins a linear model's _cache holds only the weight of each
+    key, and no array; the other kernels keep the support vectors as a matrix.
+    Every margin is the oracle's."""
+    keys = [(level, i) for level in range(3) for i in (0, 5, 2**63)]
+
+    def draw():
+        return {keys[j]: float(rng.normal()) for j in rng.choice(len(keys), size=4, replace=False)}
+
+    model = svm_train([sparse(draw()) for _ in range(16)], [1, -1] * 8, spec, C=2.0)
+    probes = [draw() for _ in range(8)]
+    got = svm_margins(model, [sparse(p) for p in probes])
+    arrays = sorted(name for name, value in model._cache.items() if isinstance(value, np.ndarray))
+    coef = model.alphas * model.sv_labels
+    support = [as_dict(sv) for sv in model.support_vectors]
+    if spec.kind == "linear":
+        assert list(model._cache) == ["w_sparse"] and arrays == []
+        want = [linear_margin(support, coef, model.bias, p) for p in probes]
+        assert [float(m).hex() for m in got] == [float(m).hex() for m in want]
+    else:
+        assert arrays == ["coef", "sq", "x"]
+        assert np.array_equal(model._cache["x"], _as_matrix(model.support_vectors)[0])
+        want = [sum(c * kernel_eval(spec, sv, p) for sv, c in zip(support, coef)) + model.bias
+                for p in probes]
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def _json_roundtrip(model):
     return svm_from_json(json.loads(json.dumps(svm_to_json(model))))
 

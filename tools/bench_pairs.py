@@ -13,10 +13,11 @@ speed falls on both sides alike. Any run that reports ``correct: false`` or
 
 The output holds one row per (workload, seed): every end-to-end metric's
 runs, median and quartiles (``statistics.quantiles``, inclusive) per side,
-and ``change_wins_pairs``, the pairs in which the change's
-``attacked_graphs_per_s`` was higher. Rows of other (workload, seed) keys
-already in ``--out`` are kept, so several seeds go into one file. Stdlib
-only; attackbench/ is run, not changed.
+and ``change_wins_pairs``: for each end-to-end metric, the pairs in which the
+change read better, in the direction (``better``) that the change's
+``BENCHMARK.json`` gives it; a tie counts for neither side. Rows of other
+(workload, seed) keys already in ``--out`` are kept, so several seeds go into
+one file. Stdlib only; attackbench/ and BENCHMARK.json are read, not changed.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WHAT = ("attackbench/run.py --trace 0, single worker, alternating pairs of the parent "
-        "and the change (odd pairs parent first); change_wins_pairs counts pairs where "
-        "the change's attacked_graphs_per_s was higher")
+        "and the change (odd pairs parent first); change_wins_pairs counts, for each "
+        "end-to-end metric, the pairs where the change read better in the direction "
+        "BENCHMARK.json gives it (ties count for neither side)")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -71,6 +73,21 @@ def machine() -> dict:
             "numpy": importlib.metadata.version("numpy")}
 
 
+def better_directions(checkout: Path) -> dict[str, str]:
+    """Each end-to-end metric's better direction, "higher" or "lower", as
+    checkout's BENCHMARK.json gives it."""
+    doc = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["better"] for m in doc["end_to_end"]}
+
+
+def wins(metric: dict, better: str) -> int:
+    """Pairs of one metric's runs in which the change beat the parent in the
+    better direction; ties count for neither."""
+    sign = 1 if better == "higher" else -1
+    pairs = zip(metric["parent"]["runs"], metric["change"]["runs"])
+    return sum(sign * (c - p) > 0 for p, c in pairs)
+
+
 def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seed: int,
                    seconds: float) -> dict:
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
@@ -87,10 +104,12 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seed: 
                for side in ("parent", "change")}
         for name in runs["parent"][0]["metrics"]
     }
-    speed = metrics["attacked_graphs_per_s"]
-    wins = sum(c > p for p, c in zip(speed["parent"]["runs"], speed["change"]["runs"]))
+    change_wins = {
+        name: f"{wins(metrics[name], better)}/{pairs}"
+        for name, better in better_directions(change).items()
+    }
     return {"workload": workload, "seed": seed, "pairs": pairs, "correct": True,
-            "failed": 0, "metrics": metrics, "change_wins_pairs": f"{wins}/{pairs}"}
+            "failed": 0, "metrics": metrics, "change_wins_pairs": change_wins}
 
 
 def main(argv=None) -> int:
