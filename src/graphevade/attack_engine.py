@@ -43,6 +43,7 @@ from .wl_features import wl_feature_vector, wl_feature_vectors
 
 STRATEGIES = ("eigencentrality", "random_walk", "shortest_path")
 SURROGATES = ("svm_rbf", "svm_linear", "svm_poly", "naive_bayes")
+ORACLES = ("score", "label")
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ class AttackConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.surrogate not in SURROGATES:
             raise ValueError(f"unknown surrogate {self.surrogate!r}")
-        if self.oracle not in ("score", "label"):
+        if self.oracle not in ORACLES:
             raise ValueError(f"unknown oracle mode {self.oracle!r}")
         if self.k_candidates < 1:
             raise ValueError("k_candidates must be >= 1")

@@ -15,7 +15,8 @@ from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .attack_engine import STRATEGIES, SURROGATES, AttackConfig, attack_testset, summary_to_json
+from .attack_engine import (ORACLES, STRATEGIES, SURROGATES, AttackConfig, attack_testset,
+                            summary_to_json)
 from .bench_stats import (
     BenchResult,
     MethodSpec,
@@ -95,6 +96,14 @@ def _config_from_args(cls, args):
         raise InvalidConfig(str(exc)) from exc
 
 
+def _read(what: str, path, reader):
+    """reader(path); a file that is not UTF-8 text is a config error naming it."""
+    try:
+        return reader(path)
+    except UnicodeDecodeError as exc:
+        raise InvalidConfig(f"{what} {path} is not UTF-8 text: {exc}") from exc
+
+
 def _check_target(wl_iters: int, c: float, seed: int) -> None:
     """The victim's knobs, checked before any work (train-target's flags, and
     a bench spec's target section and seed)."""
@@ -131,7 +140,7 @@ def cmd_train_target(args) -> int:
     knobs = {"wl_iters": args.wl_iters, "C": args.C, "seed": args.seed}
     _check_target(args.wl_iters, args.C, args.seed)
     echo = dict(knobs, C=None if math.isinf(args.C) else args.C)  # as model.json keeps it
-    ds = read_dataset(args.dataset)
+    ds = _read("dataset", args.dataset, read_dataset)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -156,7 +165,7 @@ def cmd_attack(args) -> int:
         model = load_target(args.model)
     except ValueError as exc:  # an unsupported model version or a malformed field
         raise InvalidConfig(f"model {args.model}: {exc}") from exc
-    ds = read_dataset(args.dataset)
+    ds = _read("dataset", args.dataset, read_dataset)
     if len(ds) == 0:
         raise InvalidConfig(f"dataset {args.dataset} holds no graphs")
     test = ds.subset("test")
@@ -277,7 +286,7 @@ def _write_rank_outputs(out_dir: Path, table: ResultTable, alpha: float) -> dict
 
 
 def cmd_bench(args) -> int:
-    spec = _load_bench_spec(args.spec)
+    spec = _read("bench spec", args.spec, _load_bench_spec)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result, meta = _bench_from_spec(spec, args.seed, args.workers)
@@ -312,33 +321,38 @@ def cmd_rank(args) -> int:
     return 0
 
 
+# Config fields whose flags are not --<field-name>: (flag, metavar, help).
+_RENAMED = {
+    "n_train_per_class": ("--n-train", "N_TRAIN", "train graphs per class"),
+    "n_test_per_class": ("--n-test", "N_TEST", "test graphs per class"),
+    "objects_range": ("--objects", None, None),
+    "features_per_object_range": ("--features", None, "feature nodes per object"),
+}
+_CHOICES = {"strategy": STRATEGIES, "surrogate": SURROGATES, "oracle": ORACLES}
+
+
+def _add_config_flags(parser, cls, first: str | None = None) -> None:
+    """One flag per field of cls, typed and defaulted by it (LO HI for a tuple,
+    the known values for _CHOICES), in field order with first leading."""
+    hints = get_type_hints(cls)
+    for f in sorted(fields(cls), key=lambda f: f.name != first):
+        flag, meta, text = _RENAMED.get(f.name, ("--" + f.name.replace("_", "-"), None, None))
+        kind, nargs = hints[f.name], None
+        if get_origin(kind) is tuple:
+            kind, nargs, meta = get_args(kind)[0], len(get_args(kind)), ("LO", "HI")
+        parser.add_argument(flag, dest=f.name, type=kind, nargs=nargs, default=f.default,
+                            choices=_CHOICES.get(f.name), metavar=meta, help=text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="graphevade",
                                      description="Evasion attacks on graph-kernel "
                                                  "loop-closure classifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen_defaults = GeneratorConfig()
     gen = sub.add_parser("gen", help="generate a synthetic dataset")
     gen.add_argument("--out", required=True)
-    gen.add_argument("--seed", type=int, default=gen_defaults.seed)
-    gen.add_argument("--n-train", dest="n_train_per_class", metavar="N_TRAIN", type=int,
-                     default=gen_defaults.n_train_per_class, help="train graphs per class")
-    gen.add_argument("--n-test", dest="n_test_per_class", metavar="N_TEST", type=int,
-                     default=gen_defaults.n_test_per_class, help="test graphs per class")
-    gen.add_argument("--objects", dest="objects_range", type=int, nargs=2,
-                     default=gen_defaults.objects_range, metavar=("LO", "HI"))
-    gen.add_argument("--features", dest="features_per_object_range", type=int, nargs=2,
-                     default=gen_defaults.features_per_object_range,
-                     metavar=("LO", "HI"), help="feature nodes per object")
-    gen.add_argument("--vocab-size", type=int, default=gen_defaults.vocab_size)
-    gen.add_argument("--p-obj", type=float, default=gen_defaults.p_obj)
-    gen.add_argument("--p-feat", type=float, default=gen_defaults.p_feat)
-    gen.add_argument("--weight-low", type=float, default=gen_defaults.weight_low)
-    gen.add_argument("--weight-high", type=float, default=gen_defaults.weight_high)
-    gen.add_argument("--delta", type=float, default=gen_defaults.delta)
-    gen.add_argument("--json", action="store_true")
-    gen.set_defaults(func=cmd_gen)
+    _add_config_flags(gen, GeneratorConfig, first="seed")
 
     tt = sub.add_parser("train-target", help="train the victim classifier")
     tt.add_argument("--dataset", required=True)
@@ -346,27 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
     tt.add_argument("--wl-iters", type=int, default=3)
     tt.add_argument("--C", type=float, default=10.0)
     tt.add_argument("--seed", type=int, default=42)
-    tt.add_argument("--json", action="store_true")
-    tt.set_defaults(func=cmd_train_target)
 
-    atk_defaults = AttackConfig()
     atk = sub.add_parser("attack", help="attack a trained target over a test set")
     atk.add_argument("--model", required=True)
     atk.add_argument("--dataset", required=True)
     atk.add_argument("--out", required=True)
-    atk.add_argument("--r", type=float, default=atk_defaults.r)
-    atk.add_argument("--strategy", choices=STRATEGIES, default=atk_defaults.strategy)
-    atk.add_argument("--surrogate", choices=SURROGATES, default=atk_defaults.surrogate)
-    atk.add_argument("--max-queries", type=int, default=atk_defaults.max_queries)
-    atk.add_argument("--k-candidates", type=int, default=atk_defaults.k_candidates)
-    atk.add_argument("--rounds", type=int, default=atk_defaults.rounds)
-    atk.add_argument("--epochs", type=int, default=atk_defaults.epochs)
-    atk.add_argument("--wl-iters", type=int, default=atk_defaults.wl_iters)
-    atk.add_argument("--oracle", choices=("score", "label"), default=atk_defaults.oracle)
-    atk.add_argument("--seed", type=int, default=atk_defaults.seed)
+    _add_config_flags(atk, AttackConfig)
     atk.add_argument("--workers", type=int, default=1)
-    atk.add_argument("--json", action="store_true")
-    atk.set_defaults(func=cmd_attack)
 
     bench = sub.add_parser("bench", help="run a benchmark spec")
     bench.add_argument("--spec", required=True)
@@ -374,15 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=None,
                        help="override the spec's seed")
     bench.add_argument("--workers", type=int, default=1)
-    bench.add_argument("--json", action="store_true")
-    bench.set_defaults(func=cmd_bench)
 
     rank = sub.add_parser("rank", help="re-rank an existing results.csv")
     rank.add_argument("--table", required=True)
     rank.add_argument("--out", required=True)
     rank.add_argument("--alpha", type=float, default=0.05)
-    rank.add_argument("--json", action="store_true")
-    rank.set_defaults(func=cmd_rank)
+
+    for name, func in (("gen", cmd_gen), ("train-target", cmd_train_target),
+                       ("attack", cmd_attack), ("bench", cmd_bench), ("rank", cmd_rank)):
+        sub.choices[name].add_argument("--json", action="store_true")
+        sub.choices[name].set_defaults(func=func)
     return parser
 
 

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_core import json_value
+from .graph_core import _sum_left_to_right, json_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,18 +459,11 @@ def svm_margins(model: TrainedSvm, X: Sequence) -> np.ndarray:
         return np.full(len(queries), model.bias)
     cache = model._cache
     if model.spec.kind == "linear":
-        # w_k * value_k summed left to right over each query's entries, in a
-        # plain loop because the builtin sum compensates its rounding from
-        # Python 3.12 on
+        # w_k * value_k summed left to right over each query's entries
         weight = cache["w_sparse"].get
-        out = []
-        for q in queries:
-            total = 0.0
-            for term in map(mul, map(weight, zip(q.levels.tolist(), q.ids.tolist()), repeat(0.0)),
-                            q.values.tolist()):
-                total += term
-            out.append(total + model.bias)
-        return np.array(out)
+        terms = (map(mul, map(weight, zip(q.levels.tolist(), q.ids.tolist()), repeat(0.0)),
+                     q.values.tolist()) for q in queries)
+        return np.array([_sum_left_to_right(t) + model.bias for t in terms])
     xq, res = _project(queries, cache["keys"])
     dots = xq @ cache["x"].T
     if model.spec.kind == "polynomial":

@@ -139,8 +139,6 @@ def plan_eigencentrality(
     Each pair's flip is built once and shared by the windows that cover it.
     """
     pairs = scores.ranking
-    if beta > len(pairs):
-        raise BudgetExceedsPairs(f"beta={beta} > {len(pairs)} pairs")
     n_plans = min(k_candidates, max(0, len(pairs) - beta + 1 - offset))
     mean_w = g.mean_weight
     flips = [_flip_for_pair(g, p, mean_w) for p in pairs[offset : offset + n_plans + beta - 1]]
@@ -178,8 +176,6 @@ def plan_random_walk(
     The walk visits 4 * beta steps; the first beta distinct non-self pairs
     become flips. One plan per rng draw.
     """
-    if beta > g.n * (g.n - 1) // 2:
-        raise BudgetExceedsPairs(f"beta={beta} too large for n={g.n}")
     rng = np.random.default_rng(seed)
     mean_w = g.mean_weight
     return [tuple(_flip_for_pair(g, p, mean_w) for p in _walk_pairs(g, beta, rng))
@@ -320,8 +316,6 @@ def plan_shortest_path(
     """
     if not g.edges:
         return plan_random_walk(g, beta, k_candidates, seed)
-    if beta > g.n * (g.n - 1) // 2:
-        raise BudgetExceedsPairs(f"beta={beta} too large for n={g.n}")
     rng = np.random.default_rng(seed)
     adj = _adjacency(g.edge_weights, g.n)
     comp = _components(adj)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph_core import GraphDataset, LabeledGraph, graph_hash, json_value
 from .learners import (
@@ -54,31 +54,6 @@ def _unit_counts(v: WlFeatureVector) -> SparseVector:
     return SparseVector(v.levels, v.ids, v.values / norm)
 
 
-@dataclass
-class QueryLedger:
-    """Append-only query accounting: digest -> (label, confidence), one entry
-    per charged query. Duplicate graphs (same structural hash) are served from
-    the cache without consuming budget. _pending holds the model's answers
-    for digests that BlackBoxQuery.prefetch computed ahead of their queries;
-    they are neither charged nor revealed until query() takes them. Not
-    thread-safe; callers serialize queries against one ledger."""
-
-    max_queries: int
-    oracle: str = "score"
-    _cache: dict[str, tuple[int, float]] = field(default_factory=dict, repr=False)
-    _pending: dict[str, tuple[int, float]] = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        if self.max_queries < 0:
-            raise ValueError("max_queries must be >= 0")
-        if self.oracle not in ("score", "label"):
-            raise ValueError(f"unknown oracle mode {self.oracle!r}")
-
-    @property
-    def count(self) -> int:
-        return len(self._cache)
-
-
 def evaluate(model: TargetModel, graphs) -> list[tuple[int, float]]:
     """Direct (non-counting) predictions: (label, confidence-of-that-label)
     per graph; the label is the calibrated probability thresholded at 0.5 so
@@ -119,7 +94,7 @@ def _accuracy(model: TargetModel, ds: GraphDataset) -> float:
     return sum(1 for (lab, _), y in zip(preds, ds.labels) if lab == y) / len(ds)
 
 
-def query(model: TargetModel, ledger: QueryLedger, g: LabeledGraph) -> tuple[int, float]:
+def query(model: TargetModel, ledger: BlackBoxQuery, g: LabeledGraph) -> tuple[int, float]:
     """One black-box query: returns (predicted label, confidence) and increments
     the ledger. Re-querying a structurally identical graph is served from the
     cache for free. In 'label' oracle mode the confidence collapses to 1.0."""
@@ -149,35 +124,46 @@ def attack_loss(observed: tuple[int, float], y: int) -> float:
 class BlackBoxQuery:
     """The only surface the attack engine sees: query(g) -> (label, confidence),
     plus its own budget accounting and prefetch(graphs), which batches the
-    work of the queries to come."""
+    work of the queries to come. It is its own append-only ledger: _cache
+    holds one (label, confidence) per charged digest, and _pending the answers
+    that prefetch computed ahead of their queries. Not thread-safe; callers
+    serialize queries against one instance."""
 
     def __init__(self, model: TargetModel, max_queries: int, oracle: str = "score"):
+        if max_queries < 0:
+            raise ValueError("max_queries must be >= 0")
+        if oracle not in ("score", "label"):
+            raise ValueError(f"unknown oracle mode {oracle!r}")
         self._model = model
-        self.ledger = QueryLedger(max_queries=max_queries, oracle=oracle)
+        self.max_queries = max_queries
+        self.oracle = oracle
+        self._cache: dict[str, tuple[int, float]] = {}
+        self._pending: dict[str, tuple[int, float]] = {}
 
     def query(self, g: LabeledGraph) -> tuple[int, float]:
-        return query(self._model, self.ledger, g)
+        return query(self._model, self, g)
 
     def prefetch(self, graphs) -> None:
         """Compute, in one batch, the answers that query() will give for graphs
         not yet answered, as many as the remaining budget can reveal. Nothing
         is charged or revealed, and each call replaces the previous batch; a
         speed hint only, query() answers the same with or without it."""
-        ledger = self.ledger
         todo: dict[str, LabeledGraph] = {}
-        room = ledger.max_queries - ledger.count
+        room = self.max_queries - self.count
         for g in graphs:
             if len(todo) >= room:
                 break
             digest = graph_hash(g)
-            if digest not in ledger._cache:
+            if digest not in self._cache:
                 todo.setdefault(digest, g)
         answers = evaluate(self._model, todo.values()) if todo else []
-        ledger._pending = dict(zip(todo, answers))
+        self._pending = dict(zip(todo, answers))
 
     @property
-    def queries_used(self) -> int:
-        return self.ledger.count
+    def count(self) -> int:
+        return len(self._cache)
+
+    queries_used = count
 
 
 def target_to_json(model: TargetModel) -> dict:

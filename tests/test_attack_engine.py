@@ -540,9 +540,6 @@ def test_summary_json_shape(trained):
 
 # --- black-box seal ------------------------------------------------------------
 
-FORBIDDEN_TARGET_IMPORTS = {"TargetModel", "TargetModel as", "train_target",
-                            "query", "QueryLedger",
-                            "load_target", "save_target", "target_to_json"}
 ALLOWED_TARGET_IMPORTS = {"BlackBoxQuery", "QueryBudgetExhausted", "attack_loss", "evaluate"}
 MODEL_INTERNALS = {"svm", "dictionary", "platt_a", "platt_b", "alphas",
                    "support_vectors", "sv_labels", "bias", "_model"}

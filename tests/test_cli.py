@@ -1,11 +1,14 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from graphevade.attack_engine import AttackConfig
 from graphevade.bench_stats import ResultTable
-from graphevade.cli import main
+from graphevade.cli import _config_from_args, build_parser, main
+from graphevade.synth_data import GeneratorConfig
 
 
 def run(args):
@@ -639,3 +642,44 @@ def test_train_target_non_integer_label_names_its_line(tmp_path, gen_dir, capsys
     assert run(["train-target", "--dataset", bad, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.startswith("config error: line 4: field 'y': ")
     assert not (tmp_path / "out" / "model.json").exists()
+
+
+# --- a file that is not UTF-8 text is a config error -------------------------
+
+@pytest.mark.parametrize("command", ["train-target", "attack", "bench"])
+def test_non_utf8_dataset_or_spec_exit_2_names_the_file(tmp_path, gen_dir, model_dir,
+                                                        capsys, command):
+    bad = tmp_path / "latin1.bin"
+    bad.write_bytes(b"\xff" + (gen_dir / "dataset.jsonl").read_bytes())
+    args = {"train-target": ["--dataset", bad],
+            "attack": ["--model", model_dir / "model.json", "--dataset", bad],
+            "bench": ["--spec", bad]}[command]
+    assert run([command, *args, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bad) in err
+    assert not (tmp_path / "out").exists()
+
+
+# --- gen's and attack's flags are their config's fields ----------------------
+
+@pytest.mark.parametrize("command, cls, required", [
+    ("gen", GeneratorConfig, ["--out", "x"]),
+    ("attack", AttackConfig, ["--model", "m", "--dataset", "d", "--out", "o"]),
+])
+def test_config_flags_default_to_the_config(command, cls, required):
+    parser = build_parser()
+    assert _config_from_args(cls, parser.parse_args([command, *required])) == cls()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    dests = [a.dest for a in sub.choices[command]._actions]
+    for f in fields(cls):
+        assert dests.count(f.name) == 1, f.name
+
+
+@pytest.mark.parametrize("command", ["gen", "attack", "train-target"])
+def test_help_text_is_unchanged(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--help"])
+    assert exc.value.code == 0
+    golden = Path(__file__).parent / "data" / f"help_{command.replace('-', '_')}.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")

@@ -17,7 +17,6 @@ from graphevade.synth_data import GeneratorConfig, generate
 from graphevade.target_lcd import (
     BlackBoxQuery,
     QueryBudgetExhausted,
-    QueryLedger,
     TargetModel,
     attack_loss,
     evaluate,
@@ -73,21 +72,21 @@ def test_retrain_same_seed_identical(small_ds):
 
 def test_query_consistency_with_evaluate(target, small_ds):
     g = small_ds.graphs[0]
-    ledger = QueryLedger(max_queries=5)
+    ledger = BlackBoxQuery(target, max_queries=5)
     out = query(target, ledger, g)
     assert out == evaluate(target, [g])[0]
     assert ledger.count == 1
 
 
 def test_zero_budget_exhausts_immediately(target, small_ds):
-    ledger = QueryLedger(max_queries=0)
+    ledger = BlackBoxQuery(target, max_queries=0)
     with pytest.raises(QueryBudgetExhausted):
         query(target, ledger, small_ds.graphs[0])
 
 
 def test_duplicate_query_served_from_cache(target, small_ds):
     g = small_ds.graphs[0]
-    ledger = QueryLedger(max_queries=2)
+    ledger = BlackBoxQuery(target, max_queries=2)
     first = query(target, ledger, g)
     # same structure under a different id still hits the cache
     clone = make_graph(g.n, g.edges, labels=g.node_labels, tiers=g.node_tiers,
@@ -110,17 +109,17 @@ def test_confidence_at_least_half(target, small_ds):
 
 
 def test_label_oracle_collapses_confidence(target, small_ds):
-    ledger = QueryLedger(max_queries=3, oracle="label")
+    ledger = BlackBoxQuery(target, max_queries=3, oracle="label")
     label, conf = query(target, ledger, small_ds.graphs[0])
     assert conf == 1.0
     assert label in (1, -1)
 
 
-def test_ledger_validation():
+def test_ledger_validation(target):
     with pytest.raises(ValueError):
-        QueryLedger(max_queries=-1)
+        BlackBoxQuery(target, max_queries=-1)
     with pytest.raises(ValueError):
-        QueryLedger(max_queries=1, oracle="telepathy")
+        BlackBoxQuery(target, max_queries=1, oracle="telepathy")
 
 
 def test_attack_loss_arithmetic():
@@ -143,7 +142,7 @@ def test_black_box_wrapper_counts(target, small_ds):
     iface.query(small_ds.graphs[0])
     iface.query(small_ds.graphs[1])
     assert iface.queries_used == 2
-    assert iface.ledger.max_queries == 3
+    assert iface.max_queries == 3
 
 
 # --- prefetch ------------------------------------------------------------------
@@ -192,9 +191,9 @@ def test_prefetched_answers_equal_plain_queries(target, probe_pool, data):
     # duplicates among the hint, and graphs the ledger already answered
     hinted.prefetch(graphs + graphs[:2])
     assert hinted.queries_used == charged  # nothing charged or revealed
-    assert len(hinted.ledger._cache) == charged
-    assert len(hinted.ledger._pending) <= max_queries - charged
-    assert not set(hinted.ledger._pending) & set(hinted.ledger._cache)
+    assert len(hinted._cache) == charged
+    assert len(hinted._pending) <= max_queries - charged
+    assert not set(hinted._pending) & set(hinted._cache)
     got += _answers(hinted, graphs[asked:])
     assert got == expected  # same answers, same cache hits, same exhaustion
     if oracle == "label":
@@ -227,14 +226,14 @@ def test_prefetch_skips_answered_graphs_and_caps_at_budget(target, probe_pool, m
     with pytest.raises(QueryBudgetExhausted):
         iface.query(probe_pool[5])
     iface.prefetch(probe_pool)  # no budget left: nothing to compute
-    assert len(batches) == 1 and iface.ledger._pending == {}
+    assert len(batches) == 1 and iface._pending == {}
 
 
 def test_prefetch_replaces_the_previous_batch(target, probe_pool):
     iface = BlackBoxQuery(target, 10)
     iface.prefetch(probe_pool[:3])
     iface.prefetch(probe_pool[3:5])
-    assert len(iface.ledger._pending) == 2
+    assert len(iface._pending) == 2
     # a graph of the dropped batch is computed afresh, with the same answer
     assert iface.query(probe_pool[0]) == evaluate(target, [_copy(probe_pool[0])])[0]
     assert iface.queries_used == 1

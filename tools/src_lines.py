@@ -3,19 +3,25 @@
 Run from the root of a checkout:
 
     python3 tools/src_lines.py
+    python3 tools/src_lines.py --against HEAD~1
 
 A code line is one that is not blank, not only a comment and not part of a
 docstring (the string that opens a module, class or function body). Every
 other line of a multi-line statement is code, a multi-line string in code
 included. One line per module gives its physical and code lines; the last
 line gives the totals, with the docstring, comment and blank lines that make
-up the difference. Standard library only.
+up the difference. With --against REV, each line gives REV's counts (its
+files read with ``git show REV:path``), the working tree's counts and the
+change; a module on one side only counts 0 on the other. Standard library
+only.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -51,15 +57,58 @@ def classify(text: str) -> dict[str, int]:
             "comment": len(physical) - len(code) - len(docs) - len(blank), "blank": len(blank)}
 
 
-def main() -> int:
-    totals: dict[str, int] = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        counts = classify(path.read_text(encoding="utf-8"))
-        print(f"{path.name}: {counts['physical']} physical, {counts['code']} code")
-        for key, value in counts.items():
-            totals[key] = totals.get(key, 0) + value
-    print(f"total: {totals['physical']} physical, {totals['code']} code "
-          f"({totals['docstring']} docstring, {totals['comment']} comment, {totals['blank']} blank)")
+def tree_texts() -> dict[str, str]:
+    """Module name -> source of the working tree's src/graphevade."""
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def git(*args: str) -> str:
+    """Stdout of one git command, run at the root of the checkout."""
+    return subprocess.run(["git", *args], cwd=PACKAGE.parent.parent, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def rev_texts(rev: str) -> dict[str, str]:
+    """Module name -> source of src/graphevade at git revision rev."""
+    names = git("ls-tree", "--name-only", f"{rev}:src/graphevade").split()
+    return {name: git("show", f"{rev}:src/graphevade/{name}")
+            for name in names if name.endswith(".py")}
+
+
+def totals_of(texts: dict[str, str]) -> dict[str, dict[str, int]]:
+    """Counts per module, plus their sum under "total"."""
+    counts = {name: classify(text) for name, text in texts.items()}
+    total = {key: sum(c[key] for c in counts.values())
+             for key in ("physical", "code", "docstring", "comment", "blank")}
+    return {**counts, "total": total}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Count the lines of src/graphevade.")
+    parser.add_argument("--against", metavar="REV",
+                        help="also count REV's modules (read with git show) and print the change")
+    args = parser.parse_args(argv)
+    now = totals_of(tree_texts())
+    if args.against is None:
+        for name, counts in now.items():
+            if name != "total":
+                print(f"{name}: {counts['physical']} physical, {counts['code']} code")
+        t = now["total"]
+        print(f"total: {t['physical']} physical, {t['code']} code "
+              f"({t['docstring']} docstring, {t['comment']} comment, {t['blank']} blank)")
+        return 0
+    try:
+        then = totals_of(rev_texts(args.against))
+    except subprocess.CalledProcessError as exc:
+        sys.stderr.write(f"src_lines: cannot read {args.against}: {exc.stderr.strip()}\n")
+        return 2
+    zero = dict.fromkeys(("physical", "code"), 0)
+    names = sorted((set(now) | set(then)) - {"total"}) + ["total"]
+    print(f"module: {args.against} -> working tree, physical/code lines (change)")
+    for name in names:
+        a, b = then.get(name, zero), now.get(name, zero)
+        print(f"{name}: {a['physical']}/{a['code']} -> {b['physical']}/{b['code']} "
+              f"({b['physical'] - a['physical']:+d}/{b['code'] - a['code']:+d})")
     return 0
 
 
