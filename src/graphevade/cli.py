@@ -33,8 +33,7 @@ from .learners import DegenerateLabels
 from .synth_data import GeneratorConfig, InvalidConfig, generate
 from .target_lcd import load_target, save_target, train_target
 
-_CONFIG_ERRORS = (InvalidConfig, ParseError, SchemaError, FileNotFoundError,
-                  IsADirectoryError, json.JSONDecodeError)
+_CONFIG_ERRORS = (InvalidConfig, SchemaError, FileNotFoundError, IsADirectoryError)
 
 
 def _canonical_json(obj) -> str:
@@ -97,11 +96,14 @@ def _config_from_args(cls, args):
 
 
 def _read(what: str, path, reader):
-    """reader(path); a file that is not UTF-8 text is a config error naming it."""
+    """reader(path); a file that is not UTF-8 text, or whose text breaks its
+    format, is a config error naming it."""
     try:
         return reader(path)
     except UnicodeDecodeError as exc:
         raise InvalidConfig(f"{what} {path} is not UTF-8 text: {exc}") from exc
+    except (ParseError, SchemaError, json.JSONDecodeError) as exc:
+        raise InvalidConfig(f"{what} {path}: {exc}") from exc
 
 
 def _check_target(wl_iters: int, c: float, seed: int) -> None:

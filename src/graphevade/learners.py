@@ -214,35 +214,41 @@ class TrainedSvm:
         return {name: value for name, value in self.__dict__.items() if name != "_cache"}
 
 
-# Up to this many examples SMO keeps alpha and the error cache as Python
-# lists. A step reads a handful of entries and updates one O(n) error row, so
-# at small n numpy's per-call cost outweighs its vector speed. Measured on
-# linear Gram matrices of random subsets of a target's training vectors, 12
-# fits per size, lists against arrays: 0.039 s against 0.052 s at n = 32,
-# 0.067 against 0.073 at n = 48, even at n = 56, 0.098 against 0.090 at
-# n = 64, and 0.43 against 0.18 (6 fits) at the target's n = 200.
-_LIST_SMO_MAX_N = 48
+# Up to this many examples SMO keeps the error cache as a Python list. A step
+# reads a handful of entries and updates one O(n) error row, so at small n
+# numpy's per-call cost outweighs its vector speed. Measured on linear Gram
+# matrices of random subsets of a target's training vectors, 12 fits per size,
+# best of 6, lists against arrays: 0.012 s against 0.014 s at n = 28, 0.018
+# against 0.019 at n = 32, even at n = 36, 0.024 against 0.022 at n = 40,
+# 0.032 against 0.026 at n = 48, 0.054 against 0.037 at n = 64, and 0.223
+# against 0.075 (6 fits) at the target's n = 200.
+_LIST_SMO_MAX_N = 36
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
          rng: np.random.Generator, lists: bool) -> tuple[np.ndarray, float, list[float]]:
-    """Platt's SMO on the Gram matrix k. lists picks the form of the working
-    vectors, Python lists or numpy arrays; both forms take the same steps in
+    """Platt's SMO on the Gram matrix k. lists picks the form of the error
+    cache, a Python list or a numpy array; both forms take the same steps in
     the same float operations, draw the same random numbers and compute the
     once-per-pass error refresh and objective with numpy alike, so they return
     the same bits."""
     n = len(y)
     kk = k.tolist()  # scalar reads
     ys = y.tolist()
-    # alpha and the error cache E_i = f(x_i) - y_i, which each pass refreshes
-    alpha = [0.0] * n if lists else np.zeros(n)
+    alpha = [0.0] * n
+    # the error cache E_i = f(x_i) - y_i, which each pass refreshes; the array
+    # form updates it in place through tmp and keeps the non-bound set as a
+    # mask that take_step updates
     e = [0.0] * n if lists else np.zeros(n)
+    read_e = e.__getitem__ if lists else e.item
+    tmp = None if lists else np.empty(n)
+    free = None if lists else np.zeros(n, dtype=bool)
     b = 0.0
 
     def nonbound():
         if lists:
             return [m for m in range(n) if 0.0 < alpha[m] < c]
-        return np.nonzero((alpha > 0) & (alpha < c))[0]
+        return np.flatnonzero(free)
 
     def objective() -> float:
         a = np.array(alpha)
@@ -267,7 +273,7 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
         ki, kj = kk[i], kk[j]
         kii, kjj, kij = ki[i], kj[j], ki[j]
         eta = kii + kjj - 2.0 * kij
-        ei, ej = e[i], e[j]
+        ei, ej = read_e(i), read_e(j)
         if eta > 1e-12:
             aj_new = aj + yj * (ei - ej) / eta
             aj_new = min(max(aj_new, lo), hi)
@@ -306,14 +312,20 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
         if lists:
             e[:] = [em + di * p + dj * q + db for em, p, q in zip(e, ki, kj)]
         else:
-            e[:] = e + di * k[i] + dj * k[j] + db
+            np.multiply(k[i], di, out=tmp)
+            np.add(e, tmp, out=e)
+            np.multiply(k[j], dj, out=tmp)
+            np.add(e, tmp, out=e)
+            np.add(e, db, out=e)
+            free[i] = 0.0 < ai_new < c
+            free[j] = 0.0 < aj_new < c
         alpha[i] = ai_new
         alpha[j] = aj_new
         b = b_new
         return True
 
     def examine(i: int) -> bool:
-        ei = e[i]
+        ei = read_e(i)
         r = ei * ys[i]  # = y_i f(x_i) - 1
         if (r < -tol and alpha[i] < c) or (r > tol and alpha[i] > 0):
             nb = nonbound()

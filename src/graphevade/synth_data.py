@@ -4,6 +4,7 @@ attached feature nodes, class-conditional edge densities and label skew."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +82,13 @@ def _label_weights(cfg: GeneratorConfig, cls: int) -> np.ndarray:
     return w / w.sum()
 
 
-def _label_sampler(weights: np.ndarray, rng: np.random.Generator):
-    """Draws rng.choice(len(weights), p=weights) makes, draw for draw and with
-    the same generator state after, without re-validating p on every call:
-    numpy's own algorithm, one uniform searched in the cumulative weights."""
+def _label_cdf(weights: np.ndarray) -> list[float]:
+    """The cumulative weights that rng.choice(len(weights), p=weights) searches:
+    bisect_right(cdf, u) of one uniform u is the label it draws, draw for draw,
+    without re-validating p on every call."""
     cdf = np.cumsum(weights)
     cdf /= cdf[-1]
-    return lambda: int(cdf.searchsorted(rng.random(), side="right"))
+    return cdf.tolist()
 
 
 def _class_edge_probs(cfg: GeneratorConfig, cls: int) -> tuple[float, float]:
@@ -98,62 +99,67 @@ def _class_edge_probs(cfg: GeneratorConfig, cls: int) -> tuple[float, float]:
     return _clip01(cfg.p_obj + 0.5 * cfg.delta), cfg.p_feat
 
 
-def _one_graph(cfg: GeneratorConfig, cls: int, graph_id: str, index: int) -> LabeledGraph:
+def _one_graph(cfg: GeneratorConfig, vocab: list[str], cdf: list[float], p_obj: float,
+               p_feat: float, graph_id: str, index: int) -> LabeledGraph:
+    """Graph index of the dataset, from its own substream (seed, index), drawn
+    in this order: the object count; one label per object; per object, its
+    feature count, a (label, weight) pair per feature, then per within-star
+    pair an accept test and, if accepted, a weight; last, per object pair, an
+    accept test and, if accepted, a weight. A label is bisect_right(cdf, u),
+    as rng.choice draws it, and a weight in [a, b) is a + (b - a) * u, as
+    rng.uniform draws it."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
-    vocab = [f"l{i:02d}" for i in range(cfg.vocab_size)]
-    draw_label = _label_sampler(_label_weights(cfg, cls), rng)
-    p_obj, p_feat = _class_edge_probs(cfg, cls)
     lo, hi = cfg.objects_range
     n_obj = int(rng.integers(lo, hi + 1))
-    labels: list[str] = []
-    tiers: list[str] = []
-    for _ in range(n_obj):
-        labels.append(vocab[draw_label()])
-        tiers.append("object")
+    labels = [vocab[bisect_right(cdf, u)] for u in rng.random(n_obj).tolist()]
+    tiers = ["object"] * n_obj
     edges: list[tuple[int, int, float]] = []
 
     # spatial realism: anchor objects sit far apart, features cluster near
     # their anchor, so object-object distances draw from the upper half of
     # the weight range and feature edges from the lower half
-    mid = 0.5 * (cfg.weight_low + cfg.weight_high)
-
-    def w_near() -> float:
-        return float(rng.uniform(cfg.weight_low, mid))
-
-    def w_far() -> float:
-        return float(rng.uniform(mid, cfg.weight_high))
+    low, high = cfg.weight_low, cfg.weight_high
+    mid = 0.5 * (low + high)
+    near, far = mid - low, high - mid
 
     flo, fhi = cfg.features_per_object_range
     for obj in range(n_obj):
         n_feat = int(rng.integers(flo, fhi + 1))
-        star: list[int] = []
-        for _ in range(n_feat):
-            node = len(labels)
-            labels.append(vocab[draw_label()])
-            tiers.append("feature")
-            edges.append((obj, node, w_near()))
-            star.append(node)
-        for i in range(len(star)):
-            for j in range(i + 1, len(star)):
+        first = len(labels)
+        draws = rng.random(2 * n_feat).tolist()
+        for node, u, w in zip(range(first, first + n_feat), draws[::2], draws[1::2]):
+            labels.append(vocab[bisect_right(cdf, u)])
+            edges.append((obj, node, low + near * w))
+        tiers += ["feature"] * n_feat
+        for a in range(first, len(labels)):
+            for b in range(a + 1, len(labels)):
                 if rng.random() < p_feat:
-                    edges.append((star[i], star[j], w_near()))
-    for u in range(n_obj):
-        for v in range(u + 1, n_obj):
-            if rng.random() < p_obj:
-                edges.append((u, v, w_far()))
-    return LabeledGraph(graph_id, tuple(labels), tuple(tiers), tuple(edges))
+                    edges.append((a, b, low + near * rng.random()))
+    # an object pair reads one uniform for its accept test and, if accepted,
+    # one for its weight, so 2 * C(n_obj, 2) drawn at once cover every pair;
+    # the ones left unread over-draw the stream, which is safe only because
+    # nothing draws from this graph's generator afterwards
+    pair_draws = iter(rng.random(n_obj * (n_obj - 1)).tolist())
+    for a in range(n_obj):
+        for b in range(a + 1, n_obj):
+            if next(pair_draws) < p_obj:
+                edges.append((a, b, mid + far * next(pair_draws)))
+    edges.sort()
+    return LabeledGraph._trusted(graph_id, tuple(labels), tuple(tiers), tuple(edges))
 
 
 def generate(cfg: GeneratorConfig) -> GraphDataset:
     """Deterministic per seed: graph i draws from its own RNG substream
     (seed, i), so parallel generation would produce identical output."""
+    vocab = [f"l{i:02d}" for i in range(cfg.vocab_size)]
+    per_class = {cls: (_label_cdf(_label_weights(cfg, cls)), *_class_edge_probs(cfg, cls))
+                 for cls in (1, -1)}
     graphs, labels, splits = [], [], []
     index = 0
-    for split, per_class in (("train", cfg.n_train_per_class), ("test", cfg.n_test_per_class)):
+    for split, n_per_class in (("train", cfg.n_train_per_class), ("test", cfg.n_test_per_class)):
         for cls in (1, -1):
-            for _ in range(per_class):
-                gid = f"g{index:04d}"
-                graphs.append(_one_graph(cfg, cls, gid, index))
+            for _ in range(n_per_class):
+                graphs.append(_one_graph(cfg, vocab, *per_class[cls], f"g{index:04d}", index))
                 labels.append(cls)
                 splits.append(split)
                 index += 1

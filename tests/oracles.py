@@ -4,12 +4,12 @@ Everything here is deliberately written from scratch against the definitions
 (Jacobi rotations, direct two-graph WL kernel, per-node hashed WL
 histograms, pairwise kernel values,
 projected-gradient dual ascent, exhaustive path/permutation enumeration,
-planners recomputed in full at every step) so
-tests never share code with the paths they verify. The dict-keyed feature
-paths (dense matrix, projection, per-vector naive Bayes, the linear margin
-sum, unit normalisation) and the plain structural digest are the earlier
-implementations those paths must match bit for bit, and so is the edge-map
-apply_flips.
+planners recomputed in full at every step, the generator drawing one scalar
+at a time) so tests never share code with the paths they verify. The
+dict-keyed feature paths (dense matrix, projection, per-vector naive Bayes,
+the linear margin sum, unit normalisation) and the plain structural digest
+are the earlier implementations those paths must match bit for bit, and so
+is the edge-map apply_flips.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import struct
 from collections import Counter
 
 import numpy as np
+
+from graphevade.graph_core import LabeledGraph
 
 
 def jacobi_eigh(a, tol: float = 1e-14, max_sweeps: int = 200):
@@ -477,3 +479,39 @@ def structural_digest(g) -> str:
     for u, v, w in g.edges:
         h.update(struct.pack("<ddd", u, v, w))
     return h.hexdigest()
+
+
+def draw_by_draw_graph(cfg, weights, p_obj, p_feat, graph_id, index):
+    """The generator's graph index drawn one scalar at a time from its
+    substream (seed, index): rng.choice for each label, rng.uniform for each
+    weight and rng.random for each accept test, in the order the generator
+    documents, built through LabeledGraph's validating constructor."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, index]))
+    vocab = [f"l{i:02d}" for i in range(cfg.vocab_size)]
+
+    def label():
+        return vocab[int(rng.choice(len(weights), p=weights))]
+
+    mid = 0.5 * (cfg.weight_low + cfg.weight_high)
+    n_obj = int(rng.integers(cfg.objects_range[0], cfg.objects_range[1] + 1))
+    labels = [label() for _ in range(n_obj)]
+    tiers = ["object"] * n_obj
+    edges = []
+    for obj in range(n_obj):
+        n_feat = int(rng.integers(cfg.features_per_object_range[0],
+                                  cfg.features_per_object_range[1] + 1))
+        star = []
+        for _ in range(n_feat):
+            star.append(len(labels))
+            labels.append(label())
+            tiers.append("feature")
+            edges.append((obj, star[-1], float(rng.uniform(cfg.weight_low, mid))))
+        for i in range(len(star)):
+            for j in range(i + 1, len(star)):
+                if rng.random() < p_feat:
+                    edges.append((star[i], star[j], float(rng.uniform(cfg.weight_low, mid))))
+    for u in range(n_obj):
+        for v in range(u + 1, n_obj):
+            if rng.random() < p_obj:
+                edges.append((u, v, float(rng.uniform(mid, cfg.weight_high))))
+    return LabeledGraph(graph_id, tuple(labels), tuple(tiers), tuple(edges))

@@ -96,7 +96,7 @@ def test_train_target_schema_error_names_its_line(tmp_path, gen_dir, capsys):
     bad.write_text("\n".join(lines[:3] + [json.dumps(rec)] + lines[4:]) + "\n")
     assert run(["train-target", "--dataset", bad, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err == (
-        "config error: line 4: field 'u': must be a JSON integer in [0, inf)\n")
+        f"config error: dataset {bad}: line 4: field 'u': must be a JSON integer in [0, inf)\n")
 
 
 def test_train_target_infinite_c_echoes_null(tmp_path, gen_dir):
@@ -386,6 +386,18 @@ def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
     assert not (tmp_path / "o" / "results.csv").exists()
 
 
+@pytest.mark.parametrize("text,message", [
+    ("not json\n", "Expecting value: line 1 column 1 (char 0)"),
+    (json.dumps(dict(BENCH_SPEC, seeds=[1])), "field 'seeds': unknown key in bench spec"),
+])
+def test_bench_spec_that_breaks_its_format_names_the_file(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text, encoding="utf-8")
+    assert run(["bench", "--spec", spec, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err == f"config error: bench spec {spec}: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("field", ["objects_range", "features_per_object_range"])
 @pytest.mark.parametrize("length", [1, 3])
 def test_bench_range_of_wrong_length_names_its_field(tmp_path, capsys, field, length):
@@ -640,7 +652,7 @@ def test_train_target_non_integer_label_names_its_line(tmp_path, gen_dir, capsys
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines[:3] + [json.dumps(rec)] + lines[4:]) + "\n")
     assert run(["train-target", "--dataset", bad, "--out", tmp_path / "out"]) == 2
-    assert capsys.readouterr().err.startswith("config error: line 4: field 'y': ")
+    assert capsys.readouterr().err.startswith(f"config error: dataset {bad}: line 4: field 'y': ")
     assert not (tmp_path / "out" / "model.json").exists()
 
 

@@ -22,6 +22,9 @@ from graphevade.learners import (
 )
 import graphevade.learners as learners_module
 from graphevade.learners import DidNotConverge, TrainedSvm, _as_matrix, _project
+from graphevade.synth_data import GeneratorConfig, generate
+from graphevade.target_lcd import _unit_counts
+from graphevade.wl_features import wl_feature_vectors
 from oracles import (
     dict_matrix,
     dict_project,
@@ -265,6 +268,24 @@ def test_list_and_array_smo_take_the_same_steps(data):
     max_passes = data.draw(st.just(200) | st.integers(min_value=1, max_value=3))
     seed = data.draw(st.integers(min_value=0, max_value=1000))
     assert _smo_run(True, k, y, c, max_passes, seed) == _smo_run(False, k, y, c, max_passes, seed)
+
+
+@pytest.fixture(scope="module")
+def target_gram():
+    """The linear Gram matrix and labels of a default target's n = 200
+    training split: generated graphs, WL histograms, unit-normalised."""
+    train = generate(GeneratorConfig(seed=42)).subset("train")
+    x, _ = _as_matrix([_unit_counts(v) for v in wl_feature_vectors(list(train.graphs), 3)])
+    return learners_module._gram(KernelSpec("linear"), x), np.array(train.labels, dtype=float)
+
+
+@pytest.mark.parametrize("max_passes", [500, 2])
+def test_list_and_array_smo_agree_at_the_targets_size(target_gram, max_passes):
+    k, y = target_gram
+    assert len(y) == 200 > learners_module._LIST_SMO_MAX_N
+    out = _smo_run(True, k, y, 10.0, max_passes, 0)
+    assert out == _smo_run(False, k, y, 10.0, max_passes, 0)
+    assert (out[0][0] == "DidNotConverge") == (max_passes == 2)
 
 
 @pytest.mark.parametrize("n, lists", [(learners_module._LIST_SMO_MAX_N, True),

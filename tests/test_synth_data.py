@@ -1,19 +1,22 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphevade.graph_core import write_dataset
+from graphevade.graph_core import graph_hash, write_dataset
 from graphevade.synth_data import (
     GeneratorConfig,
     InvalidConfig,
-    _label_sampler,
+    _class_edge_probs,
+    _label_cdf,
     _label_weights,
     generate,
 )
 from graphevade.target_lcd import train_target
 
-from oracles import adjacency_lists
+from oracles import adjacency_lists, draw_by_draw_graph
 
 
 def test_default_config_shape():
@@ -117,9 +120,43 @@ def test_class_b_core_is_denser():
        st.sampled_from([1, -1]), st.integers(min_value=0, max_value=2**32),
        st.integers(min_value=0, max_value=60))
 def test_label_sampler_matches_rng_choice(vocab_size, delta, cls, seed, draws):
+    # labels drawn as a block of uniforms, each searched in the cdf, are the
+    # labels rng.choice draws one at a time, with the same state after
     weights = _label_weights(GeneratorConfig(vocab_size=vocab_size, delta=delta), cls)
+    cdf = _label_cdf(weights)
     ours, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    draw = _label_sampler(weights, ours)
-    assert [draw() for _ in range(draws)] == [
+    assert [bisect_right(cdf, u) for u in ours.random(draws).tolist()] == [
         int(ref.choice(vocab_size, p=weights)) for _ in range(draws)]
     assert ours.bit_generator.state == ref.bit_generator.state
+
+
+def _fields(g):
+    return (g.graph_id, g.node_labels, g.node_tiers,
+            [(u, v, w.hex()) for u, v, w in g.edges], graph_hash(g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(vocab_size=st.integers(min_value=1, max_value=12),
+       objects_range=st.integers(min_value=1, max_value=12).flatmap(
+           lambda hi: st.tuples(st.integers(min_value=1, max_value=hi), st.just(hi))),
+       features_per_object_range=st.integers(min_value=0, max_value=6).flatmap(
+           lambda hi: st.tuples(st.integers(min_value=0, max_value=hi), st.just(hi))),
+       p_obj=st.sampled_from([0.0, 0.3, 1.0]), p_feat=st.sampled_from([0.0, 0.3, 1.0]),
+       weights=st.sampled_from([(0.1, 2.0), (1.0, 1.0), (0.3, 0.3), (1e-9, 1e9),
+                                (5e-324, 1e308)])
+       | st.tuples(st.floats(1e-6, 1e6), st.floats(1e-6, 1e6)).map(sorted),
+       delta=st.sampled_from([0.0, 0.3, 0.7, 1.5, 4.0]),
+       seed=st.integers(min_value=0, max_value=2**32))
+def test_generate_matches_the_draw_by_draw_generator(vocab_size, objects_range,
+                                                    features_per_object_range, p_obj, p_feat,
+                                                    weights, delta, seed):
+    cfg = GeneratorConfig(n_train_per_class=2, n_test_per_class=1, objects_range=objects_range,
+                          features_per_object_range=features_per_object_range,
+                          vocab_size=vocab_size, p_obj=p_obj, p_feat=p_feat,
+                          weight_low=weights[0], weight_high=weights[1], delta=delta, seed=seed)
+    ds = generate(cfg)
+    assert len(ds) == 6
+    for index, (g, cls) in enumerate(zip(ds.graphs, ds.labels)):
+        ref = draw_by_draw_graph(cfg, _label_weights(cfg, cls), *_class_edge_probs(cfg, cls),
+                                 f"g{index:04d}", index)
+        assert _fields(g) == _fields(ref)
