@@ -244,6 +244,7 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         # the loop below reaches it
         entries = ((apply_flips(g, flips), flips) for flips in pool)
         note = "strategy-only"
+        distinct = None  # counted where the pool is scored, and so deduped
         if round_idx > 0 and len(losses) >= 2:
             scorer, note = _train_scorer(
                 graphs, losses, cfg,
@@ -251,9 +252,17 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
             if scorer is None:
                 note = f"fallback:{note}"
             elif pool:
-                cands = [apply_flips(g, flips) for flips in pool]
-                order = np.argsort(-scorer(cands), kind="stable")
-                entries = [(cands[i], pool[i]) for i in order.tolist()]
+                # one candidate per distinct plan, yet the scorer sees every
+                # drawn plan in draw order: an rbf or polynomial margin
+                # depends on its row in the batch
+                slots: dict[tuple[EdgeFlip, ...], int] = {}
+                rows = [slots.setdefault(flips, len(slots)) for flips in pool]
+                plans = list(slots)
+                distinct = len(plans)
+                cands = [apply_flips(g, flips) for flips in plans]
+                order = np.argsort(-scorer([cands[i] for i in rows]), kind="stable").tolist()
+                # each plan once, at its best-scored row
+                entries = [(cands[i], plans[i]) for i in dict.fromkeys(rows[j] for j in order)]
         # the round's query list: the first k entries not queried before, one
         # per digest; no entry is built past it
         queried = {rec.digest for rec in records}
@@ -288,7 +297,7 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
                 stop = True
                 break
         diagnostics.append({"round": round_idx, "surrogate": note,
-                            "pool": len(pool), "queried": fresh,
+                            "pool": len(pool), "distinct": distinct, "queried": fresh,
                             "records": len(records)})
         if stop:
             break

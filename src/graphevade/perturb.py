@@ -339,12 +339,15 @@ def plan_mutations(
     lexicographic order) while the incumbent is under budget, otherwise one
     of the pairs it already differs on, so the flip reverts it. The flip
     removes the pair's edge if the incumbent has it and otherwise adds it at
-    g's mean weight.
+    g's mean weight. A pair drawn again yields the same plan object: at
+    budget the draws can only revert one of the incumbent's few flips, so
+    most of them repeat.
     """
     rng = np.random.default_rng(seed)
     diff = sorted(g.edge_pairs ^ best_graph.edge_pairs)
     iu, iv = _upper_pairs(g.n)
     mean_w = g.mean_weight
+    plans = {}  # drawn pair -> its mutation
     out = []
     for _ in range(count):
         if len(diff) >= beta:  # beta >= 1, so diff is not empty
@@ -352,5 +355,7 @@ def plan_mutations(
         else:
             k = int(rng.integers(len(iu)))
             pair = (int(iu[k]), int(iv[k]))
-        out.append(best_flips + (_flip_for_pair(best_graph, pair, mean_w),))
+        if pair not in plans:
+            plans[pair] = best_flips + (_flip_for_pair(best_graph, pair, mean_w),)
+        out.append(plans[pair])
     return out

@@ -110,10 +110,11 @@ def wl_feature_vectors(graphs: Sequence[LabeledGraph], wl_iters: int) -> list[Wl
     it); the label rows are then cut back per graph, so every vector, key
     order included, equals that of its graph featurised alone. A graph keeps
     its vector per wl_iters, so only graphs seen for the first time at this
-    depth are refined; the vectors' arrays are read-only."""
+    depth are refined, each once however often the batch repeats it; the
+    vectors' arrays are read-only."""
     if wl_iters < 0:
         raise ValueError("wl_iters must be >= 0")
-    missing = [g for g in graphs if wl_iters not in g._wl]
+    missing = list({id(g): g for g in graphs if wl_iters not in g._wl}.values())
     if missing:
         for g, vec in zip(missing, _extract(missing, wl_iters)):
             g._wl[wl_iters] = vec

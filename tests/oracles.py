@@ -9,7 +9,8 @@ at a time) so tests never share code with the paths they verify. The
 dict-keyed feature paths (dense matrix, projection, per-vector naive Bayes,
 the linear margin sum, unit normalisation) and the plain structural digest
 are the earlier implementations those paths must match bit for bit, and so
-is the edge-map apply_flips.
+are the edge-map apply_flips and the mutation loop that builds one flip per
+draw.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from collections import Counter
 
 import numpy as np
 
-from graphevade.graph_core import LabeledGraph
+from graphevade.graph_core import EdgeFlip, LabeledGraph
 
 
 def jacobi_eigh(a, tol: float = 1e-14, max_sweeps: int = 200):
@@ -468,6 +469,28 @@ def dict_apply_flips(edges, n, flips):
                 raise FlipError(index, "inapplicable")
             del weights[pair]
     return tuple((u, v, w) for (u, v), w in sorted(weights.items()))
+
+
+def mutation_plans(g, best, best_flips, beta, count, rng) -> list:
+    """count one-flip mutations of the incumbent best (reached from g by
+    best_flips), one draw and one new flip each. The drawn pair is one of
+    those best differs from g on when there are beta or more of them, and
+    otherwise any pair, by its lexicographic index; the flip removes best's
+    edge there or adds one at g's mean weight."""
+    diff = sorted(g.edge_pairs ^ best.edge_pairs)
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    out = []
+    for _ in range(count):
+        if len(diff) >= beta:
+            u, v = diff[int(rng.integers(len(diff)))]
+        else:
+            u, v = pairs[int(rng.integers(len(pairs)))]
+        if best.has_edge(u, v):
+            flip = EdgeFlip(u, v, "remove")
+        else:
+            flip = EdgeFlip(u, v, "add", weight=g.mean_weight)
+        out.append(best_flips + (flip,))
+    return out
 
 
 def structural_digest(g) -> str:

@@ -373,6 +373,65 @@ def test_unscored_pools_build_only_the_candidates_they_examine(trained, monkeypa
     assert len(built) < pooled
 
 
+def test_scored_rounds_build_each_distinct_plan_once(trained, monkeypatch):
+    # the scorer sees every drawn plan in draw order (an rbf margin depends
+    # on its row in the batch), a repeat as the same graph object
+    ds, target = trained
+    test = ds.subset("test")
+    cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=6, rounds=3, seed=23)
+    rounds = []  # per round: plans drawn, (plan, graph) built, graphs scored
+    plans_fn, mutations_fn = engine_module._strategy_plans, engine_module.plan_mutations
+    apply_fn, train_fn = engine_module.apply_flips, engine_module._train_scorer
+
+    def spy_plans(*args):
+        plans = plans_fn(*args)
+        rounds.append({"pool": [p for p in plans if p], "built": [], "scored": None})
+        return plans
+
+    def spy_mutations(*args):
+        muts = mutations_fn(*args)
+        rounds[-1]["pool"] += muts
+        return muts
+
+    def spy_apply(g, flips):
+        rounds[-1]["built"].append((flips, apply_fn(g, flips)))
+        return rounds[-1]["built"][-1][1]
+
+    def spy_train(*args):
+        scorer, note = train_fn(*args)
+        if scorer is None:
+            return scorer, note
+
+        def spy_scorer(graphs):
+            rounds[-1]["scored"] = list(graphs)
+            return scorer(graphs)
+
+        return spy_scorer, note
+
+    monkeypatch.setattr(engine_module, "_strategy_plans", spy_plans)
+    monkeypatch.setattr(engine_module, "plan_mutations", spy_mutations)
+    monkeypatch.setattr(engine_module, "apply_flips", spy_apply)
+    monkeypatch.setattr(engine_module, "_train_scorer", spy_train)
+    scored = repeats = 0
+    for g, y, obs in zip(test.graphs, test.labels, evaluate(target, list(test.graphs))):
+        rounds.clear()
+        out = attack_one(BlackBoxQuery(target, cfg.max_queries), g, y, cfg,
+                         clean_observation=obs)
+        assert len(rounds) == len(out.diagnostics)
+        for r, d in zip(rounds, out.diagnostics):
+            assert d["pool"] == len(r["pool"])
+            if r["scored"] is None:
+                continue
+            scored += 1
+            assert d["distinct"] == len(set(r["pool"]))
+            repeats += len(r["pool"]) - d["distinct"]
+            assert [flips for flips, _ in r["built"]] == list(dict.fromkeys(r["pool"]))
+            graph_of = dict(r["built"])
+            assert len(r["scored"]) == len(r["pool"])
+            assert all(c is graph_of[flips] for c, flips in zip(r["scored"], r["pool"]))
+    assert scored and repeats  # some scored pools drew a plan more than once
+
+
 # --- batched queries ----------------------------------------------------------
 
 @st.composite

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphevade.perturb as perturb_module
 from graphevade.graph_core import apply_flips, graph_hash
 from graphevade.perturb import (
     BudgetExceedsPairs,
@@ -27,6 +28,7 @@ from oracles import (
     all_simple_paths,
     brute_force_pair_ranking,
     dominant_eigenspace_cosine,
+    mutation_plans,
     power_iteration,
     shortest_path_plans,
 )
@@ -494,6 +496,40 @@ def test_spent_pairs_match_reference_planner(edges):
             plans = plan_shortest_path(g, beta, 3, seed)
             got = [tuple((f.u, f.v, f.direction, f.weight) for f in p) for p in plans]
             assert got == shortest_path_plans(g, beta, 3, np.random.default_rng(seed))
+
+
+@settings(max_examples=100, deadline=None)
+@given(planner_cases(), st.integers(min_value=1, max_value=30),
+       st.integers(min_value=0, max_value=2**32), st.data())
+def test_mutations_match_one_flip_per_draw(case, count, seed, data):
+    # each distinct drawn pair's flip is built once and its mutation shared
+    # by every draw of it; draws and plans stay those of one flip per draw
+    g, beta = case
+    spent = data.draw(st.integers(min_value=0, max_value=beta))  # beta: at budget
+    best_flips = plan_eigencentrality(g, spent, eigencentrality(g))[0] if spent else ()
+    best = apply_flips(g, best_flips)
+    made, built = [], []
+    default_rng, flip_for_pair = np.random.default_rng, perturb_module._flip_for_pair
+
+    def recorded_rng(s):
+        made.append(default_rng(s))
+        return made[-1]
+
+    def counted_flip(graph, pair, weight):
+        built.append(pair)
+        return flip_for_pair(graph, pair, weight)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.random, "default_rng", recorded_rng)
+        mp.setattr(perturb_module, "_flip_for_pair", counted_flip)
+        muts = plan_mutations(g, best, best_flips, beta, count, seed)
+    ref_rng = default_rng(seed)
+    assert muts == mutation_plans(g, best, best_flips, beta, count, ref_rng)
+    (rng,) = made
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert built == list(dict.fromkeys((f[-1].u, f[-1].v) for f in muts))
+    for a in muts:
+        assert all(b is a for b in muts if b == a)  # a repeat is the same plan
 
 
 @settings(max_examples=100, deadline=None)

@@ -251,3 +251,23 @@ def test_only_graphs_without_a_vector_are_refined(rng, monkeypatch):
     assert vecs[1] is kept
     assert wl_feature_vectors(graphs[::-1], 2) == vecs[::-1]
     assert len(batches) == 1
+
+
+def test_repeated_graph_in_a_batch_is_refined_once(rng, monkeypatch):
+    g, h = (random_graph(7, 0.4, rng, graph_id=i) for i in "gh")
+    twin = make_graph(g.n, g.edges, labels=g.node_labels, tiers=g.node_tiers)
+    batches = []
+    extract = wl_module._extract
+
+    def spy(batch, wl_iters):
+        batches.append(list(batch))
+        return extract(batch, wl_iters)
+
+    monkeypatch.setattr(wl_module, "_extract", spy)
+    vecs = wl_feature_vectors([g, h, g], 3)
+    assert [[id(x) for x in b] for b in batches] == [[id(g), id(h)]]
+    assert vecs[0] is vecs[2]
+    alone = wl_feature_vector(twin, 3)  # an equal graph with no vector yet
+    for a, b in ((vecs[0].levels, alone.levels), (vecs[0].ids, alone.ids),
+                 (vecs[0].values, alone.values)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

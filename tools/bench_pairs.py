@@ -15,9 +15,12 @@ The output holds one row per (workload, seed): every end-to-end metric's
 runs, median and quartiles (``statistics.quantiles``, inclusive) per side,
 and ``change_wins_pairs``: for each end-to-end metric, the pairs in which the
 change read better, in the direction (``better``) that the change's
-``BENCHMARK.json`` gives it; a tie counts for neither side. Rows of other
-(workload, seed) keys already in ``--out`` are kept, so several seeds go into
-one file. Stdlib only; attackbench/ and BENCHMARK.json are read, not changed.
+``BENCHMARK.json`` gives it; a tie counts for neither side. Each row also
+names what it compared: ``seconds`` per run and, per side, the checkout's
+``git rev-parse HEAD`` and whether its tracked files differ from that commit
+(``dirty``), both null outside git. Rows of other (workload, seed) keys
+already in ``--out`` are kept, so several seeds go into one file. Stdlib
+only; attackbench/, BENCHMARK.json and git are read, not changed.
 """
 
 from __future__ import annotations
@@ -73,6 +76,23 @@ def machine() -> dict:
             "numpy": importlib.metadata.version("numpy")}
 
 
+def git_state(checkout: Path) -> dict:
+    """checkout's HEAD commit and whether its tracked files differ from it;
+    both None outside git. No lock is taken, so the index is left as it is."""
+
+    def git(*args) -> str | None:
+        try:
+            proc = subprocess.run(["git", "--no-optional-locks", *args], cwd=checkout,
+                                  capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    head = git("rev-parse", "HEAD")
+    status = git("status", "--porcelain", "--untracked-files=no") if head else None
+    return {"head": head, "dirty": None if status is None else bool(status)}
+
+
 def better_directions(checkout: Path) -> dict[str, str]:
     """Each end-to-end metric's better direction, "higher" or "lower", as
     checkout's BENCHMARK.json gives it."""
@@ -90,6 +110,7 @@ def wins(metric: dict, better: str) -> int:
 
 def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seed: int,
                    seconds: float) -> dict:
+    checkouts = {"parent": git_state(parent), "change": git_state(change)}
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for i in range(pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -108,8 +129,9 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seed: 
         name: f"{wins(metrics[name], better)}/{pairs}"
         for name, better in better_directions(change).items()
     }
-    return {"workload": workload, "seed": seed, "pairs": pairs, "correct": True,
-            "failed": 0, "metrics": metrics, "change_wins_pairs": change_wins}
+    return {"workload": workload, "seed": seed, "pairs": pairs, "seconds": seconds,
+            "checkouts": checkouts, "correct": True, "failed": 0, "metrics": metrics,
+            "change_wins_pairs": change_wins}
 
 
 def main(argv=None) -> int:
