@@ -9,7 +9,6 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -114,7 +113,7 @@ class ResultTable:
 
 @dataclass(frozen=True)
 class RankReport:
-    """Per-method mean rank / median / MAD / CI plus the Friedman and Nemenyi results.
+    """Per-method mean rank and descriptives plus the Friedman and Nemenyi results.
 
     Larger decline (more negative) is the better attack; rank k is best, so the
     strongest method has the highest mean rank, matching the reporting
@@ -123,10 +122,7 @@ class RankReport:
 
     method_names: tuple[str, ...]
     mean_ranks: tuple[float, ...]
-    medians: tuple[float, ...]
-    mads: tuple[float, ...]
-    ci_low: tuple[float, ...]
-    ci_high: tuple[float, ...]
+    descriptives: dict[str, dict[str, float]]  # rank_descriptives of the table
     friedman_chi2: float
     friedman_p: float
     cd: float
@@ -144,12 +140,12 @@ class RankReport:
             "methods": [
                 {
                     "name": m,
-                    "mean_rank": self.mean_ranks[i],
-                    "median": self.medians[i],
-                    "mad": self.mads[i],
-                    "ci": [self.ci_low[i], self.ci_high[i]],
+                    "mean_rank": r,
+                    "median": self.descriptives[m]["median"],
+                    "mad": self.descriptives[m]["mad"],
+                    "ci": [self.descriptives[m]["ci_low"], self.descriptives[m]["ci_high"]],
                 }
-                for i, m in enumerate(self.method_names)
+                for m, r in zip(self.method_names, self.mean_ranks)
             ],
             "significant": [list(row) for row in self.significant],
         }
@@ -157,10 +153,11 @@ class RankReport:
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["method", "mean_rank", "median", "mad", "ci_low", "ci_high"])
-        for i, m in enumerate(self.method_names):
-            writer.writerow([m] + [repr(col[i]) for col in (
-                self.mean_ranks, self.medians, self.mads, self.ci_low, self.ci_high)])
+        header = ["method", "mean_rank", "median", "mad", "ci_low", "ci_high"]
+        writer.writerow(header)
+        for m, r in zip(self.method_names, self.mean_ranks):
+            record = {"mean_rank": r, **self.descriptives[m]}
+            writer.writerow([m] + [repr(record[col]) for col in header[1:]])
         return out.getvalue()
 
 
@@ -221,7 +218,6 @@ def friedman_nemenyi(table: ResultTable, alpha: float = 0.05) -> RankReport:
     chi2_stat = 12.0 * n / (k * (k + 1)) * (np.sum(mean_ranks**2) - k * (k + 1) ** 2 / 4.0)
     p_value = float(chi2.sf(chi2_stat, df=k - 1))
     cd = float(nemenyi_critical_difference(k, n, alpha))
-    desc = rank_descriptives(table)
     significant = tuple(
         tuple(bool(abs(mean_ranks[i] - mean_ranks[j]) > cd) for j in range(k))
         for i in range(k)
@@ -229,10 +225,7 @@ def friedman_nemenyi(table: ResultTable, alpha: float = 0.05) -> RankReport:
     return RankReport(
         method_names=table.method_names,
         mean_ranks=tuple(float(r) for r in mean_ranks),
-        medians=tuple(desc[m]["median"] for m in table.method_names),
-        mads=tuple(desc[m]["mad"] for m in table.method_names),
-        ci_low=tuple(desc[m]["ci_low"] for m in table.method_names),
-        ci_high=tuple(desc[m]["ci_high"] for m in table.method_names),
+        descriptives=rank_descriptives(table),
         friedman_chi2=float(chi2_stat),
         friedman_p=p_value,
         cd=cd,
@@ -293,23 +286,16 @@ def method_config(base: AttackConfig, method: MethodSpec, r: float | None = None
     return replace(base, strategy=method.strategy, surrogate=method.surrogate, r=r)
 
 
-@lru_cache(maxsize=4)
-def _prepared_target(gen_cfg: GeneratorConfig, rep_seed: int, wl_iters: int, c: float):
-    """Dataset and trained target for one (config, repetition); cached so the
-    methods sharing a block reuse the same victim."""
+def _run_block(args) -> list[list[AttackSummary]]:
+    """Summaries of one (config, repetition) block, one list per row of the
+    config and within it one per method: the dataset is generated and the
+    target trained once, and every cell attacks the same test split."""
+    gen_cfg, rep_seed, ratios, methods, base, target_wl_iters, target_c = args
     ds = generate(replace(gen_cfg, seed=rep_seed))
-    target = train_target(ds, wl_iters=wl_iters, C=c, seed=rep_seed)
-    return ds.subset("test"), target
-
-
-def _run_cell(args) -> tuple[int, int, int, float, AttackSummary]:
-    (row_idx, method_idx, rep, gen_cfg, method, base, seed, target_wl_iters,
-     target_c, row_r) = args
-    rep_seed = seed + rep
-    test_ds, target = _prepared_target(gen_cfg, rep_seed, target_wl_iters, target_c)
-    cfg = replace(method_config(base, method, row_r), seed=rep_seed)
-    summary = attack_testset(target, test_ds, cfg)
-    return row_idx, method_idx, rep, summary.decline_pp, summary
+    target = train_target(ds, wl_iters=target_wl_iters, C=target_c, seed=rep_seed)
+    test_ds = ds.subset("test")
+    return [[attack_testset(target, test_ds, replace(method_config(base, method, r), seed=rep_seed))
+             for method in methods] for r in ratios]
 
 
 def bench_rows(configs, budgets: list[float] | None) -> list[tuple[str, str, float | None]]:
@@ -338,39 +324,38 @@ def run_benchmark(
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> BenchResult:
-    """Paired benchmark: per (row, repetition), every method attacks the same
-    freshly trained target with the same test split (identical rep seed).
+    """Paired benchmark: per (config, repetition) block, one freshly generated
+    dataset and trained target (identical rep seed), which every method
+    attacks on the same test split.
 
     Rows are dataset configs; with budgets given, each config expands to one
-    row per budget value r (the Table-5-style sweep). Cells are independent
-    given their seeds, so the worker count cannot change any value. progress,
-    if given, is called with (cells done, cells in all) as each cell ends.
+    row per budget value r (the Table-5-style sweep), and a block's target
+    serves all of its rows. Blocks are independent given their seeds, so the
+    worker count cannot change any value. progress, if given, is called with
+    (cells done, cells in all) once per cell, counting up, as each block ends.
     """
     if not methods or not configs or repetitions < 1:
         raise ValueError("need methods, configs, and repetitions >= 1")
     rows = bench_rows(configs, budgets)
-    tasks = []
-    for row_idx, (_, cname, row_r) in enumerate(rows):
-        for rep in range(repetitions):
-            for method_idx, method in enumerate(methods):
-                tasks.append((row_idx, method_idx, rep, configs[cname], method,
-                              base, seed, target_wl_iters, target_c, row_r))
-    cells = []
+    ratios = budgets or [None]
+    tasks = [(gen_cfg, seed + rep, ratios, methods, base, target_wl_iters, target_c)
+             for gen_cfg in configs.values() for rep in range(repetitions)]
+    values = np.zeros((len(rows), len(methods), repetitions))
+    summaries: dict[tuple[str, str, int], AttackSummary] = {}
     with ExitStack() as stack:
         if workers > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-            done = pool.map(_run_cell, tasks, chunksize=max(1, len(methods)))
+            blocks = pool.map(_run_block, tasks)
         else:
-            done = map(_run_cell, tasks)
-        for cell in done:
-            cells.append(cell)
-            if progress is not None:
-                progress(len(cells), len(tasks))
-    values = np.zeros((len(rows), len(methods), repetitions))
-    summaries: dict[tuple[str, str, int], AttackSummary] = {}
-    for row_idx, method_idx, rep, decline, summary in cells:
-        values[row_idx, method_idx, rep] = decline
-        summaries[(rows[row_idx][0], methods[method_idx].name, rep)] = summary
+            blocks = map(_run_block, tasks)
+        for block_idx, block in enumerate(blocks):
+            config_idx, rep = divmod(block_idx, repetitions)
+            for row_idx, row_cells in enumerate(block, start=config_idx * len(ratios)):
+                for method_idx, summary in enumerate(row_cells):
+                    values[row_idx, method_idx, rep] = summary.decline_pp
+                    summaries[(rows[row_idx][0], methods[method_idx].name, rep)] = summary
+                    if progress is not None:
+                        progress(len(summaries), values.size)
     table = ResultTable(
         row_names=tuple(r[0] for r in rows),
         method_names=tuple(m.name for m in methods),

@@ -247,7 +247,8 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
                 raise ValueError(f"{what} {unwritable[0]!r} holds a carriage return "
                                  "or a lone surrogate, which results.csv cannot keep")
         # one method is run and tabled but not ranked
-        check_rankable(max(len(methods), 2), len(rows) * repetitions, alpha)
+        if len(methods) > 1:
+            check_rankable(len(methods), len(rows) * repetitions, alpha)
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from exc
     started = time.monotonic()

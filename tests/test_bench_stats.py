@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 import graphevade
+from graphevade import bench_stats
 from graphevade.attack_engine import AttackConfig
 from graphevade.bench_stats import (
     MethodSpec,
@@ -254,15 +255,72 @@ def test_run_benchmark_budget_sweep_rows():
     assert res.table.row_names == ("tiny:r=0.00111111", "tiny:r=0.00222222")
 
 
-def test_run_benchmark_worker_invariance():
+@pytest.mark.parametrize("budgets", [None, [1.0 / 900, 2.0 / 900]], ids=["configs", "budgets"])
+def test_run_benchmark_worker_invariance(budgets):
     gen = GeneratorConfig(n_train_per_class=10, n_test_per_class=5)
     base = AttackConfig(r=2.0 / 900, max_queries=6, k_candidates=3, rounds=2, seed=0)
     methods = [MethodSpec("eig", "eigencentrality", "svm_rbf"),
                MethodSpec("rw", "random_walk", "svm_rbf")]
-    a = run_benchmark(methods, {"tiny": gen}, base, repetitions=2, seed=0, workers=1)
-    b = run_benchmark(methods, {"tiny": gen}, base, repetitions=2, seed=0, workers=2)
+    a = run_benchmark(methods, {"tiny": gen}, base, repetitions=2, budgets=budgets, seed=0,
+                      workers=1)
+    b = run_benchmark(methods, {"tiny": gen}, base, repetitions=2, budgets=budgets, seed=0,
+                      workers=2)
     assert np.array_equal(a.table.values, b.table.values)
     assert a.table.to_csv() == b.table.to_csv()
+
+
+def test_a_budget_sweep_sets_up_each_block_once(monkeypatch):
+    seeds = {"generate": [], "train_target": []}
+    generate, train_target = bench_stats.generate, bench_stats.train_target
+    monkeypatch.setattr(bench_stats, "generate",
+                        lambda cfg: seeds["generate"].append(cfg.seed) or generate(cfg))
+    monkeypatch.setattr(bench_stats, "train_target",
+                        lambda ds, **kw: seeds["train_target"].append(kw["seed"])
+                        or train_target(ds, **kw))
+    gen = GeneratorConfig(n_train_per_class=10, n_test_per_class=5)
+    base = AttackConfig(r=2.0 / 900, max_queries=6, k_candidates=3, rounds=2, seed=0)
+    methods = [MethodSpec("eig", "eigencentrality", "svm_rbf"),
+               MethodSpec("rw", "random_walk", "svm_rbf")]
+    calls = []
+    # five repetitions, so a cache of the last four targets could not serve the second row
+    res = run_benchmark(methods, {"tiny": gen}, base, repetitions=5,
+                        budgets=[1.0 / 900, 2.0 / 900], seed=3, workers=1,
+                        progress=lambda done, total: calls.append((done, total)))
+    assert seeds == {"generate": [3, 4, 5, 6, 7], "train_target": [3, 4, 5, 6, 7]}
+    for rep in range(5):
+        cleans = {s.clean_accuracy for (_, _, r), s in res.summaries.items() if r == rep}
+        assert len(cleans) == 1
+    assert calls == [(i, 20) for i in range(1, 21)]
+
+
+def test_rank_report_bytes():
+    """to_csv and canonical to_json of a table with two tied methods, as
+    recorded before RankReport kept one record per method."""
+    vals = [[[-12.5, -30.0, -7.25], [-12.5, -30.0, -7.25], [-3.0, 1.5, -40.0]],
+            [[-20.0, -0.5, -15.75], [-20.0, -0.5, -15.75], [-2.0, -4.0, 2.0]]]
+    report = friedman_nemenyi(table_from(vals, methods=("adv", "twin", "rw")))
+    # the interval ends are numpy scalars, whose repr names their type
+    assert report.to_csv() == (
+        "method,mean_rank,median,mad,ci_low,ci_high\n"
+        "adv,2.1666666666666665,-14.125,6.375,"
+        "np.float64(-20.817210101428877),np.float64(-7.432789898571124)\n"
+        "twin,2.1666666666666665,-14.125,6.375,"
+        "np.float64(-20.817210101428877),np.float64(-7.432789898571124)\n"
+        "rw,1.6666666666666667,-2.5,2.75,"
+        "np.float64(-5.322016307831454),np.float64(0.32201630783145374)\n")
+    doc = report.to_json()
+    assert doc.pop("friedman_p") == pytest.approx(0.6065306597126345, rel=1e-12, abs=0)
+    assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == (
+        '{"alpha":0.05,"critical_difference":1.3531364032499948,'
+        '"friedman_chi2":0.9999999999999964,"methods":['
+        '{"ci":[-20.817210101428877,-7.432789898571124],"mad":6.375,'
+        '"mean_rank":2.1666666666666665,"median":-14.125,"name":"adv"},'
+        '{"ci":[-20.817210101428877,-7.432789898571124],"mad":6.375,'
+        '"mean_rank":2.1666666666666665,"median":-14.125,"name":"twin"},'
+        '{"ci":[-5.322016307831454,0.32201630783145374],"mad":2.75,'
+        '"mean_rank":1.6666666666666667,"median":-2.5,"name":"rw"}],'
+        '"n_blocks":6,"significant":[[false,false,false],[false,false,false],'
+        '[false,false,false]]}')
 
 
 def test_attack_path_imports_no_scipy():

@@ -430,6 +430,24 @@ def test_bench_one_method_writes_results_without_ranks(tmp_path, capsys):
     assert table.method_names == ("eig",) and table.values.shape == (1, 1, 2)
 
 
+@pytest.mark.parametrize("n_methods", [1, 2])
+def test_bench_one_block_is_ranked_only_with_two_methods(tmp_path, capsys, n_methods):
+    spec = write_spec(tmp_path / "one.json", dict(
+        BENCH_SPEC, repetitions=1, methods=BENCH_SPEC["methods"][:n_methods]))
+    out = tmp_path / "o"
+    code = run(["bench", "--spec", spec, "--out", out])
+    err = capsys.readouterr().err
+    if n_methods == 2:
+        assert code == 2
+        assert err == "config error: need >= 2 methods and >= 2 blocks, got k=2, N=1\n"
+        assert not (out / "results.csv").exists()
+    else:
+        assert code == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "results.csv", "results.json", "run_config.json"]
+        assert "nothing to rank" in err.splitlines()[-1]
+
+
 def test_bench_reports_progress_on_stderr(tmp_path, capsys):
     spec = Path(__file__).resolve().parent.parent / "benchmarks" / "smoke.json"
     assert run(["bench", "--spec", spec, "--out", tmp_path / "a", "--json"]) == 0
