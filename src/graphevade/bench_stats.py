@@ -15,7 +15,7 @@ import numpy as np
 
 from .attack_engine import AttackConfig, AttackSummary, attack_testset
 from .synth_data import GeneratorConfig, generate
-from .target_lcd import train_target
+from .target_lcd import TargetConfig, train_target
 
 
 class TooFewBlocks(ValueError):
@@ -189,7 +189,7 @@ def rank_descriptives(table: ResultTable) -> dict[str, dict[str, float]]:
         med = float(np.median(vals))
         mad = float(np.median(np.abs(vals - med)))
         iqr = float(np.percentile(vals, 75) - np.percentile(vals, 25))
-        half = 1.58 * iqr / np.sqrt(len(vals))
+        half = 1.58 * iqr / math.sqrt(len(vals))
         out[method] = {"median": med, "mad": mad,
                        "ci_low": med - half, "ci_high": med + half}
     return out
@@ -290,9 +290,9 @@ def _run_block(args) -> list[list[AttackSummary]]:
     """Summaries of one (config, repetition) block, one list per row of the
     config and within it one per method: the dataset is generated and the
     target trained once, and every cell attacks the same test split."""
-    gen_cfg, rep_seed, ratios, methods, base, target_wl_iters, target_c = args
+    gen_cfg, rep_seed, ratios, methods, base, target_cfg = args
     ds = generate(replace(gen_cfg, seed=rep_seed))
-    target = train_target(ds, wl_iters=target_wl_iters, C=target_c, seed=rep_seed)
+    target = train_target(ds, wl_iters=target_cfg.wl_iters, C=target_cfg.C, seed=rep_seed)
     test_ds = ds.subset("test")
     return [[attack_testset(target, test_ds, replace(method_config(base, method, r), seed=rep_seed))
              for method in methods] for r in ratios]
@@ -319,14 +319,13 @@ def run_benchmark(
     repetitions: int = 10,
     budgets: list[float] | None = None,
     seed: int = 42,
-    target_wl_iters: int = 3,
-    target_c: float = 10.0,
+    target: TargetConfig = TargetConfig(),
     workers: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> BenchResult:
     """Paired benchmark: per (config, repetition) block, one freshly generated
-    dataset and trained target (identical rep seed), which every method
-    attacks on the same test split.
+    dataset and target (target's wl_iters and C; the rep seed for both, in
+    place of target.seed), which every method attacks on the same test split.
 
     Rows are dataset configs; with budgets given, each config expands to one
     row per budget value r (the Table-5-style sweep), and a block's target
@@ -338,7 +337,7 @@ def run_benchmark(
         raise ValueError("need methods, configs, and repetitions >= 1")
     rows = bench_rows(configs, budgets)
     ratios = budgets or [None]
-    tasks = [(gen_cfg, seed + rep, ratios, methods, base, target_wl_iters, target_c)
+    tasks = [(gen_cfg, seed + rep, ratios, methods, base, target)
              for gen_cfg in configs.values() for rep in range(repetitions)]
     values = np.zeros((len(rows), len(methods), repetitions))
     summaries: dict[tuple[str, str, int], AttackSummary] = {}

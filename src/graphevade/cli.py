@@ -31,7 +31,7 @@ from .bench_stats import (
 from .graph_core import ParseError, SchemaError, json_fields, json_value, read_dataset, write_dataset
 from .learners import DegenerateLabels
 from .synth_data import GeneratorConfig, InvalidConfig, generate
-from .target_lcd import load_target, save_target, train_target
+from .target_lcd import TargetConfig, load_target, save_target, train_target
 
 _CONFIG_ERRORS = (InvalidConfig, SchemaError, FileNotFoundError, IsADirectoryError)
 
@@ -106,17 +106,6 @@ def _read(what: str, path, reader):
         raise InvalidConfig(f"{what} {path}: {exc}") from exc
 
 
-def _check_target(wl_iters: int, c: float, seed: int) -> None:
-    """The victim's knobs, checked before any work (train-target's flags, and
-    a bench spec's target section and seed)."""
-    if wl_iters < 0:
-        raise InvalidConfig(f"target wl_iters must be >= 0, got {wl_iters}")
-    if not c > 0:
-        raise InvalidConfig(f"target C must be positive, got {c}")
-    if seed < 0:
-        raise InvalidConfig(f"seed must be >= 0, got {seed}")
-
-
 def cmd_gen(args) -> int:
     cfg = _config_from_args(GeneratorConfig, args)
     out_dir = Path(args.out)
@@ -139,8 +128,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_train_target(args) -> int:
-    knobs = {"wl_iters": args.wl_iters, "C": args.C, "seed": args.seed}
-    _check_target(args.wl_iters, args.C, args.seed)
+    knobs = asdict(_config_from_args(TargetConfig, args))
     echo = dict(knobs, C=None if math.isinf(args.C) else args.C)  # as model.json keeps it
     ds = _read("dataset", args.dataset, read_dataset)
     out_dir = Path(args.out)
@@ -221,15 +209,13 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
     # the attack section sets every knob but a method's and the seed
     base = replace(_dataclass_from_dict(AttackConfig, spec.get("attack", {}), "attack",
                                         exclude=("strategy", "surrogate", "seed")), seed=seed)
-    target = json_fields(spec.get("target", {}), ("wl_iters", "C"), (), "target")
-    wl_iters = json_value(target.get("wl_iters", 3), int, "target.wl_iters")
-    c = json_value(target.get("C", 10.0), float, "target.C")
+    target = _dataclass_from_dict(TargetConfig, spec.get("target", {}), "target", exclude=("seed",))
     budgets = spec.get("budgets")
-    _check_target(wl_iters, c, seed)
-    # every cell's attack config and the ranking are checked here, so a bad
-    # value fails before the first cell runs
+    # every cell's attack config, the target's seed and the ranking are
+    # checked here, so a bad value fails before the first cell runs
     rows = bench_rows(configs, budgets)
     try:
+        target = replace(target, seed=seed)
         for method in methods:
             for r in budgets or (None,):
                 method_config(base, method, r)
@@ -266,8 +252,7 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
         repetitions=repetitions,
         budgets=budgets,
         seed=seed,
-        target_wl_iters=wl_iters,
-        target_c=c,
+        target=target,
         workers=workers,
         progress=progress,
     )
@@ -360,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     tt = sub.add_parser("train-target", help="train the victim classifier")
     tt.add_argument("--dataset", required=True)
     tt.add_argument("--out", required=True)
-    tt.add_argument("--wl-iters", type=int, default=3)
-    tt.add_argument("--C", type=float, default=10.0)
-    tt.add_argument("--seed", type=int, default=42)
+    _add_config_flags(tt, TargetConfig)
 
     atk = sub.add_parser("attack", help="attack a trained target over a test set")
     atk.add_argument("--model", required=True)

@@ -149,15 +149,21 @@ def _project(vectors: Sequence[SparseVector], keys: _KeySpace) -> tuple[np.ndarr
     return x, res
 
 
+def _kernel(spec: KernelSpec, dots: np.ndarray, sq_rows: np.ndarray,
+            sq_cols: np.ndarray) -> np.ndarray:
+    """K of two sets of rows from their dot products and squared norms, which
+    only rbf reads; training and scoring both come here."""
+    if spec.kind == "linear":
+        return dots
+    if spec.kind == "polynomial":
+        return (dots + spec.coef0) ** spec.degree
+    d2 = np.clip(sq_rows[:, None] + sq_cols[None, :] - 2.0 * dots, 0.0, None)
+    return np.exp(-spec.gamma * d2)
+
+
 def _gram(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
     g = x @ x.T
-    if spec.kind == "linear":
-        return g
-    if spec.kind == "polynomial":
-        return (g + spec.coef0) ** spec.degree
-    sq = np.diag(g)
-    d2 = np.clip(sq[:, None] + sq[None, :] - 2.0 * g, 0.0, None)
-    return np.exp(-spec.gamma * d2)
+    return _kernel(spec, g, np.diag(g), np.diag(g))
 
 
 def median_heuristic_gamma(vectors: Sequence) -> float:
@@ -477,13 +483,7 @@ def svm_margins(model: TrainedSvm, X: Sequence) -> np.ndarray:
                      q.values.tolist()) for q in queries)
         return np.array([_sum_left_to_right(t) + model.bias for t in terms])
     xq, res = _project(queries, cache["keys"])
-    dots = xq @ cache["x"].T
-    if model.spec.kind == "polynomial":
-        kmat = (dots + model.spec.coef0) ** model.spec.degree
-    else:
-        q_sq = np.sum(xq * xq, axis=1) + res
-        d2 = np.clip(q_sq[:, None] + cache["sq"][None, :] - 2.0 * dots, 0.0, None)
-        kmat = np.exp(-model.spec.gamma * d2)
+    kmat = _kernel(model.spec, xq @ cache["x"].T, np.sum(xq * xq, axis=1) + res, cache["sq"])
     return kmat @ cache["coef"] + model.bias
 
 

@@ -64,8 +64,25 @@ def evaluate(model: TargetModel, graphs) -> list[tuple[int, float]]:
     return [(1, p) if p >= 0.5 else (-1, 1.0 - p) for p in p_plus]
 
 
-def train_target(ds: GraphDataset, wl_iters: int = 3, C: float = 10.0,
-                 seed: int = 0) -> TargetModel:
+@dataclass(frozen=True)
+class TargetConfig:
+    """The victim's knobs: WL depth, the SVM's C and the SMO seed."""
+
+    wl_iters: int = 3
+    C: float = 10.0
+    seed: int = 42
+
+    def __post_init__(self):
+        if self.wl_iters < 0:
+            raise ValueError(f"target wl_iters must be >= 0, got {self.wl_iters}")
+        if not self.C > 0:
+            raise ValueError(f"target C must be positive, got {self.C}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+
+def train_target(ds: GraphDataset, wl_iters: int = TargetConfig.wl_iters,
+                 C: float = TargetConfig.C, seed: int = 0) -> TargetModel:
     """Train the loop-closure classifier: WL feature extraction over the train
     split, then a linear-kernel SVM on the histograms (the WL kernel machine,
     SMO to tolerance 1e-3 within 500 passes), reporting train and test

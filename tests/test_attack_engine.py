@@ -243,6 +243,58 @@ def test_surrogate_training_set_matches_records(trained, monkeypatch):
         assert guided
 
 
+def test_rbf_surrogate_on_wl_identical_graphs_falls_back_to_unit_gamma(monkeypatch):
+    # WL ignores edge weights, so every pairwise distance is zero and the
+    # median heuristic has no scale
+    g = make_graph(4, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 1.5)], labels="abab")
+    h = make_graph(4, [(0, 1, 1.0), (1, 2, 0.9), (2, 3, 1.5)], labels="abab")
+    specs = []
+    train_fn = engine_module.svm_train
+    monkeypatch.setattr(engine_module, "svm_train",
+                        lambda x, y, spec, **kw: specs.append(spec) or train_fn(x, y, spec, **kw))
+    scorer, note = engine_module._train_scorer([g, h], [0.2, 0.8], AttackConfig(), seed=1)
+    assert note == "trained" and scorer is not None
+    assert [(s.kind, s.gamma) for s in specs] == [("rbf", 1.0)]
+    assert scorer([g, h]).shape == (2,)
+
+
+def test_unconverged_surrogate_falls_back_to_strategy_order(trained, monkeypatch):
+    # one SMO pass cannot converge, so every guided round queries its pool as
+    # drawn: the first k plans whose graphs were not queried before
+    ds, target = trained
+    test = ds.subset("test")
+    cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=5, rounds=3, epochs=1, seed=7)
+    pools = []  # per round, its pool in draw order
+    plans_fn, mutations_fn = engine_module._strategy_plans, engine_module.plan_mutations
+
+    def spy_plans(*args):
+        plans = plans_fn(*args)
+        pools.append([p for p in plans if p])
+        return plans
+
+    def spy_mutations(*args):
+        muts = mutations_fn(*args)
+        pools[-1] += muts
+        return muts
+
+    monkeypatch.setattr(engine_module, "_strategy_plans", spy_plans)
+    monkeypatch.setattr(engine_module, "plan_mutations", spy_mutations)
+    g, y, clean = test.graphs[0], test.labels[0], evaluate(target, [test.graphs[0]])[0]
+    out = attack_one(BlackBoxQuery(target, cfg.max_queries), g, y, cfg, clean_observation=clean)
+    assert [d["surrogate"] for d in out.diagnostics] == [
+        "strategy-only", "fallback:DidNotConverge", "fallback:DidNotConverge"]
+    for d, before, pool in zip(out.diagnostics[1:], out.diagnostics, pools[1:]):
+        assert d["distinct"] is None
+        queried = {rec.digest for rec in out.records[:before["records"]]}
+        want = []
+        for flips in pool:
+            digest = graph_hash(apply_flips(g, flips))
+            if digest not in queried and digest not in want:
+                want.append(digest)
+        assert [rec.digest for rec in out.records[before["records"]:d["records"]]] == (
+            want[:cfg.k_candidates])
+
+
 class WorkCounter:
     """Wraps the attacker's hash and WL entry points and the WL refinement
     that every caller shares, keeping every graph they were given (kept

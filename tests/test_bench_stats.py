@@ -232,6 +232,43 @@ def test_cd_diagram_text_mentions_cliques():
     assert "{A, B}" in text
 
 
+def _ranked_blocks(blocks, methods):
+    """One-row table whose block b gives method j the rank blocks[b][j] (its
+    decline is minus that rank, so rank k is the strongest attack)."""
+    return table_from(-np.array(blocks, dtype=float).T[None], methods=methods, rows=("c",))
+
+
+def test_cd_diagram_text_when_every_difference_exceeds_cd():
+    text = cd_diagram_text(friedman_nemenyi(_ranked_blocks([(3, 2, 1)] * 20, ("A", "B", "C"))))
+    assert text == (
+        "critical difference diagram (alpha=0.05, k=3, N=20)\n"
+        "CD = 0.7411 (higher mean rank = stronger attack)\n"
+        "\n"
+        "  MR=3.0000  A\n"
+        "  MR=2.0000  B\n"
+        "  MR=1.0000  C\n"
+        "\n"
+        "  all pairwise differences exceed CD\n")
+
+
+def test_cd_diagram_text_drops_a_clique_inside_another():
+    # mean ranks 3.8, 3.0, 1.6, 1.6 against CD 1.4832: {A, B} and {B, C, D}
+    # overlap in B, and {C, D} lies inside {B, C, D}
+    blocks = [(4, 3, 2, 1)] * 6 + [(4, 2, 1, 3)] * 2 + [(3, 4, 1, 2)] * 2
+    text = cd_diagram_text(friedman_nemenyi(_ranked_blocks(blocks, ("A", "B", "C", "D"))))
+    assert text == (
+        "critical difference diagram (alpha=0.05, k=4, N=10)\n"
+        "CD = 1.4832 (higher mean rank = stronger attack)\n"
+        "\n"
+        "  MR=3.8000  A\n"
+        "  MR=3.0000  B\n"
+        "  MR=1.6000  C\n"
+        "  MR=1.6000  D\n"
+        "\n"
+        "  no significant difference within: {A, B}\n"
+        "  no significant difference within: {B, C, D}\n")
+
+
 def test_run_benchmark_shape_and_pairing():
     gen = GeneratorConfig(n_train_per_class=10, n_test_per_class=5)
     base = AttackConfig(r=2.0 / 900, max_queries=6, k_candidates=3, rounds=2, seed=0)
@@ -294,20 +331,16 @@ def test_a_budget_sweep_sets_up_each_block_once(monkeypatch):
 
 
 def test_rank_report_bytes():
-    """to_csv and canonical to_json of a table with two tied methods, as
-    recorded before RankReport kept one record per method."""
+    """to_csv and canonical to_json of a table with two tied methods; the JSON
+    as recorded before RankReport kept one record per method."""
     vals = [[[-12.5, -30.0, -7.25], [-12.5, -30.0, -7.25], [-3.0, 1.5, -40.0]],
             [[-20.0, -0.5, -15.75], [-20.0, -0.5, -15.75], [-2.0, -4.0, 2.0]]]
     report = friedman_nemenyi(table_from(vals, methods=("adv", "twin", "rw")))
-    # the interval ends are numpy scalars, whose repr names their type
     assert report.to_csv() == (
         "method,mean_rank,median,mad,ci_low,ci_high\n"
-        "adv,2.1666666666666665,-14.125,6.375,"
-        "np.float64(-20.817210101428877),np.float64(-7.432789898571124)\n"
-        "twin,2.1666666666666665,-14.125,6.375,"
-        "np.float64(-20.817210101428877),np.float64(-7.432789898571124)\n"
-        "rw,1.6666666666666667,-2.5,2.75,"
-        "np.float64(-5.322016307831454),np.float64(0.32201630783145374)\n")
+        "adv,2.1666666666666665,-14.125,6.375,-20.817210101428877,-7.432789898571124\n"
+        "twin,2.1666666666666665,-14.125,6.375,-20.817210101428877,-7.432789898571124\n"
+        "rw,1.6666666666666667,-2.5,2.75,-5.322016307831454,0.32201630783145374\n")
     doc = report.to_json()
     assert doc.pop("friedman_p") == pytest.approx(0.6065306597126345, rel=1e-12, abs=0)
     assert json.dumps(doc, sort_keys=True, separators=(",", ":")) == (

@@ -9,6 +9,7 @@ from graphevade.attack_engine import AttackConfig
 from graphevade.bench_stats import ResultTable
 from graphevade.cli import _config_from_args, build_parser, main
 from graphevade.synth_data import GeneratorConfig
+from graphevade.target_lcd import TargetConfig
 
 
 def run(args):
@@ -376,6 +377,8 @@ def test_bench_section_of_wrong_json_type_exit_2(tmp_path, capsys, section, valu
     ("configs", {"tiny": {"n_train_per_class": 10, "n_test_per_class": 5, "objects_range": [3]}}),
     ("configs", {"tiny": {"n_train_per_class": 10, "n_test_per_class": 5,
                           "objects_range": [1, 2, 3]}}),
+    # a block's target seed is the spec's seed plus its repetition
+    ("target", {"seed": 1}),
 ])
 def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
     # values of the right JSON type that no run accepts are config errors
@@ -446,6 +449,31 @@ def test_bench_one_block_is_ranked_only_with_two_methods(tmp_path, capsys, n_met
         assert sorted(p.name for p in out.iterdir()) == [
             "results.csv", "results.json", "run_config.json"]
         assert "nothing to rank" in err.splitlines()[-1]
+
+
+def test_bench_target_section_at_the_defaults_changes_nothing(tmp_path):
+    one_block = dict(BENCH_SPEC, repetitions=1, methods=BENCH_SPEC["methods"][:1])
+    tables = []
+    for name, doc in (("bare", one_block),
+                      ("target", dict(one_block, target={"wl_iters": 3, "C": 10.0}))):
+        out = tmp_path / name
+        assert run(["bench", "--spec", write_spec(tmp_path / f"{name}.json", doc),
+                    "--out", out]) == 0
+        tables.append((out / "results.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_bench_target_section_and_seed_reach_run_benchmark(monkeypatch):
+    import graphevade.cli as cli_module
+    from graphevade.cli import _bench_from_spec
+
+    def reached(**kw):
+        raise RuntimeError(kw["target"])
+
+    monkeypatch.setattr(cli_module, "run_benchmark", reached)
+    with pytest.raises(RuntimeError) as exc:
+        _bench_from_spec(dict(BENCH_SPEC, target={"wl_iters": 1, "C": 2.5}), 7, 1)
+    assert exc.value.args[0] == TargetConfig(wl_iters=1, C=2.5, seed=7)
 
 
 def test_bench_reports_progress_on_stderr(tmp_path, capsys):
@@ -690,11 +718,12 @@ def test_non_utf8_dataset_or_spec_exit_2_names_the_file(tmp_path, gen_dir, model
     assert not (tmp_path / "out").exists()
 
 
-# --- gen's and attack's flags are their config's fields ----------------------
+# --- gen's, train-target's and attack's flags are their config's fields -----
 
 @pytest.mark.parametrize("command, cls, required", [
     ("gen", GeneratorConfig, ["--out", "x"]),
     ("attack", AttackConfig, ["--model", "m", "--dataset", "d", "--out", "o"]),
+    ("train-target", TargetConfig, ["--dataset", "d", "--out", "o"]),
 ])
 def test_config_flags_default_to_the_config(command, cls, required):
     parser = build_parser()

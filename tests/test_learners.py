@@ -327,6 +327,23 @@ def test_probability_monotone_in_margin(rng):
     assert all(b >= a - 1e-12 for a, b in zip(ps, ps[1:]))
 
 
+@pytest.mark.parametrize("kind", ["rbf", "polynomial"])
+def test_margins_on_training_vectors_are_the_training_decisions(kind):
+    # scoring projects onto the support vectors' keys and carries the rest in
+    # the residual; training reads the Gram matrix over every training key
+    train = generate(GeneratorConfig(n_train_per_class=12, n_test_per_class=1, seed=3)).subset("train")
+    x = [_unit_counts(v) for v in wl_feature_vectors(list(train.graphs), 2)]
+    y = np.array(train.labels, dtype=float)
+    spec = (KernelSpec("rbf", gamma=median_heuristic_gamma(x)) if kind == "rbf"
+            else KernelSpec("polynomial", degree=3, coef0=1.0))
+    model = svm_train(x, y, spec, C=10.0)
+    assert 0 < len(model.support_vectors) < len(x)
+    alpha = np.zeros(len(x))
+    alpha[list(model.sv_indices)] = model.alphas
+    decisions = (alpha * y) @ learners_module._gram(spec, _as_matrix(x)[0]) + model.bias
+    np.testing.assert_allclose(svm_margins(model, x), decisions, rtol=0, atol=1e-9)
+
+
 def test_rbf_gram_psd(rng):
     x = [rng.normal(size=4) for _ in range(20)]
     sq = np.array([v @ v for v in x])
