@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -115,17 +116,43 @@ def _stream_seed(*parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _strategy_plans(g: LabeledGraph, beta: int, cfg: AttackConfig,
-                    round_idx: int, count: int, scores) -> list[tuple[EdgeFlip, ...]]:
-    seed = _stream_seed(cfg.seed, g.graph_id, "strategy", round_idx)
+def _pool_draws(g: LabeledGraph, beta: int, cfg: AttackConfig, round_idx: int, scores,
+                incumbent: tuple[LabeledGraph, tuple[EdgeFlip, ...]] | None,
+                ) -> Iterator[list[tuple[EdgeFlip, ...]]]:
+    """A round's pool as successive draws (lists of plans), in draw order,
+    each made only when the consumer reaches it.
+
+    The strategy's plans come first: k per round 0, 3k per later round.
+    Eigencentrality windows are deterministic, so they are drawn k at a time
+    and the chunks concatenate to one draw of the round's count; a seeded
+    planner draws the whole count in one call, as a second call would restart
+    its rng. Then, when incumbent (best_graph, best_flips) is given, come 2k
+    one-flip mutations of it.
+    """
+    k = cfg.k_candidates
+    count = k if round_idx == 0 else 3 * k
     if cfg.strategy == "eigencentrality":
         # rounds slide over fresh ranked-pair windows so candidates never repeat
-        offset = cfg.k_candidates if round_idx > 0 else 0
+        offset = k if round_idx > 0 else 0
         offset += max(0, round_idx - 1) * count
-        return plan_eigencentrality(g, beta, scores, count, offset=offset)
-    if cfg.strategy == "random_walk":
-        return plan_random_walk(g, beta, count, seed)
-    return plan_shortest_path(g, beta, count, seed)
+        for start in range(0, count, k):
+            yield plan_eigencentrality(g, beta, scores, k, offset=offset + start)
+    else:
+        seed = _stream_seed(cfg.seed, g.graph_id, "strategy", round_idx)
+        planner = plan_random_walk if cfg.strategy == "random_walk" else plan_shortest_path
+        yield planner(g, beta, count, seed)
+    if incumbent is not None:
+        yield plan_mutations(g, *incumbent, beta, 2 * k,
+                             _stream_seed(cfg.seed, g.graph_id, "mutate", round_idx))
+
+
+def _drawn(draws, pool: list) -> Iterator[tuple[EdgeFlip, ...]]:
+    """Each non-empty plan of draws in draw order; a draw's plans join pool
+    as the draw is made."""
+    for draw in draws:
+        plans = [flips for flips in draw if flips]
+        pool += plans
+        yield from plans
 
 
 _SINGLE_CLASS = "single-class records"
@@ -142,6 +169,8 @@ def _binarize(losses) -> list[int] | None:
     score-mode confidences. Hard-label oracles yield constant losses here and
     legitimately leave nothing to fit.
     """
+    if len(set(losses)) < 2:
+        return None
     labels = [1 if loss > 0.5 else -1 for loss in losses]
     if len(set(labels)) < 2:
         med = float(np.median(losses))
@@ -233,17 +262,11 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
     for round_idx in range(cfg.rounds):
         # round 0 queries raw strategy plans; guided rounds draw a wider pool
         # (3x strategy windows plus local mutations) for the surrogate to cull
-        pool_k = cfg.k_candidates if round_idx == 0 else 3 * cfg.k_candidates
-        # each entry's candidate is apply_flips(g, flips)
-        pool = [flips for flips in _strategy_plans(g, beta, cfg, round_idx, pool_k, scores)
-                if flips]
-        if round_idx > 0 and records:
-            pool += plan_mutations(g, best_graph, best_flips, beta, 2 * cfg.k_candidates,
-                                   _stream_seed(cfg.seed, g.graph_id, "mutate", round_idx))
-        # (candidate, flips): an unscored pool builds each candidate only when
-        # the loop below reaches it
-        entries = ((apply_flips(g, flips), flips) for flips in pool)
+        draws = _pool_draws(g, beta, cfg, round_idx, scores,
+                            (best_graph, best_flips) if round_idx > 0 and records else None)
+        pool: list[tuple[EdgeFlip, ...]] = []  # the plans drawn, in draw order
         note = "strategy-only"
+        scorer = None
         distinct = None  # counted where the pool is scored, and so deduped
         if round_idx > 0 and len(losses) >= 2:
             scorer, note = _train_scorer(
@@ -251,7 +274,14 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
                 _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
             if scorer is None:
                 note = f"fallback:{note}"
-            elif pool:
+        if scorer is None:
+            # (candidate, flips): an unscored pool draws each plan and builds
+            # each candidate only when the loop below reaches it
+            entries = ((apply_flips(g, flips), flips) for flips in _drawn(draws, pool))
+        else:
+            pool = list(_drawn(draws, []))  # the scorer sees the whole pool
+            entries = []
+            if pool:
                 # one candidate per distinct plan, yet the scorer sees every
                 # drawn plan in draw order: an rbf or polynomial margin
                 # depends on its row in the batch

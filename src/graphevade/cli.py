@@ -197,7 +197,9 @@ def _load_bench_spec(path) -> dict:
     return spec
 
 
-def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tuple[BenchResult, dict]:
+def _bench_from_spec(spec: dict, seed_override: int | None, workers: int,
+                     checked=lambda: None) -> tuple[BenchResult, dict]:
+    """Check every value of spec, call checked(), then run the bench."""
     seed = spec.get("seed", 42) if seed_override is None else seed_override
     repetitions = spec.get("repetitions", 10)
     alpha = spec.get("alpha", 0.05)
@@ -237,6 +239,7 @@ def _bench_from_spec(spec: dict, seed_override: int | None, workers: int) -> tup
             check_rankable(len(methods), len(rows) * repetitions, alpha)
     except ValueError as exc:
         raise InvalidConfig(str(exc)) from exc
+    checked()
     started = time.monotonic()
 
     def progress(done: int, total: int) -> None:
@@ -276,8 +279,9 @@ def _write_rank_outputs(out_dir: Path, table: ResultTable, alpha: float) -> dict
 def cmd_bench(args) -> int:
     spec = _read("bench spec", args.spec, _load_bench_spec)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    result, meta = _bench_from_spec(spec, args.seed, args.workers)
+    # --out is made once the spec's values pass, before the first cell runs
+    result, meta = _bench_from_spec(spec, args.seed, args.workers,
+                                    checked=lambda: out_dir.mkdir(parents=True, exist_ok=True))
     report_doc = _write_rank_outputs(out_dir, result.table, meta["alpha"])
     _echo_config(out_dir, "bench", {"spec": spec, "seed": meta["seed"]})
     means = {

@@ -100,11 +100,13 @@ def eigencentrality(g: LabeledGraph, tol: float = 1e-10, max_iter: int = 100_000
     m = adjacency_matrix(g) + np.eye(g.n)
     xs = np.empty((_BLOCK + 1, g.n))
     xs[0] = 1.0 / math.sqrt(g.n)
+    steps_of_block = list(zip(xs[:-1], xs[1:]))  # (prev, row) views, made once
+    dot, sqrt = np.dot, math.sqrt
     for done in range(0, max_iter, _BLOCK):
         steps = min(_BLOCK, max_iter - done)
-        for prev, row in zip(xs[:steps], xs[1 : steps + 1]):
-            np.dot(m, prev, out=row)
-            row /= math.sqrt(np.dot(row, row))
+        for prev, row in steps_of_block[:steps]:
+            dot(m, prev, out=row)
+            row /= sqrt(dot(row, row))
         hit = np.abs(xs[1 : steps + 1] - xs[:steps]).max(axis=1) < tol
         if hit.any():
             x = np.clip(xs[1 + int(hit.argmax())], 0.0, None)

@@ -2,6 +2,7 @@ import ast
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,12 @@ from graphevade.attack_engine import (
     summary_to_json,
 )
 from graphevade.graph_core import GraphDataset, LabeledGraph, apply_flips, graph_hash
+from graphevade.perturb import (
+    plan_eigencentrality,
+    plan_mutations,
+    plan_random_walk,
+    plan_shortest_path,
+)
 from graphevade.synth_data import GeneratorConfig, generate
 from graphevade.target_lcd import BlackBoxQuery, QueryBudgetExhausted, evaluate, train_target
 from graphevade.wl_features import wl_feature_vectors
@@ -264,21 +271,15 @@ def test_unconverged_surrogate_falls_back_to_strategy_order(trained, monkeypatch
     ds, target = trained
     test = ds.subset("test")
     cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=5, rounds=3, epochs=1, seed=7)
-    pools = []  # per round, its pool in draw order
-    plans_fn, mutations_fn = engine_module._strategy_plans, engine_module.plan_mutations
+    pools = []  # per round, its whole pool in draw order
+    draws_fn = engine_module._pool_draws
 
-    def spy_plans(*args):
-        plans = plans_fn(*args)
-        pools.append([p for p in plans if p])
-        return plans
+    def spy_draws(*args):
+        # the planners are seeded, so a second pass draws the same plans
+        pools.append([p for draw in draws_fn(*args) for p in draw if p])
+        return draws_fn(*args)
 
-    def spy_mutations(*args):
-        muts = mutations_fn(*args)
-        pools[-1] += muts
-        return muts
-
-    monkeypatch.setattr(engine_module, "_strategy_plans", spy_plans)
-    monkeypatch.setattr(engine_module, "plan_mutations", spy_mutations)
+    monkeypatch.setattr(engine_module, "_pool_draws", spy_draws)
     g, y, clean = test.graphs[0], test.labels[0], evaluate(target, [test.graphs[0]])[0]
     out = attack_one(BlackBoxQuery(target, cfg.max_queries), g, y, cfg, clean_observation=clean)
     assert [d["surrogate"] for d in out.diagnostics] == [
@@ -401,6 +402,13 @@ def test_unscored_pools_build_only_the_candidates_they_examine(trained, monkeypa
                        oracle="label", seed=23)
     built, hashed = [], []
     apply_fn, hash_fn = engine_module.apply_flips, engine_module.graph_hash
+    draws_fn = engine_module._pool_draws
+    pooled = 0  # plans in the rounds' whole pools
+
+    def spy_draws(*args):
+        nonlocal pooled
+        pooled += sum(len([p for p in draw if p]) for draw in draws_fn(*args))
+        return draws_fn(*args)
 
     def counted_apply(g, flips):
         built.append(apply_fn(g, flips))
@@ -412,17 +420,19 @@ def test_unscored_pools_build_only_the_candidates_they_examine(trained, monkeypa
 
     monkeypatch.setattr(engine_module, "apply_flips", counted_apply)
     monkeypatch.setattr(engine_module, "graph_hash", counted_hash)
-    pooled = 0
+    monkeypatch.setattr(engine_module, "_pool_draws", spy_draws)
+    drawn = 0
     for g, y, (label, _) in zip(test.graphs, test.labels, evaluate(target, list(test.graphs))):
         if label != y:
             continue  # a clean loss of 1 would make the records two-class
         out = attack_one(BlackBoxQuery(target, cfg.max_queries, "label"), g, y, cfg,
                          clean_observation=(label, 1.0))
         assert all(d["surrogate"] != "trained" for d in out.diagnostics)
-        pooled += sum(d["pool"] for d in out.diagnostics)
-    # every candidate built was examined (hashed), in the order built
+        drawn += sum(d["pool"] for d in out.diagnostics)
+    # every candidate built was examined (hashed), in the order built, and
+    # only part of the pools was drawn
     assert [id(c) for c in built] == [id(c) for c in hashed]
-    assert len(built) < pooled
+    assert len(built) <= drawn < pooled
 
 
 def test_scored_rounds_build_each_distinct_plan_once(trained, monkeypatch):
@@ -431,19 +441,15 @@ def test_scored_rounds_build_each_distinct_plan_once(trained, monkeypatch):
     ds, target = trained
     test = ds.subset("test")
     cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=6, rounds=3, seed=23)
-    rounds = []  # per round: plans drawn, (plan, graph) built, graphs scored
-    plans_fn, mutations_fn = engine_module._strategy_plans, engine_module.plan_mutations
+    rounds = []  # per round: its whole pool, (plan, graph) built, graphs scored
+    draws_fn = engine_module._pool_draws
     apply_fn, train_fn = engine_module.apply_flips, engine_module._train_scorer
 
-    def spy_plans(*args):
-        plans = plans_fn(*args)
-        rounds.append({"pool": [p for p in plans if p], "built": [], "scored": None})
-        return plans
-
-    def spy_mutations(*args):
-        muts = mutations_fn(*args)
-        rounds[-1]["pool"] += muts
-        return muts
+    def spy_draws(*args):
+        # the planners are seeded, so a second pass draws the same plans
+        pool = [p for draw in draws_fn(*args) for p in draw if p]
+        rounds.append({"pool": pool, "built": [], "scored": None})
+        return draws_fn(*args)
 
     def spy_apply(g, flips):
         rounds[-1]["built"].append((flips, apply_fn(g, flips)))
@@ -460,8 +466,7 @@ def test_scored_rounds_build_each_distinct_plan_once(trained, monkeypatch):
 
         return spy_scorer, note
 
-    monkeypatch.setattr(engine_module, "_strategy_plans", spy_plans)
-    monkeypatch.setattr(engine_module, "plan_mutations", spy_mutations)
+    monkeypatch.setattr(engine_module, "_pool_draws", spy_draws)
     monkeypatch.setattr(engine_module, "apply_flips", spy_apply)
     monkeypatch.setattr(engine_module, "_train_scorer", spy_train)
     scored = repeats = 0
@@ -471,10 +476,11 @@ def test_scored_rounds_build_each_distinct_plan_once(trained, monkeypatch):
                          clean_observation=obs)
         assert len(rounds) == len(out.diagnostics)
         for r, d in zip(rounds, out.diagnostics):
-            assert d["pool"] == len(r["pool"])
             if r["scored"] is None:
+                assert d["pool"] <= len(r["pool"])  # an unscored pool is drawn lazily
                 continue
             scored += 1
+            assert d["pool"] == len(r["pool"])
             assert d["distinct"] == len(set(r["pool"]))
             repeats += len(r["pool"]) - d["distinct"]
             assert [flips for flips, _ in r["built"]] == list(dict.fromkeys(r["pool"]))
@@ -482,6 +488,30 @@ def test_scored_rounds_build_each_distinct_plan_once(trained, monkeypatch):
             assert len(r["scored"]) == len(r["pool"])
             assert all(c is graph_of[flips] for c, flips in zip(r["scored"], r["pool"]))
     assert scored and repeats  # some scored pools drew a plan more than once
+
+
+def test_label_oracle_with_fresh_windows_draws_no_mutations(trained, monkeypatch):
+    # hard labels leave every round unscored; when a round's first k
+    # eigencentrality windows are all fresh, the walk stops there and the
+    # incumbent's mutations are never drawn
+    ds, target = trained
+    test = ds.subset("test")
+    cfg = AttackConfig(r=3.0 / 900, max_queries=30, k_candidates=6, rounds=3,
+                       oracle="label", seed=23)
+    mutated = []
+    monkeypatch.setattr(engine_module, "plan_mutations",
+                        lambda *args: mutated.append(args) or [])
+    guided = 0
+    for g, y, (label, _) in zip(test.graphs, test.labels, evaluate(target, list(test.graphs))):
+        if label != y:
+            continue  # a clean loss of 1 would make the records two-class
+        out = attack_one(BlackBoxQuery(target, cfg.max_queries, "label"), g, y, cfg,
+                         clean_observation=(label, 1.0))
+        assert [d["queried"] for d in out.diagnostics[:-1]] == (
+            [cfg.k_candidates] * (len(out.diagnostics) - 1))
+        assert all(d["pool"] == cfg.k_candidates for d in out.diagnostics)
+        guided += len(out.diagnostics) - 1  # rounds that had an incumbent
+    assert guided and not mutated
 
 
 # --- batched queries ----------------------------------------------------------
@@ -538,6 +568,74 @@ def test_prefetch_leaves_every_outcome_unchanged(trained, data):
         changed = apply_flips(g, rec.flips).edge_pairs ^ g.edge_pairs
         assert len(changed) <= hinted.beta
     assert len(hinted.best_graph.edge_pairs ^ g.edge_pairs) <= hinted.beta
+
+
+def _eager_pool_draws(g, beta, cfg, round_idx, scores, incumbent):
+    """The reference pool: every plan of the round in one draw, each planner
+    called once for the round's whole count."""
+    k = cfg.k_candidates
+    count = k if round_idx == 0 else 3 * k
+    seed = engine_module._stream_seed(cfg.seed, g.graph_id, "strategy", round_idx)
+    if cfg.strategy == "eigencentrality":
+        offset = (k if round_idx > 0 else 0) + max(0, round_idx - 1) * count
+        plans = plan_eigencentrality(g, beta, scores, count, offset=offset)
+    elif cfg.strategy == "random_walk":
+        plans = plan_random_walk(g, beta, count, seed)
+    else:
+        plans = plan_shortest_path(g, beta, count, seed)
+    if incumbent is not None:
+        plans = plans + plan_mutations(
+            g, *incumbent, beta, 2 * k,
+            engine_module._stream_seed(cfg.seed, g.graph_id, "mutate", round_idx))
+    return iter([plans])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_lazy_pools_leave_every_outcome_unchanged(trained, data):
+    ds, target = trained
+    vocabulary = sorted({lab for h in ds.graphs for lab in h.node_labels})
+    g = data.draw(tiny_graphs(vocabulary[:4])
+                  | st.sampled_from(ds.subset("test").graphs))
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    rounds = data.draw(st.integers(min_value=1, max_value=3))
+    max_queries = data.draw(st.sampled_from([0] + list(range(k, rounds * k + 1))))
+    oracle = data.draw(st.sampled_from(["score", "label"]))
+    cfg = AttackConfig(r=data.draw(st.sampled_from([0.02, 0.1, 0.3])),
+                       strategy=data.draw(st.sampled_from(engine_module.STRATEGIES)),
+                       surrogate=data.draw(st.sampled_from(["svm_rbf", "naive_bayes"])),
+                       max_queries=max_queries, k_candidates=k, rounds=rounds,
+                       oracle=oracle, seed=data.draw(st.integers(0, 3)))
+    label, conf = evaluate(target, [g])[0]
+    y = data.draw(st.sampled_from([label, label, -label]))
+    clean = (label, 1.0) if oracle == "label" else (label, conf)
+    draws_fn = engine_module._pool_draws
+    made = []  # per round, the non-empty plans of the draws the walk made
+
+    def counted_draws(*args):
+        made.append(0)
+        for draw in draws_fn(*args):
+            made[-1] += sum(1 for flips in draw if flips)
+            yield draw
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_module, "_pool_draws", counted_draws)
+        lazy = attack_one(BlackBoxQuery(target, max_queries, oracle), g, y, cfg, clean)
+        mp.setattr(engine_module, "_pool_draws", _eager_pool_draws)
+        eager = attack_one(BlackBoxQuery(target, max_queries, oracle), g, y, cfg, clean)
+    assert [d["pool"] for d in lazy.diagnostics] == made
+
+    def without_pool(out):
+        return replace(out, diagnostics=tuple(
+            {key: v for key, v in d.items() if key != "pool"} for d in out.diagnostics))
+
+    # the pool sizes differ: an eager round counts every plan it drew
+    assert _outcome(without_pool(lazy)) == _outcome(without_pool(eager))
+    for d_lazy, d_eager in zip(lazy.diagnostics, eager.diagnostics):
+        if d_lazy["distinct"] is None:  # unscored: drawn no further than needed
+            assert d_lazy["pool"] <= d_eager["pool"]
+        else:
+            assert d_lazy["pool"] == d_eager["pool"]
 
 
 def test_each_round_asks_the_target_once(trained, monkeypatch):

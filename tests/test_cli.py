@@ -386,7 +386,7 @@ def test_bench_invalid_value_exit_2(tmp_path, capsys, section, value):
     spec = write_spec(tmp_path / "bad.json", dict(BENCH_SPEC, **{section: value}))
     assert run(["bench", "--spec", spec, "--out", tmp_path / "o"]) == 2
     assert capsys.readouterr().err.startswith("config error")
-    assert not (tmp_path / "o" / "results.csv").exists()
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("text,message", [

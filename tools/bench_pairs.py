@@ -15,7 +15,11 @@ The output holds one row per (workload, seed): every end-to-end metric's
 runs, median and quartiles (``statistics.quantiles``, inclusive) per side,
 and ``change_wins_pairs``: for each end-to-end metric, the pairs in which the
 change read better, in the direction (``better``) that the change's
-``BENCHMARK.json`` gives it; a tie counts for neither side. Each row also
+``BENCHMARK.json`` gives it; a tie counts for neither side. For each
+end-to-end metric, ``change_median_beyond_parent_iqr`` says whether the
+change's median lies beyond the parent's interquartile range (IQR) in that
+direction: above the parent's upper quartile when higher is better, below
+its lower quartile when lower is. Each row also
 names what it compared: ``seconds`` per run and, per side, the checkout's
 ``git rev-parse HEAD`` and whether its tracked files differ from that commit
 (``dirty``), both null outside git. Rows of other (workload, seed) keys
@@ -39,7 +43,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WHAT = ("attackbench/run.py --trace 0, single worker, alternating pairs of the parent "
         "and the change (odd pairs parent first); change_wins_pairs counts, for each "
         "end-to-end metric, the pairs where the change read better in the direction "
-        "BENCHMARK.json gives it (ties count for neither side)")
+        "BENCHMARK.json gives it (ties count for neither side); "
+        "change_median_beyond_parent_iqr says whether the change's median lies past the "
+        "parent's quartile on that better side")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -108,6 +114,14 @@ def wins(metric: dict, better: str) -> int:
     return sum(sign * (c - p) > 0 for p, c in pairs)
 
 
+def beyond_iqr(metric: dict, better: str) -> bool:
+    """Whether the change's median lies past the parent's quartile on the
+    better side."""
+    if better == "higher":
+        return metric["change"]["median"] > metric["parent"]["q3"]
+    return metric["change"]["median"] < metric["parent"]["q1"]
+
+
 def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seed: int,
                    seconds: float) -> dict:
     checkouts = {"parent": git_state(parent), "change": git_state(change)}
@@ -125,13 +139,13 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seed: 
                for side in ("parent", "change")}
         for name in runs["parent"][0]["metrics"]
     }
-    change_wins = {
-        name: f"{wins(metrics[name], better)}/{pairs}"
-        for name, better in better_directions(change).items()
-    }
+    directions = better_directions(change)
+    change_wins = {name: f"{wins(metrics[name], better)}/{pairs}"
+                   for name, better in directions.items()}
+    beyond = {name: beyond_iqr(metrics[name], better) for name, better in directions.items()}
     return {"workload": workload, "seed": seed, "pairs": pairs, "seconds": seconds,
             "checkouts": checkouts, "correct": True, "failed": 0, "metrics": metrics,
-            "change_wins_pairs": change_wins}
+            "change_wins_pairs": change_wins, "change_median_beyond_parent_iqr": beyond}
 
 
 def main(argv=None) -> int:
