@@ -6,6 +6,9 @@ This module talks to the victim exclusively through the query interface
 touches target model internals. An interface may also offer prefetch(graphs),
 an optional speed hint: each round hands it the round's query list before
 asking the queries one by one, and the attack decides the same either way.
+attack_testset attacks a cell's graphs in lock-step, each through its own
+BlackBoxQuery, and hands every round's lists of the whole cell to one
+BlackBoxQuery.prefetch_many, so the target answers a round in one pass.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -219,29 +223,78 @@ def _train_scorer(graphs, losses, cfg: AttackConfig, seed: int):
         return None, f"{type(exc).__name__}"
 
 
-def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
-               clean_observation: tuple[int, float] | None = None) -> AttackOutcome:
-    """Attack a single graph through the black-box query interface.
+def _round_picks(g: LabeledGraph, beta: int, cfg: AttackConfig, round_idx: int, scores,
+                 graphs: list, losses: list, records: list, incumbent,
+                 ) -> tuple[dict[str, tuple[LabeledGraph, tuple[EdgeFlip, ...]]], dict]:
+    """One round's query list, as {digest: (candidate, flips)}, and the round's
+    diagnostics so far; the pool, its candidates and the surrogate are
+    dropped on return.
 
-    Round 0 queries the raw strategy candidates. Later rounds retrain the
-    surrogate on everything observed so far, score a fresh pool (new strategy
-    plans plus one-flip mutations of the incumbent), and spend queries on the
-    top k candidates. Stops on the first prediction flip, when rounds are
-    exhausted, or when the query budget runs out; returns the max-loss graph.
+    Round 0 queries raw strategy plans; guided rounds draw a wider pool (3x
+    strategy windows plus local mutations) for the surrogate to cull."""
+    draws = _pool_draws(g, beta, cfg, round_idx, scores,
+                        incumbent if round_idx > 0 and records else None)
+    pool: list[tuple[EdgeFlip, ...]] = []  # the plans drawn, in draw order
+    note = "strategy-only"
+    scorer = None
+    distinct = None  # counted where the pool is scored, and so deduped
+    if round_idx > 0 and len(losses) >= 2:
+        scorer, note = _train_scorer(
+            graphs, losses, cfg,
+            _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
+        if scorer is None:
+            note = f"fallback:{note}"
+    if scorer is None:
+        # (candidate, flips): an unscored pool draws each plan and builds
+        # each candidate only when the loop below reaches it
+        entries = ((apply_flips(g, flips), flips) for flips in _drawn(draws, pool))
+    else:
+        pool = list(_drawn(draws, []))  # the scorer sees the whole pool
+        entries = []
+        if pool:
+            # one candidate per distinct plan, yet the scorer sees every
+            # drawn plan in draw order: an rbf or polynomial margin
+            # depends on its row in the batch
+            slots: dict[tuple[EdgeFlip, ...], int] = {}
+            rows = [slots.setdefault(flips, len(slots)) for flips in pool]
+            plans = list(slots)
+            distinct = len(plans)
+            cands = [apply_flips(g, flips) for flips in plans]
+            order = np.argsort(-scorer([cands[i] for i in rows]), kind="stable").tolist()
+            # each plan once, at its best-scored row
+            entries = [(cands[i], plans[i]) for i in dict.fromkeys(rows[j] for j in order)]
+    # the first k entries not queried before, one per digest; no entry is
+    # built past them
+    queried = {rec.digest for rec in records}
+    picked: dict[str, tuple[LabeledGraph, tuple[EdgeFlip, ...]]] = {}
+    for candidate, flips in entries:
+        digest = graph_hash(candidate)
+        if digest not in queried and digest not in picked:
+            picked[digest] = (candidate, flips)
+            if len(picked) >= cfg.k_candidates:
+                break
+    return picked, {"round": round_idx, "surrogate": note, "pool": len(pool),
+                    "distinct": distinct}
 
-    clean_observation is the target's output on the unperturbed graph, which
-    the attack module sees for free as it sits on the input stream; it anchors
-    the surrogate's training set without consuming budget.
 
-    A graph with no room for the flip budget (a single node, say) comes back
-    unattacked: beta 0, no records, no queries.
-    """
+def _attack_rounds(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
+                   clean_observation: tuple[int, float] | None = None):
+    """attack_one's attack as a generator: each round yields its query list
+    (the candidates it is about to query, in order) before it asks them, and
+    the generator returns the AttackOutcome. Whoever drives it may batch the
+    target's work on a yielded list; the queries are asked the same either
+    way. A graph that cannot be attacked returns before its first yield."""
     try:
         beta = flip_budget(cfg.r, g.n)
     except BudgetExceedsPairs:
         return AttackOutcome(g.graph_id, 0, g, (), 0.0, False,
                              query_iface.queries_used, (), ())
-    scores = eigencentrality(g) if cfg.strategy == "eigencentrality" else None
+    try:
+        scores = eigencentrality(g) if cfg.strategy == "eigencentrality" else None
+    except DidNotConverge as exc:
+        # without a ranking there is nothing to plan; the graph's cell goes on
+        return AttackOutcome(g.graph_id, beta, g, (), 0.0, False, query_iface.queries_used,
+                             (), ({"unattacked": f"{type(exc).__name__}: {exc}"},))
     records: list[AttackRecord] = []
     # the surrogate's training set: the anchor and each queried candidate,
     # parallel to losses; each graph keeps its own WL vector
@@ -256,55 +309,11 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         graphs.append(g)
         losses.append(attack_loss(clean_observation, y))
 
-    # an optional batching hint: one target pass over each round's query list
-    prefetch = getattr(query_iface, "prefetch", None)
     stop = False
     for round_idx in range(cfg.rounds):
-        # round 0 queries raw strategy plans; guided rounds draw a wider pool
-        # (3x strategy windows plus local mutations) for the surrogate to cull
-        draws = _pool_draws(g, beta, cfg, round_idx, scores,
-                            (best_graph, best_flips) if round_idx > 0 and records else None)
-        pool: list[tuple[EdgeFlip, ...]] = []  # the plans drawn, in draw order
-        note = "strategy-only"
-        scorer = None
-        distinct = None  # counted where the pool is scored, and so deduped
-        if round_idx > 0 and len(losses) >= 2:
-            scorer, note = _train_scorer(
-                graphs, losses, cfg,
-                _stream_seed(cfg.seed, g.graph_id, "surrogate", round_idx))
-            if scorer is None:
-                note = f"fallback:{note}"
-        if scorer is None:
-            # (candidate, flips): an unscored pool draws each plan and builds
-            # each candidate only when the loop below reaches it
-            entries = ((apply_flips(g, flips), flips) for flips in _drawn(draws, pool))
-        else:
-            pool = list(_drawn(draws, []))  # the scorer sees the whole pool
-            entries = []
-            if pool:
-                # one candidate per distinct plan, yet the scorer sees every
-                # drawn plan in draw order: an rbf or polynomial margin
-                # depends on its row in the batch
-                slots: dict[tuple[EdgeFlip, ...], int] = {}
-                rows = [slots.setdefault(flips, len(slots)) for flips in pool]
-                plans = list(slots)
-                distinct = len(plans)
-                cands = [apply_flips(g, flips) for flips in plans]
-                order = np.argsort(-scorer([cands[i] for i in rows]), kind="stable").tolist()
-                # each plan once, at its best-scored row
-                entries = [(cands[i], plans[i]) for i in dict.fromkeys(rows[j] for j in order)]
-        # the round's query list: the first k entries not queried before, one
-        # per digest; no entry is built past it
-        queried = {rec.digest for rec in records}
-        picked: dict[str, tuple[LabeledGraph, tuple[EdgeFlip, ...]]] = {}
-        for candidate, flips in entries:
-            digest = graph_hash(candidate)
-            if digest not in queried and digest not in picked:
-                picked[digest] = (candidate, flips)
-                if len(picked) >= cfg.k_candidates:
-                    break
-        if prefetch is not None:
-            prefetch([candidate for candidate, _ in picked.values()])
+        picked, diagnostic = _round_picks(g, beta, cfg, round_idx, scores, graphs, losses,
+                                          records, (best_graph, best_flips))
+        yield [candidate for candidate, _ in picked.values()]
         fresh = 0
         for digest, (candidate, flips) in picked.items():
             fresh += 1
@@ -326,9 +335,7 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
             if success:
                 stop = True
                 break
-        diagnostics.append({"round": round_idx, "surrogate": note,
-                            "pool": len(pool), "distinct": distinct, "queried": fresh,
-                            "records": len(records)})
+        diagnostics.append({**diagnostic, "queried": fresh, "records": len(records)})
         if stop:
             break
     return AttackOutcome(
@@ -342,6 +349,37 @@ def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
         records=tuple(records),
         diagnostics=tuple(diagnostics),
     )
+
+
+def attack_one(query_iface, g: LabeledGraph, y: int, cfg: AttackConfig,
+               clean_observation: tuple[int, float] | None = None) -> AttackOutcome:
+    """Attack a single graph through the black-box query interface.
+
+    Round 0 queries the raw strategy candidates. Later rounds retrain the
+    surrogate on everything observed so far, score a fresh pool (new strategy
+    plans plus one-flip mutations of the incumbent), and spend queries on the
+    top k candidates. Stops on the first prediction flip, when rounds are
+    exhausted, or when the query budget runs out; returns the max-loss graph.
+
+    clean_observation is the target's output on the unperturbed graph, which
+    the attack module sees for free as it sits on the input stream; it anchors
+    the surrogate's training set without consuming budget.
+
+    A graph with no room for the flip budget (a single node, say) comes back
+    unattacked: beta 0, no records, no queries. So does a graph whose
+    eigencentrality does not converge, with its beta and a diagnostic that
+    names the reason.
+    """
+    rounds = _attack_rounds(query_iface, g, y, cfg, clean_observation)
+    # an optional batching hint: one target pass over each round's query list
+    prefetch = getattr(query_iface, "prefetch", None)
+    while True:
+        try:
+            asked = next(rounds)
+        except StopIteration as done:
+            return done.value
+        if prefetch is not None:
+            prefetch(asked)
 
 
 @dataclass
@@ -367,10 +405,25 @@ class AttackSummary:
     config: AttackConfig
 
 
-def _attack_task(args) -> AttackOutcome:
-    target, g, y, cfg, clean_observation = args
-    iface = BlackBoxQuery(target, cfg.max_queries, cfg.oracle)
-    return attack_one(iface, g, y, cfg, clean_observation=clean_observation)
+def _attack_share(target, tasks, cfg: AttackConfig) -> list[AttackOutcome]:
+    """attack_one's outcome for each (graph, label, clean observation) task,
+    each graph through its own ledger, with the graphs attacked in lock-step:
+    each round, one target pass answers the query lists of every graph still
+    attacking, then each graph resumes."""
+    ledgers = [BlackBoxQuery(target, cfg.max_queries, cfg.oracle) for _ in tasks]
+    runs = [_attack_rounds(ledger, g, y, cfg, obs) for ledger, (g, y, obs) in zip(ledgers, tasks)]
+    outcomes: list[AttackOutcome | None] = [None] * len(tasks)
+    live = range(len(tasks))
+    while live:
+        asks = []
+        for i in live:
+            try:
+                asks.append((i, next(runs[i])))
+            except StopIteration as done:
+                outcomes[i] = done.value
+        BlackBoxQuery.prefetch_many([(ledgers[i], asked) for i, asked in asks])
+        live = [i for i, _ in asks]
+    return outcomes
 
 
 def attack_testset(target, ds_test: GraphDataset, cfg: AttackConfig,
@@ -392,12 +445,16 @@ def attack_testset(target, ds_test: GraphDataset, cfg: AttackConfig,
         clean_obs = [(lab, 1.0) for lab, _ in clean]
     else:
         clean_obs = clean
-    tasks = [(target, g, y, cfg, obs) for g, y, obs in zip(graphs, ys, clean_obs)]
+    tasks = list(zip(graphs, ys, clean_obs))
     if workers > 1:
+        # each worker attacks one contiguous share in lock-step
+        size = -(-len(tasks) // workers)
+        shares = [tasks[i:i + size] for i in range(0, len(tasks), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_attack_task, tasks, chunksize=8))
+            outcomes = [o for share in pool.map(_attack_share, repeat(target), shares, repeat(cfg))
+                        for o in share]
     else:
-        outcomes = [_attack_task(t) for t in tasks]
+        outcomes = _attack_share(target, tasks, cfg)
     results = []
     clean_correct = 0
     attacked_correct = 0

@@ -15,13 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
-from operator import mul
 from typing import Sequence
 
 import numpy as np
 
-from .graph_core import _sum_left_to_right, json_value
+from .graph_core import json_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,9 +188,10 @@ class TrainedSvm:
     """Support vectors, dual coefficients, bias, kernel spec, and Platt calibration.
 
     The decision function is fully determined by the stored fields; _cache is
-    derived from them on demand. For a linear kernel it holds only the weight
-    of each key (w_sparse); for any other kernel, the support vectors as a
-    matrix over their keys, their squared norms and their dual coefficients.
+    derived from them on demand. For a linear kernel it holds only the key
+    space and the weight of each key, with a trailing 0.0 that keys outside
+    the space read; for any other kernel, the support vectors as a matrix over
+    their keys, their squared norms and their dual coefficients.
     """
 
     support_vectors: tuple
@@ -212,8 +211,7 @@ class TrainedSvm:
         x, keys = _as_matrix(self.support_vectors)
         coef = self.alphas * self.sv_labels
         if self.spec.kind == "linear":
-            w = coef @ x
-            return {"w_sparse": dict(zip(zip(keys.levels.tolist(), keys.ids.tolist()), w.tolist()))}
+            return {"keys": keys, "w": np.append(coef @ x, 0.0)}
         return {"x": x, "keys": keys, "sq": np.sum(x * x, axis=1), "coef": coef}
 
     def __getstate__(self):
@@ -470,6 +468,24 @@ def svm_train(X: Sequence, y: Sequence, spec: KernelSpec, C: float = 1.0,
     )
 
 
+def _linear_sums(queries: list[SparseVector], keys: _KeySpace, w: np.ndarray) -> np.ndarray:
+    """Per query, w_k * value_k summed left to right over its entries from
+    0.0, with w[-1] = 0.0 the weight of keys outside the space.
+
+    Row r of a zero-padded matrix holds 0.0 and then query r's terms, so a
+    cumulative sum along it takes the same roundings, in the same order, as
+    a Python loop over the terms; the padding after a row's last term adds
+    0.0, which leaves a sum that started at 0.0 as it is."""
+    if not queries:
+        return np.zeros(0)
+    rows, levels, ids, values = _stack(queries)
+    sizes = np.bincount(rows, minlength=len(queries))
+    starts = np.cumsum(sizes) - sizes
+    terms = np.zeros((len(queries), int(sizes.max()) + 1))
+    terms[rows, np.arange(len(rows)) - starts[rows] + 1] = w[keys.columns(levels, ids)] * values
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
 def svm_margins(model: TrainedSvm, X: Sequence) -> np.ndarray:
     """Decision values sum_i alpha_i y_i K(x_i, x) + b for a batch of vectors."""
     queries = _as_sparse(X)
@@ -477,11 +493,7 @@ def svm_margins(model: TrainedSvm, X: Sequence) -> np.ndarray:
         return np.full(len(queries), model.bias)
     cache = model._cache
     if model.spec.kind == "linear":
-        # w_k * value_k summed left to right over each query's entries
-        weight = cache["w_sparse"].get
-        terms = (map(mul, map(weight, zip(q.levels.tolist(), q.ids.tolist()), repeat(0.0)),
-                     q.values.tolist()) for q in queries)
-        return np.array([_sum_left_to_right(t) + model.bias for t in terms])
+        return _linear_sums(queries, cache["keys"], cache["w"]) + model.bias
     xq, res = _project(queries, cache["keys"])
     kmat = _kernel(model.spec, xq @ cache["x"].T, np.sum(xq * xq, axis=1) + res, cache["sq"])
     return kmat @ cache["coef"] + model.bias

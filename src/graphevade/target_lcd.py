@@ -9,8 +9,9 @@ confidence, never parameters or gradients.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph_core import GraphDataset, LabeledGraph, graph_hash, json_value
 from .learners import (
@@ -46,12 +47,25 @@ class TargetModel:
     test_accuracy: float | None
 
 
+def _unit_rows(vecs: list[WlFeatureVector]) -> list[SparseVector]:
+    """Each histogram over its L2 norm, taken from the exact integer sum of
+    squares of its counts (at least 1: a graph has a node, so level 0 counts
+    it), all in one batch; each row equals its histogram normalised alone."""
+    if not vecs:
+        return []
+    sizes = [len(v.values) for v in vecs]
+    counts = np.concatenate([v.values for v in vecs])
+    rows = np.repeat(np.arange(len(vecs)), sizes)
+    # float sums of integer squares stay exact below 2**53
+    norms = np.sqrt(np.bincount(rows, weights=counts * counts, minlength=len(vecs)))
+    unit = counts / norms[rows]
+    ends = np.cumsum(sizes).tolist()
+    return [SparseVector(v.levels, v.ids, unit[b - len(v.values):b]) for v, b in zip(vecs, ends)]
+
+
 def _unit_counts(v: WlFeatureVector) -> SparseVector:
-    """The histogram over its L2 norm, taken from the exact integer sum of
-    squares of the counts (at least 1: a graph has a node, so level 0 counts
-    it)."""
-    norm = math.sqrt(int(v.values @ v.values))
-    return SparseVector(v.levels, v.ids, v.values / norm)
+    """One histogram over its L2 norm, as _unit_rows normalises it."""
+    return _unit_rows([v])[0]
 
 
 def evaluate(model: TargetModel, graphs) -> list[tuple[int, float]]:
@@ -59,7 +73,7 @@ def evaluate(model: TargetModel, graphs) -> list[tuple[int, float]]:
     per graph; the label is the calibrated probability thresholded at 0.5 so
     confidence is always >= 0.5."""
     vecs = wl_feature_vectors(list(graphs), model.wl_iters)
-    margins = svm_margins(model.svm, [_unit_counts(v) for v in vecs])
+    margins = svm_margins(model.svm, _unit_rows(vecs))
     p_plus = [svm_probability(model.svm, float(m)) for m in margins]
     return [(1, p) if p >= 0.5 else (-1, 1.0 - p) for p in p_plus]
 
@@ -91,7 +105,7 @@ def train_target(ds: GraphDataset, wl_iters: int = TargetConfig.wl_iters,
     test = ds.subset("test")
     vecs = wl_feature_vectors(list(train.graphs), wl_iters)
     svm = svm_train(
-        [_unit_counts(v) for v in vecs],
+        _unit_rows(vecs),
         list(train.labels),
         KernelSpec("linear"),
         C=C,
@@ -141,7 +155,8 @@ def attack_loss(observed: tuple[int, float], y: int) -> float:
 class BlackBoxQuery:
     """The only surface the attack engine sees: query(g) -> (label, confidence),
     plus its own budget accounting and prefetch(graphs), which batches the
-    work of the queries to come. It is its own append-only ledger: _cache
+    work of the queries to come (prefetch_many batches it across ledgers).
+    It is its own append-only ledger: _cache
     holds one (label, confidence) per charged digest, and _pending the answers
     that prefetch computed ahead of their queries. Not thread-safe; callers
     serialize queries against one instance."""
@@ -165,16 +180,31 @@ class BlackBoxQuery:
         not yet answered, as many as the remaining budget can reveal. Nothing
         is charged or revealed, and each call replaces the previous batch; a
         speed hint only, query() answers the same with or without it."""
-        todo: dict[str, LabeledGraph] = {}
-        room = self.max_queries - self.count
-        for g in graphs:
-            if len(todo) >= room:
-                break
-            digest = graph_hash(g)
-            if digest not in self._cache:
-                todo.setdefault(digest, g)
-        answers = evaluate(self._model, todo.values()) if todo else []
-        self._pending = dict(zip(todo, answers))
+        BlackBoxQuery.prefetch_many([(self, graphs)])
+
+    @staticmethod
+    def prefetch_many(requests) -> None:
+        """prefetch(graphs) for each (ledger, graphs) of requests, all ledgers
+        on one model, in one target pass over the union of their batches;
+        a digest that several batches hold is computed once."""
+        requests = list(requests)
+        if len({id(ledger._model) for ledger, _ in requests}) > 1:
+            raise ValueError("prefetch_many needs ledgers on one model")
+        union: dict[str, LabeledGraph] = {}
+        batches = []
+        for ledger, graphs in requests:
+            todo: dict[str, LabeledGraph] = {}
+            room = ledger.max_queries - ledger.count
+            for g in graphs:
+                if len(todo) >= room:
+                    break
+                digest = graph_hash(g)
+                if digest not in ledger._cache and digest not in todo:
+                    todo[digest] = union.setdefault(digest, g)
+            batches.append(todo)
+        answers = dict(zip(union, evaluate(requests[0][0]._model, union.values()))) if union else {}
+        for (ledger, _), todo in zip(requests, batches):
+            ledger._pending = {digest: answers[digest] for digest in todo}
 
     @property
     def count(self) -> int:

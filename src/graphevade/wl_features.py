@@ -138,9 +138,10 @@ def _extract(graphs: Sequence[LabeledGraph], wl_iters: int) -> list[WlFeatureVec
     ids = np.concatenate(rows)
     n = len(ids)
     block = np.repeat(np.arange((wl_iters + 1) * m), sizes * (wl_iters + 1))  # list repetition
-    # runs of equal (block, id); the sort is stable, so each run opens at its
-    # key's first-seen node
-    order = np.lexsort((ids, block))
+    # runs of equal (block, id): entries run block by block, so a stable sort
+    # on the id alone keeps each run contiguous and opens it at its key's
+    # first-seen node
+    order = np.argsort(ids, kind="stable")
     ids, block = ids[order], block[order]
     opens = np.empty(n + 1, dtype=bool)
     opens[0] = opens[n] = True

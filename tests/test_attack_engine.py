@@ -20,7 +20,9 @@ from graphevade.attack_engine import (
     summary_to_json,
 )
 from graphevade.graph_core import GraphDataset, LabeledGraph, apply_flips, graph_hash
+from graphevade.learners import DidNotConverge
 from graphevade.perturb import (
+    flip_budget,
     plan_eigencentrality,
     plan_mutations,
     plan_random_walk,
@@ -658,6 +660,114 @@ def test_each_round_asks_the_target_once(trained, monkeypatch):
         # one batch per round that had candidates, and no one-graph query
         assert len(batches) == sum(d["queried"] > 0 for d in out.diagnostics)
         assert sum(batches) >= len(out.records)
+
+
+def _fresh(g, graph_id):
+    """g as a new object under graph_id: no digest, WL vector or memo kept."""
+    return LabeledGraph._trusted(graph_id, g.node_labels, g.node_tiers, g.edges)
+
+
+def _alone(target, graphs, ys, cfg):
+    """attack_one's outcome for each graph, each on a fresh copy and ledger."""
+    clean = evaluate(target, [_fresh(g, g.graph_id) for g in graphs])
+    return [attack_one(BlackBoxQuery(target, cfg.max_queries, cfg.oracle),
+                       _fresh(g, g.graph_id), y, cfg,
+                       (lab, 1.0) if cfg.oracle == "label" else (lab, conf))
+            for g, y, (lab, conf) in zip(graphs, ys, clean)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_lock_step_outcomes_equal_each_graph_alone(trained, data):
+    ds, target = trained
+    vocabulary = sorted({lab for h in ds.graphs for lab in h.node_labels})
+    drawn = data.draw(st.lists(tiny_graphs(vocabulary[:4])
+                               | st.sampled_from(ds.subset("test").graphs), max_size=4))
+    # a 1-node graph returns before its first round
+    solo = LabeledGraph("solo", (vocabulary[0],), ("object",), ())
+    graphs = [_fresh(g, f"g{i}") for i, g in enumerate(drawn)] + [solo]
+    k = data.draw(st.integers(min_value=1, max_value=4))
+    rounds = data.draw(st.integers(min_value=1, max_value=3))
+    cfg = AttackConfig(r=data.draw(st.sampled_from([0.02, 0.1, 0.3])),
+                       strategy=data.draw(st.sampled_from(engine_module.STRATEGIES)),
+                       surrogate=data.draw(st.sampled_from(["svm_rbf", "naive_bayes"])),
+                       max_queries=data.draw(st.sampled_from([0] + list(range(k, rounds * k + 1)))),
+                       k_candidates=k, rounds=rounds,
+                       oracle=data.draw(st.sampled_from(["score", "label"])),
+                       seed=data.draw(st.integers(0, 3)))
+    # a label the clean graph already misses flips with the first query, so
+    # that graph stops in round 0 while the others go on
+    ys = [data.draw(st.sampled_from([lab, lab, -lab])) for lab, _ in evaluate(target, graphs)]
+    summary = attack_testset(target, GraphDataset.from_graphs(graphs, ys, ["test"] * len(graphs)),
+                             cfg)
+    assert ([_outcome(r.outcome) for r in summary.results]
+            == [_outcome(o) for o in _alone(target, graphs, ys, cfg)])
+
+
+def test_lock_step_asks_the_target_once_per_round(trained, monkeypatch):
+    ds, target = trained
+    test = ds.subset("test")
+    graphs = list(test.graphs[:8]) + [LabeledGraph("solo", ("l00",), ("object",), ())]
+    clean = evaluate(target, graphs)
+    # every other graph is labelled against its clean prediction, so it stops
+    # in round 0; a budget of 13 runs out in the middle of a round of 5
+    ys = [lab if i % 2 else -lab for i, (lab, _) in enumerate(clean)]
+    cfg = AttackConfig(r=3.0 / 900, max_queries=13, k_candidates=5, rounds=4, seed=23)
+    batches = []
+    predict = target_module.evaluate
+
+    def spy(model, graphs):
+        graphs = list(graphs)
+        batches.append(len(graphs))
+        return predict(model, graphs)
+
+    monkeypatch.setattr(target_module, "evaluate", spy)
+    monkeypatch.setattr(engine_module, "evaluate", spy)
+    summary = attack_testset(target, GraphDataset.from_graphs(graphs, ys, ["test"] * len(graphs)),
+                             cfg)
+    outcomes = [r.outcome for r in summary.results]
+    # one pass per lock-step round in which some graph was charged a query,
+    # after the clean batch; no query computed its answer alone
+    charged = {d["round"] for o in outcomes
+               for d, before in zip(o.diagnostics, (0,) + tuple(d["records"] for d in o.diagnostics))
+               if d["records"] > before}
+    assert batches[0] == len(graphs)
+    assert len(batches) == 1 + len(charged)
+    assert sum(batches[1:]) >= sum(len(o.records) for o in outcomes)
+    monkeypatch.undo()
+    assert [_outcome(o) for o in outcomes] == [_outcome(o) for o in _alone(target, graphs, ys, cfg)]
+    # what the cell covered: a graph done in round 0, one that went on, a
+    # budget spent mid-round and a graph with no round at all
+    assert any(o.success and len(o.diagnostics) == 1 for o in outcomes)
+    assert any(len(o.diagnostics) > 1 for o in outcomes)
+    assert any(o.queries_used == 13 for o in outcomes)
+    assert outcomes[-1].beta == 0 and outcomes[-1].diagnostics == ()
+
+
+def test_unconverged_eigencentrality_leaves_the_graph_unattacked(trained, monkeypatch):
+    ds, target = trained
+    test = ds.subset("test")
+    cfg = AttackConfig(r=3.0 / 900, max_queries=10, k_candidates=5, rounds=2, seed=37)
+    base = attack_testset(target, test, cfg)
+    stuck = test.graphs[2]
+    solve = engine_module.eigencentrality
+
+    def flaky(g):
+        if g.graph_id == stuck.graph_id:
+            raise DidNotConverge("power iteration", 100_000, "iterations")
+        return solve(g)
+
+    monkeypatch.setattr(engine_module, "eigencentrality", flaky)
+    summary = attack_testset(target, test, cfg)
+    got = summary.results[2]
+    assert got.outcome.beta == flip_budget(cfg.r, stuck.n)
+    assert got.outcome.records == () and got.outcome.queries_used == 0
+    assert got.outcome.success is False and got.attacked_label == got.clean_label
+    assert got.outcome.best_graph is stuck
+    assert "DidNotConverge" in json.dumps(got.outcome.diagnostics)
+    others = [i for i in range(len(test)) if i != 2]
+    assert ([_outcome(summary.results[i].outcome) for i in others]
+            == [_outcome(base.results[i].outcome) for i in others])
 
 
 def test_workers_agree_on_graphs_that_carry_wl_vectors(trained):

@@ -372,9 +372,9 @@ def test_sparse_training_and_unseen_keys(rng):
 @pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("rbf", gamma=0.4),
                                   KernelSpec("polynomial", degree=2)])
 def test_cache_keeps_a_matrix_only_where_margins_read_one(spec, rng):
-    """After svm_margins a linear model's _cache holds only the weight of each
-    key, and no array; the other kernels keep the support vectors as a matrix.
-    Every margin is the oracle's."""
+    """After svm_margins a linear model's _cache holds only its key space and
+    one weight per key, and no 2-D array; the other kernels keep the support
+    vectors as a matrix. Every margin is the oracle's."""
     keys = [(level, i) for level in range(3) for i in (0, 5, 2**63)]
 
     def draw():
@@ -387,7 +387,9 @@ def test_cache_keeps_a_matrix_only_where_margins_read_one(spec, rng):
     coef = model.alphas * model.sv_labels
     support = [as_dict(sv) for sv in model.support_vectors]
     if spec.kind == "linear":
-        assert list(model._cache) == ["w_sparse"] and arrays == []
+        assert list(model._cache) == ["keys", "w"] and arrays == ["w"]
+        keys, w = model._cache["keys"], model._cache["w"]
+        assert w.shape == (len(keys.ids) + 1,) and w[-1] == 0.0
         want = [linear_margin(support, coef, model.bias, p) for p in probes]
         assert [float(m).hex() for m in got] == [float(m).hex() for m in want]
     else:
@@ -396,6 +398,29 @@ def test_cache_keeps_a_matrix_only_where_margins_read_one(spec, rng):
         want = [sum(c * kernel_eval(spec, sv, p) for sv, c in zip(support, coef)) + model.bias
                 for p in probes]
         assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_linear_margin_of_a_row_alone_equals_its_row_in_a_batch(rng):
+    """Bit for bit, whatever rows share the batch: an empty row, a row of
+    keys outside the model's space only, and rows of mixed length, int and
+    float values alike."""
+    keys = [(level, i) for level in range(2) for i in (3, 7, 2**63 + 1)]
+    model = svm_train([sparse({keys[j]: float(rng.normal()) for j in rng.choice(6, size=3, replace=False)})
+                       for _ in range(10)], [1, -1] * 5, KernelSpec("linear"), C=2.0)
+    rows = [sparse({}), sparse({(5, 1): 2.0, (0, 4): -1.5})]
+    for size in (1, 2, 4, 6, 8):
+        picks = rng.choice(len(keys) + 2, size=size, replace=False)
+        pool = keys + [(0, 4), (9, 9)]
+        rows.append(sparse({pool[j]: float(rng.normal()) for j in picks}))
+    rows.append(sparse({keys[0]: 3, keys[4]: 1, (2, 2): 2}))  # integer counts
+    batch = svm_margins(model, rows)
+    alone = [svm_margins(model, [row])[0] for row in rows]
+    assert [float(m).hex() for m in batch] == [float(m).hex() for m in alone]
+    assert batch[0] == batch[1] == model.bias  # nothing in the space: the bias
+    coef = model.alphas * model.sv_labels
+    support = [as_dict(sv) for sv in model.support_vectors]
+    assert [float(m).hex() for m in batch] == [
+        float(linear_margin(support, coef, model.bias, as_dict(row))).hex() for row in rows]
 
 
 def _json_roundtrip(model):

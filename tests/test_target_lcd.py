@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphevade.graph_core import EdgeFlip, LabeledGraph, apply_flips, write_dataset
+from graphevade.graph_core import EdgeFlip, LabeledGraph, apply_flips, graph_hash, write_dataset
 from graphevade.learners import KERNEL_KINDS, DegenerateLabels, KernelSpec, TrainedSvm, svm_margins
 from graphevade.synth_data import GeneratorConfig, generate
 from graphevade.target_lcd import (
@@ -178,26 +179,41 @@ def _answers(iface, graphs):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_prefetched_answers_equal_plain_queries(target, probe_pool, data):
-    picks = data.draw(st.lists(st.integers(0, len(probe_pool) - 1), max_size=10))
-    max_queries = data.draw(st.integers(0, 8))
-    oracle = data.draw(st.sampled_from(["score", "label"]))
-    asked = data.draw(st.integers(0, len(picks)))  # queried before the prefetch
-    plain = BlackBoxQuery(target, max_queries, oracle)
-    hinted = BlackBoxQuery(target, max_queries, oracle)
-    graphs = [_copy(probe_pool[i]) for i in picks]
-    expected = _answers(plain, [_copy(g) for g in graphs])
-    got = _answers(hinted, graphs[:asked])
-    charged = hinted.queries_used
-    # duplicates among the hint, and graphs the ledger already answered
-    hinted.prefetch(graphs + graphs[:2])
-    assert hinted.queries_used == charged  # nothing charged or revealed
-    assert len(hinted._cache) == charged
-    assert len(hinted._pending) <= max_queries - charged
-    assert not set(hinted._pending) & set(hinted._cache)
-    got += _answers(hinted, graphs[asked:])
+    """One ledger through prefetch, or several on one model through one
+    prefetch_many, each with its own budget, oracle and graphs it answered
+    before the hint: every answer, cache hit and exhaustion is the plain
+    ledger's."""
+    plans = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        picks = data.draw(st.lists(st.integers(0, len(probe_pool) - 1), max_size=10))
+        max_queries = data.draw(st.integers(0, 8))
+        oracle = data.draw(st.sampled_from(["score", "label"]))
+        asked = data.draw(st.integers(0, len(picks)))  # queried before the prefetch
+        plans.append(([_copy(probe_pool[i]) for i in picks], max_queries, oracle, asked))
+    ledgers, expected, got = [], [], []
+    for graphs, max_queries, oracle, asked in plans:
+        plain = BlackBoxQuery(target, max_queries, oracle)
+        hinted = BlackBoxQuery(target, max_queries, oracle)
+        expected.append(_answers(plain, [_copy(g) for g in graphs]))
+        got.append(_answers(hinted, graphs[:asked]))
+        ledgers.append(hinted)
+    charged = [hinted.queries_used for hinted in ledgers]
+    # duplicates among each hint, and graphs the ledger already answered
+    hints = [(hinted, graphs + graphs[:2]) for hinted, (graphs, *_) in zip(ledgers, plans)]
+    if len(hints) == 1:
+        ledgers[0].prefetch(hints[0][1])
+    else:
+        BlackBoxQuery.prefetch_many(hints)
+    for hinted, before, (graphs, max_queries, oracle, asked), answers in zip(
+            ledgers, charged, plans, got):
+        assert hinted.queries_used == before  # nothing charged or revealed
+        assert len(hinted._cache) == before
+        assert len(hinted._pending) <= max_queries - before
+        assert not set(hinted._pending) & set(hinted._cache)
+        answers += _answers(hinted, graphs[asked:])
+        if oracle == "label":
+            assert all(a[1] == (1.0).hex() for a in answers if a[0] != "exhausted")
     assert got == expected  # same answers, same cache hits, same exhaustion
-    if oracle == "label":
-        assert all(a[1] == (1.0).hex() for a in got if a[0] != "exhausted")
 
 
 def test_prefetch_skips_answered_graphs_and_caps_at_budget(target, probe_pool, monkeypatch):
@@ -227,6 +243,34 @@ def test_prefetch_skips_answered_graphs_and_caps_at_budget(target, probe_pool, m
         iface.query(probe_pool[5])
     iface.prefetch(probe_pool)  # no budget left: nothing to compute
     assert len(batches) == 1 and iface._pending == {}
+
+
+def test_prefetch_many_runs_one_pass_over_the_union(target, probe_pool, monkeypatch):
+    import graphevade.target_lcd as target_module
+
+    batches = []
+    predict = target_module.evaluate
+
+    def spy(model, graphs):
+        graphs = list(graphs)
+        batches.append(graphs)
+        return predict(model, graphs)
+
+    monkeypatch.setattr(target_module, "evaluate", spy)
+    a, b, c = (BlackBoxQuery(target, 10) for _ in range(3))
+    a.query(probe_pool[0])
+    c.prefetch(probe_pool[5:7])  # a batch the next call replaces with nothing
+    batches.clear()
+    BlackBoxQuery.prefetch_many([(a, probe_pool[:3]), (b, [_copy(probe_pool[1])] + probe_pool[3:5]),
+                                 (c, [])])
+    # a leaves out what it answered; a digest both batches hold is computed once
+    assert batches == [probe_pool[1:5]]
+    assert list(a._pending) == [graph_hash(g) for g in probe_pool[1:3]]
+    assert list(b._pending) == [graph_hash(g) for g in probe_pool[1:2] + probe_pool[3:5]]
+    assert c._pending == {}
+    other = BlackBoxQuery(replace(target), 10)  # the same weights, another model
+    with pytest.raises(ValueError, match="one model"):
+        BlackBoxQuery.prefetch_many([(a, probe_pool), (other, probe_pool)])
 
 
 def test_prefetch_replaces_the_previous_batch(target, probe_pool):

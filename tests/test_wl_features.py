@@ -142,6 +142,10 @@ def test_permutation_invariance_property(g):
 @settings(max_examples=80, deadline=None)
 @given(st.lists(graph_strategy(), max_size=6), st.integers(min_value=0, max_value=3))
 def test_batch_equals_each_graph_alone(graphs, wl_iters):
+    # two objects of one structure and an edgeless graph: the same ids then
+    # recur in many blocks of the batch
+    twins = [make_graph(4, [(0, 1), (1, 2), (1, 3)], labels=["a", "b", "a", "c"]) for _ in range(2)]
+    graphs = graphs + twins + [make_graph(3, [], labels=["a", "a", "b"])]
     batch = wl_feature_vectors(graphs, wl_iters)
     assert len(batch) == len(graphs)
     for g, vec in zip(graphs, batch):

@@ -6,7 +6,8 @@ Run from the root of a checkout:
 
 For each workload of attackbench/workloads.py, the blocks are generated and
 attacked exactly as one pass of attackbench/run.py makes them (same seeds,
-same slices, ``workers=1``), without timing or checks. Each cell (round,
+same slices), without timing or checks. ``--workers N`` (default 1) passes N
+to ``attack_testset``; any N must print the same lines. Each cell (round,
 config, method) prints one line: the sha256 of its ``summary_to_json``
 (records included) and of its block target's ``target_to_json``, both as
 canonical JSON. The last line is one digest over every cell line. Two
@@ -38,7 +39,7 @@ def _sha256(doc) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def cell_hashes(workload, seed: int):
+def cell_hashes(workload, seed: int, workers: int = 1):
     """(cell key, summary hash, target hash) of every cell of one pass."""
     n_methods = len(workload.methods)
     for round_idx in range(workload.rounds):
@@ -58,7 +59,7 @@ def cell_hashes(workload, seed: int):
                 cfg = attack_engine.AttackConfig(
                     strategy=method.strategy, surrogate=method.surrogate,
                     oracle=method.oracle, seed=bseed, **ATTACK)
-                summary = attack_engine.attack_testset(target, cell, cfg)
+                summary = attack_engine.attack_testset(target, cell, cfg, workers=workers)
                 yield ((workload.name, round_idx, cname, method.name),
                        _sha256(attack_engine.summary_to_json(summary)), target_hash)
 
@@ -66,13 +67,17 @@ def cell_hashes(workload, seed: int):
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=42)
+    ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
     if args.seed < 0:
         ap.error("--seed must be >= 0")
+    if args.workers < 1:
+        ap.error("--workers must be >= 1")
     combined = hashlib.sha256()
     cells = 0
     for name in sorted(WORKLOADS):
-        for key, summary_hash, target_hash in cell_hashes(WORKLOADS[name], args.seed):
+        for key, summary_hash, target_hash in cell_hashes(WORKLOADS[name], args.seed,
+                                                          args.workers):
             line = f"{' '.join(map(str, key))} summary {summary_hash} target {target_hash}"
             print(line, flush=True)
             combined.update(line.encode("utf-8") + b"\n")
