@@ -27,6 +27,7 @@ from .learners import (
     DegenerateData,
     DidNotConverge,
     KernelSpec,
+    SparseRows,
     median_heuristic_gamma,
     nb_predict,
     nb_train,
@@ -193,7 +194,8 @@ def _train_scorer(graphs, losses, cfg: AttackConfig, seed: int):
     if labels is None:
         return None, _SINGLE_CLASS
     featurise = lambda gs: wl_feature_vectors(gs, cfg.wl_iters)
-    vectors = featurise(graphs)
+    # gamma, training and the fitted model's margin cache share one matrix
+    vectors = SparseRows(featurise(graphs))
     try:
         if cfg.surrogate == "naive_bayes":
             model = nb_train(vectors, labels)

@@ -8,10 +8,18 @@ point there is one path. Rows are densified internally over the union of
 training keys, in sorted (level, id) order; predictions on vectors with
 unseen keys stay exact because the off-union mass only enters through the
 squared-norm residual, which is carried separately.
+
+Training rows travel as SparseRows, which densify once and keep the matrix
+and its dot products: median_heuristic_gamma and svm_train wrap any other
+sequence on entry, so a caller that passes one SparseRows to both densifies
+once for gamma and training. On a small fit (_SMALL_FIT_MAX_N) svm_train
+also fills the model's margin cache from that matrix's support rows, so the
+fit builds one matrix in all.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -147,6 +155,31 @@ def _project(vectors: Sequence[SparseVector], keys: _KeySpace) -> tuple[np.ndarr
     return x, res
 
 
+class SparseRows(tuple):
+    """Training rows: a tuple of SparseVectors that builds their matrix over
+    the sorted union of keys (_as_matrix) and its dot products once, on first
+    read, and keeps them. SparseRows(rows) returns rows itself; any other
+    sequence is read as _as_sparse reads it."""
+
+    def __new__(cls, vectors: Sequence):
+        if isinstance(vectors, SparseRows):
+            return vectors
+        return super().__new__(cls, _as_sparse(vectors))
+
+    @cached_property
+    def matrix(self) -> tuple[np.ndarray, _KeySpace]:
+        return _as_matrix(self)
+
+    @cached_property
+    def dots(self) -> np.ndarray:
+        x = self.matrix[0]
+        return x @ x.T
+
+
+def _sq_dists(dots: np.ndarray, sq_rows: np.ndarray, sq_cols: np.ndarray) -> np.ndarray:
+    return np.clip(sq_rows[:, None] + sq_cols[None, :] - 2.0 * dots, 0.0, None)
+
+
 def _kernel(spec: KernelSpec, dots: np.ndarray, sq_rows: np.ndarray,
             sq_cols: np.ndarray) -> np.ndarray:
     """K of two sets of rows from their dot products and squared norms, which
@@ -155,13 +188,13 @@ def _kernel(spec: KernelSpec, dots: np.ndarray, sq_rows: np.ndarray,
         return dots
     if spec.kind == "polynomial":
         return (dots + spec.coef0) ** spec.degree
-    d2 = np.clip(sq_rows[:, None] + sq_cols[None, :] - 2.0 * dots, 0.0, None)
-    return np.exp(-spec.gamma * d2)
+    return np.exp(-spec.gamma * _sq_dists(dots, sq_rows, sq_cols))
 
 
-def _gram(spec: KernelSpec, x: np.ndarray) -> np.ndarray:
-    g = x @ x.T
-    return _kernel(spec, g, np.diag(g), np.diag(g))
+def _gram(spec: KernelSpec, dots: np.ndarray) -> np.ndarray:
+    """K of a set of rows with itself, from their dot products."""
+    sq = np.diag(dots)
+    return _kernel(spec, dots, sq, sq)
 
 
 def median_heuristic_gamma(vectors: Sequence) -> float:
@@ -169,15 +202,15 @@ def median_heuristic_gamma(vectors: Sequence) -> float:
 
     Exact over all pairs. Scaling by the median distance (not by the spread
     of distances) keeps gamma * distance^2 near 1 when the vectors cluster
-    tightly, which is exactly the geometry of perturbed-graph features.
+    tightly, which is exactly the geometry of perturbed-graph features. The
+    distances are those the rbf Gram matrix of the same rows reads.
     """
-    vectors = _as_sparse(vectors)
-    if len(vectors) < 2:
+    rows = SparseRows(vectors)
+    if len(rows) < 2:
         raise ValueError("need at least two vectors")
-    x, _ = _as_matrix(vectors)
-    sq = np.sum(x * x, axis=1)
-    d2 = np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
-    med = float(np.median(np.sqrt(d2[np.triu_indices(len(vectors), k=1)])))
+    sq = np.diag(rows.dots)
+    d2 = _sq_dists(rows.dots, sq, sq)
+    med = float(np.median(np.sqrt(d2[np.triu_indices(len(rows), k=1)])))
     if med <= 0:
         raise DegenerateData("median pairwise distance is zero; supply gamma explicitly")
     return 1.0 / (2.0 * med * med)
@@ -188,10 +221,12 @@ class TrainedSvm:
     """Support vectors, dual coefficients, bias, kernel spec, and Platt calibration.
 
     The decision function is fully determined by the stored fields; _cache is
-    derived from them on demand. For a linear kernel it holds only the key
-    space and the weight of each key, with a trailing 0.0 that keys outside
-    the space read; for any other kernel, the support vectors as a matrix over
-    their keys, their squared norms and their dual coefficients.
+    derived from them, by svm_train from a small fit's training matrix and
+    otherwise on demand, with the same arrays either way. For a linear
+    kernel it holds only the key space and the weight of each key, with a
+    trailing 0.0 that keys outside the space read; for any other kernel, the
+    support vectors as a matrix over their keys, their squared norms and
+    their dual coefficients.
     """
 
     support_vectors: tuple
@@ -208,25 +243,38 @@ class TrainedSvm:
 
     @cached_property
     def _cache(self) -> dict:
-        x, keys = _as_matrix(self.support_vectors)
-        coef = self.alphas * self.sv_labels
-        if self.spec.kind == "linear":
-            return {"keys": keys, "w": np.append(coef @ x, 0.0)}
-        return {"x": x, "keys": keys, "sq": np.sum(x * x, axis=1), "coef": coef}
+        return _margin_cache(self, *_as_matrix(self.support_vectors))
 
     def __getstate__(self):
         return {name: value for name, value in self.__dict__.items() if name != "_cache"}
 
 
-# Up to this many examples SMO keeps the error cache as a Python list. A step
-# reads a handful of entries and updates one O(n) error row, so at small n
-# numpy's per-call cost outweighs its vector speed. Measured on linear Gram
-# matrices of random subsets of a target's training vectors, 12 fits per size,
-# best of 6, lists against arrays: 0.012 s against 0.014 s at n = 28, 0.018
-# against 0.019 at n = 32, even at n = 36, 0.024 against 0.022 at n = 40,
-# 0.032 against 0.026 at n = 48, 0.054 against 0.037 at n = 64, and 0.223
-# against 0.075 (6 fits) at the target's n = 200.
-_LIST_SMO_MAX_N = 36
+def _margin_cache(model: TrainedSvm, x: np.ndarray, keys: _KeySpace) -> dict:
+    """TrainedSvm._cache from the support vectors as a matrix x over their
+    keys."""
+    coef = model.alphas * model.sv_labels
+    if model.spec.kind == "linear":
+        return {"keys": keys, "w": np.append(coef @ x, 0.0)}
+    return {"x": x, "keys": keys, "sq": np.sum(x * x, axis=1), "coef": coef}
+
+
+# A fit of up to this many examples is small: numpy's per-call cost outweighs
+# its vector speed. Measured on linear fits to random subsets of a target's
+# unit-normalised training rows, 12 fits per size, best of 6 or 7:
+# - SMO keeps its error cache as a Python list, since a step reads a handful
+#   of entries and updates one O(n) error row. Lists against arrays: 0.016 s
+#   against 0.021 s at n = 28, 0.023 against 0.028 at n = 36, 0.034 against
+#   0.035 at n = 48, 0.038 against 0.038 at n = 52, 0.048 against 0.046 at
+#   n = 56, 0.057 against 0.049 at n = 64, and 0.197 against 0.086 (6 fits)
+#   at the target's n = 200.
+# - svm_train fills the margin cache from the training matrix, whose dense
+#   support block costs more than the rebuild from the support vectors'
+#   sparse entries as the rows spread over more keys; the training matrix
+#   also stays alive beside the block. Fill against rebuild, per fit: 0.15
+#   against 0.24 ms at n = 21, 0.21 against 0.26 at n = 36, 0.39 against
+#   0.38 at n = 52, 0.53 against 0.47 at n = 64, and 2.6 against 1.3 at the
+#   target's n = 200.
+_SMALL_FIT_MAX_N = 52
 
 
 def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
@@ -241,18 +289,24 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
     ys = y.tolist()
     alpha = [0.0] * n
     # the error cache E_i = f(x_i) - y_i, which each pass refreshes; the array
-    # form updates it in place through tmp and keeps the non-bound set as a
-    # mask that take_step updates
+    # form updates it in place through tmp. take_step keeps the non-bound set
+    # as a sorted list of indices in the list form, and as a mask in the
+    # array form
     e = [0.0] * n if lists else np.zeros(n)
     read_e = e.__getitem__ if lists else e.item
     tmp = None if lists else np.empty(n)
-    free = None if lists else np.zeros(n, dtype=bool)
+    free = [] if lists else np.zeros(n, dtype=bool)
     b = 0.0
 
     def nonbound():
-        if lists:
-            return [m for m in range(n) if 0.0 < alpha[m] < c]
-        return np.flatnonzero(free)
+        return free if lists else np.flatnonzero(free)
+
+    def move(m: int, a_old: float, a_new: float) -> None:
+        was, now = 0.0 < a_old < c, 0.0 < a_new < c
+        if now and not was:
+            bisect.insort(free, m)
+        elif was and not now:
+            free.remove(m)
 
     def objective() -> float:
         a = np.array(alpha)
@@ -315,6 +369,8 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
         di, dj, db = yi * (ai_new - ai), yj * (aj_new - aj), b_new - b
         if lists:
             e[:] = [em + di * p + dj * q + db for em, p, q in zip(e, ki, kj)]
+            move(i, ai, ai_new)
+            move(j, aj, aj_new)
         else:
             np.multiply(k[i], di, out=tmp)
             np.add(e, tmp, out=e)
@@ -336,7 +392,8 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
             if len(nb) > 1:
                 if lists:
                     # the first of the largest |E_j - E_i|, as argmax picks it
-                    j = max(nb, key=lambda m: abs(e[m] - ei))
+                    gaps = [abs(e[m] - ei) for m in nb]
+                    j = nb[gaps.index(max(gaps))]
                 else:
                     j = int(nb[np.argmax(np.abs(e[nb] - ei))])
                 if take_step(j, i):
@@ -357,7 +414,8 @@ def _smo(k: np.ndarray, y: np.ndarray, c: float, tol: float, max_passes: int,
         # refresh the error cache once per pass to stop incremental drift
         fresh = (np.array(alpha) * y) @ k + b - y
         e[:] = fresh.tolist() if lists else fresh
-        indices = range(n) if examine_all else nonbound()
+        # a copy: take_step updates the list form's set while the pass runs
+        indices = range(n) if examine_all else nonbound().copy()
         changed = 0
         for i in indices:
             changed += examine(i)
@@ -401,12 +459,12 @@ def _fit_platt(decisions: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         ez = np.exp(-np.abs(z))
         p = np.where(z >= 0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
         w = p * (1.0 - p)
-        h11 = 1e-12 + float(np.sum(f * f * w))
-        h22 = 1e-12 + float(np.sum(w))
-        h21 = float(np.sum(f * w))
         d1 = t - p
-        g1 = float(np.sum(f * d1))
-        g2 = float(np.sum(d1))
+        # one reduction over the rows sums each row as np.sum sums it alone;
+        # f * f * w in that order, since (f * w) * f rounds differently
+        s11, s22, h21, g1, g2 = np.add.reduce(
+            np.stack((f * f * w, w, f * w, f * d1, d1)), axis=1).tolist()
+        h11, h22 = 1e-12 + s11, 1e-12 + s22
         if abs(g1) < 1e-5 and abs(g2) < 1e-5:
             break
         det = h11 * h22 - h21 * h21
@@ -436,9 +494,9 @@ def svm_train(X: Sequence, y: Sequence, spec: KernelSpec, C: float = 1.0,
     condition by more than tol, then fits Platt calibration on the training
     decision values. C = math.inf gives the hard-margin problem.
     """
-    vectors = _as_sparse(X)
+    rows = SparseRows(X)
     labels = np.asarray(list(y), dtype=float)
-    if len(vectors) != len(labels):
+    if len(rows) != len(labels):
         raise ValueError("X and y must have equal length")
     if not np.all(np.isin(labels, (1.0, -1.0))):
         raise ValueError("labels must be +1 or -1")
@@ -446,15 +504,15 @@ def svm_train(X: Sequence, y: Sequence, spec: KernelSpec, C: float = 1.0,
         raise DegenerateLabels("need at least one example of each class")
     if not (C > 0):
         raise ValueError("C must be positive")
-    gram = _gram(spec, _as_matrix(vectors)[0])
+    gram = _gram(spec, rows.dots)
     rng = np.random.default_rng(seed)
     alpha, bias, objective_path = _smo(gram, labels, C, tol, max_passes, rng,
-                                       lists=len(labels) <= _LIST_SMO_MAX_N)
+                                       lists=len(labels) <= _SMALL_FIT_MAX_N)
     margins = (alpha * labels) @ gram + bias
     platt_a, platt_b = _fit_platt(margins, labels)
     sv = np.nonzero(alpha > 0)[0]
-    return TrainedSvm(
-        support_vectors=tuple(vectors[i] for i in sv),
+    model = TrainedSvm(
+        support_vectors=tuple(rows[i] for i in sv),
         alphas=alpha[sv].copy(),
         sv_labels=labels[sv].copy(),
         bias=float(bias),
@@ -463,9 +521,24 @@ def svm_train(X: Sequence, y: Sequence, spec: KernelSpec, C: float = 1.0,
         platt_a=float(platt_a),
         platt_b=float(platt_b),
         sv_indices=tuple(int(i) for i in sv),
-        n_train=len(vectors),
+        n_train=len(rows),
         objective_path=tuple(objective_path),
     )
+    if len(sv) and len(rows) <= _SMALL_FIT_MAX_N:
+        # the training matrix's support rows over the keys the support
+        # vectors store (a nonzero cell, or an entry that stores 0.0):
+        # _as_matrix of the support vectors, array for array
+        x, keys = rows.matrix
+        support = x[sv]
+        stored = support.any(axis=0)
+        _, levels, ids, values = _stack(model.support_vectors)
+        zero = values == 0
+        if zero.any():
+            stored[keys.columns(levels[zero], ids[zero])] = True
+        cols = np.flatnonzero(stored)
+        model.__dict__["_cache"] = _margin_cache(
+            model, support.take(cols, axis=1), _KeySpace(keys.levels[cols], keys.ids[cols]))
+    return model
 
 
 def _linear_sums(queries: list[SparseVector], keys: _KeySpace, w: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ at a time) so tests never share code with the paths they verify. The
 dict-keyed feature paths (dense matrix, projection, per-vector naive Bayes,
 the linear margin sum, unit normalisation) and the plain structural digest
 are the earlier implementations those paths must match bit for bit, and so
-are the edge-map apply_flips and the mutation loop that builds one flip per
-draw.
+are the edge-map apply_flips, the mutation loop that builds one flip per
+draw and the Platt fit that sums with one np.sum per sum.
 """
 
 from __future__ import annotations
@@ -439,6 +439,54 @@ def linear_margin(support_vectors, coef, bias, query):
     for k, val in query.items():
         total += weights.get(k, 0.0) * val
     return total + bias
+
+
+def platt_fit(decisions, y):
+    """The Newton fit of Platt calibration with one np.sum per sum, as
+    learners._fit_platt computed it before it summed the five at once."""
+    f = np.asarray(decisions, dtype=float)
+    prior1 = int(np.sum(y > 0))
+    prior0 = len(y) - prior1
+    hi = (prior1 + 1.0) / (prior1 + 2.0)
+    lo = 1.0 / (prior0 + 2.0)
+    t = np.where(y > 0, hi, lo)
+    a = 0.0
+    b = math.log((prior0 + 1.0) / (prior1 + 1.0))
+
+    def nll(av, bv):
+        z = f * av + bv
+        soft = np.log1p(np.exp(-np.abs(z)))
+        return float(np.sum(np.where(z >= 0, t * z + soft, (t - 1.0) * z + soft)))
+
+    fval = nll(a, b)
+    for _ in range(100):
+        z = f * a + b
+        ez = np.exp(-np.abs(z))
+        p = np.where(z >= 0, ez / (1.0 + ez), 1.0 / (1.0 + ez))
+        w = p * (1.0 - p)
+        h11 = 1e-12 + float(np.sum(f * f * w))
+        h22 = 1e-12 + float(np.sum(w))
+        h21 = float(np.sum(f * w))
+        d1 = t - p
+        g1 = float(np.sum(f * d1))
+        g2 = float(np.sum(d1))
+        if abs(g1) < 1e-5 and abs(g2) < 1e-5:
+            break
+        det = h11 * h22 - h21 * h21
+        da = -(h22 * g1 - h21 * g2) / det
+        db = -(-h21 * g1 + h11 * g2) / det
+        gd = g1 * da + g2 * db
+        step = 1.0
+        while step >= 1e-10:
+            na, nb = a + step * da, b + step * db
+            nf = nll(na, nb)
+            if nf < fval + 1e-4 * step * gd:
+                a, b, fval = na, nb, nf
+                break
+            step *= 0.5
+        else:
+            break
+    return a, b
 
 
 class FlipError(Exception):

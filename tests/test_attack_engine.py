@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphevade.attack_engine as engine_module
+import graphevade.learners as learners_module
 import graphevade.target_lcd as target_module
 import graphevade.wl_features as wl_module
 from graphevade.attack_engine import (
@@ -265,6 +266,33 @@ def test_rbf_surrogate_on_wl_identical_graphs_falls_back_to_unit_gamma(monkeypat
     assert note == "trained" and scorer is not None
     assert [(s.kind, s.gamma) for s in specs] == [("rbf", 1.0)]
     assert scorer([g, h]).shape == (2,)
+
+
+@pytest.mark.parametrize("surrogate", ["svm_rbf", "svm_linear", "svm_poly"])
+def test_each_svm_surrogate_fit_builds_one_matrix(trained, surrogate, monkeypatch):
+    # gamma, training and the model's scores all read one training matrix
+    ds, _ = trained
+    graphs = list(ds.subset("test").graphs[:8])
+    calls = {"_as_matrix": 0, "svm_train": 0, "median_heuristic_gamma": 0}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    count(learners_module, "_as_matrix")
+    count(engine_module, "svm_train")
+    count(engine_module, "median_heuristic_gamma")
+    scorer, note = engine_module._train_scorer(graphs, [0.1 * i for i in range(8)],
+                                               AttackConfig(surrogate=surrogate), seed=3)
+    assert note == "trained"
+    assert scorer(graphs).shape == (8,) and scorer(graphs[:3]).shape == (3,)
+    assert calls == {"_as_matrix": 1, "svm_train": 1,
+                     "median_heuristic_gamma": int(surrogate == "svm_rbf")}
 
 
 def test_unconverged_surrogate_falls_back_to_strategy_order(trained, monkeypatch):

@@ -10,6 +10,7 @@ from graphevade.learners import (
     DegenerateData,
     DegenerateLabels,
     KernelSpec,
+    SparseRows,
     kkt_max_residual,
     median_heuristic_gamma,
     nb_predict,
@@ -34,6 +35,7 @@ from oracles import (
     kernel_eval,
     linear_margin,
     nb_predict_one,
+    platt_fit,
 )
 
 from conftest import as_dict, sparse
@@ -250,7 +252,7 @@ def _smo_run(lists, k, y, c, max_passes, seed):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_list_and_array_smo_take_the_same_steps(data):
-    switch = learners_module._LIST_SMO_MAX_N
+    switch = learners_module._SMALL_FIT_MAX_N
     n = data.draw(st.integers(min_value=2, max_value=24)
                   | st.integers(min_value=switch - 2, max_value=switch + 12))
     r = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -263,7 +265,7 @@ def test_list_and_array_smo_take_the_same_steps(data):
     spec = data.draw(st.sampled_from([KernelSpec("linear"),
                                       KernelSpec("polynomial", degree=3, coef0=1.0),
                                       KernelSpec("rbf", gamma=0.05), RBF1]))
-    k = learners_module._gram(spec, x.astype(float))
+    k = learners_module._gram(spec, SparseRows(x).dots)
     c = data.draw(st.sampled_from([0.5, 10.0, math.inf]))
     max_passes = data.draw(st.just(200) | st.integers(min_value=1, max_value=3))
     seed = data.draw(st.integers(min_value=0, max_value=1000))
@@ -275,22 +277,22 @@ def target_gram():
     """The linear Gram matrix and labels of a default target's n = 200
     training split: generated graphs, WL histograms, unit-normalised."""
     train = generate(GeneratorConfig(seed=42)).subset("train")
-    x, _ = _as_matrix([_unit_counts(v) for v in wl_feature_vectors(list(train.graphs), 3)])
-    return learners_module._gram(KernelSpec("linear"), x), np.array(train.labels, dtype=float)
+    rows = SparseRows([_unit_counts(v) for v in wl_feature_vectors(list(train.graphs), 3)])
+    return learners_module._gram(KernelSpec("linear"), rows.dots), np.array(train.labels, dtype=float)
 
 
 @pytest.mark.parametrize("max_passes", [500, 2])
 def test_list_and_array_smo_agree_at_the_targets_size(target_gram, max_passes):
     k, y = target_gram
-    assert len(y) == 200 > learners_module._LIST_SMO_MAX_N
+    assert len(y) == 200 > learners_module._SMALL_FIT_MAX_N
     out = _smo_run(True, k, y, 10.0, max_passes, 0)
     assert out == _smo_run(False, k, y, 10.0, max_passes, 0)
     assert (out[0][0] == "DidNotConverge") == (max_passes == 2)
 
 
-@pytest.mark.parametrize("n, lists", [(learners_module._LIST_SMO_MAX_N, True),
-                                      (learners_module._LIST_SMO_MAX_N + 1, False)])
-def test_svm_train_picks_the_smo_form_by_size(n, lists, monkeypatch):
+@pytest.mark.parametrize("n, lists", [(learners_module._SMALL_FIT_MAX_N, True),
+                                      (learners_module._SMALL_FIT_MAX_N + 1, False)])
+def test_svm_train_picks_the_smo_form_and_the_cache_fill_by_size(n, lists, monkeypatch):
     forms = []
     smo = learners_module._smo
 
@@ -300,8 +302,104 @@ def test_svm_train_picks_the_smo_form_by_size(n, lists, monkeypatch):
 
     monkeypatch.setattr(learners_module, "_smo", spy)
     x = [np.array([float(i % 7), float(i % 3)]) for i in range(n)]
-    svm_train(x, [1 if i % 2 else -1 for i in range(n)], KernelSpec("linear"), C=1.0)
+    model = svm_train(x, [1 if i % 2 else -1 for i in range(n)], KernelSpec("linear"), C=1.0)
     assert forms == [lists]
+    # a small fit fills the margin cache from its training matrix; a larger
+    # one leaves it to be built from the support vectors on first use
+    assert ("_cache" in model.__dict__) == lists
+
+
+# WL-like keys: ids at several levels, 2**63 among them
+_ROW_KEYS = [(level, i) for level in range(3) for i in (1, 5, 2**63)]
+_OFF_KEYS = [(3, 5), (0, 2**64 - 1), (1, 9), (0, 40)]
+
+
+@st.composite
+def _fits(draw):
+    """(training rows, labels, probes): WL-like sparse rows with repeats, or
+    dense float rows with a zero column; every row a copy of the first
+    sometimes, which leaves the median heuristic no scale."""
+    r = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    n = draw(st.integers(min_value=2, max_value=12))
+    repeat = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    if draw(st.booleans()):
+        rows = []
+        for _ in range(n):
+            picks = r.choice(len(_ROW_KEYS), size=int(r.integers(1, 5)), replace=False)
+            rows.append({_ROW_KEYS[j]: int(r.integers(1, 4)) for j in picks})
+        rows = [rows[0] if r.random() < repeat else d for d in rows]
+        x = [sparse(d) for d in rows]
+    else:
+        d = int(r.integers(2, 5))
+        dense = r.normal(size=(n, d))
+        dense[:, int(r.integers(d))] = 0.0
+        x = [dense[0] if r.random() < repeat else v for v in dense]
+    y = np.where(r.random(n) < 0.5, 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    keys = _ROW_KEYS + _OFF_KEYS
+    probes = [sparse({keys[j]: float(r.normal()) for j in
+                      r.choice(len(keys), size=int(r.integers(0, 6)), replace=False)})
+              for _ in range(4)]
+    return x, y.tolist(), probes
+
+
+def _cache_state(cache: dict) -> list:
+    """Every entry of a margin cache, arrays as dtype, shape, strides and bytes."""
+    def state(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.shape, value.strides, value.tobytes()
+        return state(value.levels), state(value.ids), value._slices
+    return [(name, state(value)) for name, value in cache.items()]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_fits(), st.sampled_from(["rbf", "linear", "polynomial"]), st.sampled_from([10.0, math.inf]))
+def test_cache_and_gamma_from_the_training_matrix_equal_their_rebuilt_forms(fit, kind, c):
+    """svm_train fills the margin cache from the training matrix's support
+    rows; it equals the cache built from the support vectors alone, and so do
+    the margins. Gamma reads one SparseRows as it reads a plain list."""
+    x, y, probes = fit
+    try:
+        gamma = median_heuristic_gamma(SparseRows(x))
+    except DegenerateData:
+        with pytest.raises(DegenerateData):
+            median_heuristic_gamma(list(x))
+        gamma = 1.0
+    else:
+        assert gamma.hex() == median_heuristic_gamma(list(x)).hex()
+    spec = {"rbf": KernelSpec("rbf", gamma=gamma), "linear": KernelSpec("linear"),
+            "polynomial": KernelSpec("polynomial", degree=3, coef0=1.0)}[kind]
+    try:
+        model = svm_train(x, y, spec, C=c, max_passes=50)
+    except DidNotConverge:
+        return
+    if not model.support_vectors:  # every alpha at 0: margins read no cache
+        assert "_cache" not in model.__dict__
+        return
+    assert "_cache" in model.__dict__
+    built = _cache_state(model._cache)
+    margins = _bits(svm_margins(model, probes))
+    del model.__dict__["_cache"]
+    assert _cache_state(model._cache) == built
+    assert _bits(svm_margins(model, probes)) == margins
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_platt_fit_matches_the_one_sum_per_sum_oracle(data):
+    n = data.draw(st.integers(min_value=2, max_value=250))
+    r = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = data.draw(st.sampled_from(["spread", "constant", "huge"]))
+    if kind == "constant":
+        f = np.full(n, data.draw(st.floats(-3.0, 3.0)))
+    elif kind == "huge":
+        f = np.where(r.random(n) < 0.5, 1e8, -1e8) * np.where(r.random(n) < 0.2, r.random(n), 1.0)
+    else:
+        f = r.normal(scale=data.draw(st.sampled_from([0.1, 1.0, 30.0])), size=n)
+    y = np.where(r.random(n) < data.draw(st.sampled_from([0.1, 0.5, 0.9])), 1.0, -1.0)
+    y[r.choice(n, size=2, replace=False)] = (1.0, -1.0)
+    got = learners_module._fit_platt(f, y)
+    assert [v.hex() for v in map(float, got)] == [v.hex() for v in map(float, platt_fit(f, y))]
 
 
 def test_sparse_linear_margin_adds_left_to_right():
@@ -340,7 +438,7 @@ def test_margins_on_training_vectors_are_the_training_decisions(kind):
     assert 0 < len(model.support_vectors) < len(x)
     alpha = np.zeros(len(x))
     alpha[list(model.sv_indices)] = model.alphas
-    decisions = (alpha * y) @ learners_module._gram(spec, _as_matrix(x)[0]) + model.bias
+    decisions = (alpha * y) @ learners_module._gram(spec, SparseRows(x).dots) + model.bias
     np.testing.assert_allclose(svm_margins(model, x), decisions, rtol=0, atol=1e-9)
 
 

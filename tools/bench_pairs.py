@@ -19,7 +19,10 @@ change read better, in the direction (``better``) that the change's
 end-to-end metric, ``change_median_beyond_parent_iqr`` says whether the
 change's median lies beyond the parent's interquartile range (IQR) in that
 direction: above the parent's upper quartile when higher is better, below
-its lower quartile when lower is. Each row also
+its lower quartile when lower is. ``claim_rule_met`` applies the rule a
+claimed gain must meet: the change wins at least nine tenths of the pairs,
+and its median is better than the parent's by more than the parent's
+q3 - q1. Each row also
 names what it compared: ``seconds`` per run and, per side, the checkout's
 ``git rev-parse HEAD`` and whether its tracked files differ from that commit
 (``dirty``), both null outside git. Rows of other (workload, seed) keys
@@ -45,7 +48,9 @@ WHAT = ("attackbench/run.py --trace 0, single worker, alternating pairs of the p
         "end-to-end metric, the pairs where the change read better in the direction "
         "BENCHMARK.json gives it (ties count for neither side); "
         "change_median_beyond_parent_iqr says whether the change's median lies past the "
-        "parent's quartile on that better side")
+        "parent's quartile on that better side; claim_rule_met says whether the change "
+        "won at least 9 of 10 pairs and its median beat the parent's by more than the "
+        "parent's q3 - q1")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -122,6 +127,16 @@ def beyond_iqr(metric: dict, better: str) -> bool:
     return metric["change"]["median"] < metric["parent"]["q1"]
 
 
+def claim_rule_met(metric: dict, better: str) -> bool:
+    """Whether the change won at least nine tenths of the pairs and its
+    median is better than the parent's by more than the parent's q3 - q1."""
+    sign = 1 if better == "higher" else -1
+    gap = sign * (metric["change"]["median"] - metric["parent"]["median"])
+    parent = metric["parent"]
+    return (10 * wins(metric, better) >= 9 * len(parent["runs"])
+            and gap > parent["q3"] - parent["q1"])
+
+
 def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seed: int,
                    seconds: float) -> dict:
     checkouts = {"parent": git_state(parent), "change": git_state(change)}
@@ -143,9 +158,11 @@ def bench_workload(parent: Path, change: Path, workload: str, pairs: int, seed: 
     change_wins = {name: f"{wins(metrics[name], better)}/{pairs}"
                    for name, better in directions.items()}
     beyond = {name: beyond_iqr(metrics[name], better) for name, better in directions.items()}
+    claim = {name: claim_rule_met(metrics[name], better) for name, better in directions.items()}
     return {"workload": workload, "seed": seed, "pairs": pairs, "seconds": seconds,
             "checkouts": checkouts, "correct": True, "failed": 0, "metrics": metrics,
-            "change_wins_pairs": change_wins, "change_median_beyond_parent_iqr": beyond}
+            "change_wins_pairs": change_wins, "change_median_beyond_parent_iqr": beyond,
+            "claim_rule_met": claim}
 
 
 def main(argv=None) -> int:
