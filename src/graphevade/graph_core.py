@@ -17,6 +17,7 @@ TIERS = ("object", "feature")
 _RECORD_FIELDS = ("id", "y", "split", "nodes", "edges")
 _NODE_FIELDS = ("id", "label", "tier")
 _EDGE_FIELDS = ("u", "v", "w")
+_PACKED_EDGE = struct.Struct("<3d")  # one edge in _edge_bytes
 
 
 class InapplicableFlip(Exception):
@@ -145,6 +146,13 @@ class LabeledGraph:
         return {}
 
     @cached_property
+    def _edge_bytes(self) -> bytes:
+        """The canonical edges as little-endian (u, v, w) double triples, 24
+        bytes an edge: what graph_hash hashes and wl_features reads. A graph
+        that apply_flips builds splices them from its base's."""
+        return struct.pack(f"<{3 * len(self.edges)}d", *chain.from_iterable(self.edges))
+
+    @cached_property
     def _digest(self) -> str:
         """graph_hash of this graph."""
         memo = self._node_memo
@@ -157,7 +165,7 @@ class LabeledGraph:
             head.update(tiers)
             memo["sha256"] = head
         h = head.copy()
-        h.update(struct.pack(f"<{3 * len(self.edges)}d", *chain.from_iterable(self.edges)))
+        h.update(self._edge_bytes)
         return h.hexdigest()
 
     @cached_property
@@ -166,8 +174,8 @@ class LabeledGraph:
         return {}
 
     def __getstate__(self):
-        # the memos (digest, views, WL vectors) are rebuilt on demand, and a
-        # WL vector's read-only counts view cannot be pickled
+        # the memos (digest, packed edges, views, WL vectors) are rebuilt on
+        # demand, and a WL vector's read-only counts view cannot be pickled
         return {name: self.__dict__[name]
                 for name in ("graph_id", "node_labels", "node_tiers", "edges")}
 
@@ -186,9 +194,11 @@ def apply_flips(g: LabeledGraph, flips: Sequence[EdgeFlip]) -> LabeledGraph:
     add outside the node range raises ValueError. With those checks and
     EdgeFlip's own (u < v, weight finite and >= 0), the result holds every
     LabeledGraph invariant, so it is built without validating it again. It
-    shares g's memos of the node labels and tiers.
+    shares g's memos of the node labels and tiers, and its _edge_bytes are
+    g's with each flip's 24 bytes spliced in or cut out at the flip's index.
     """
     edges = list(g.edges)  # kept sorted: each flip is found by bisection
+    packed = g._edge_bytes
     for flip in flips:
         u, v = pair = flip.u, flip.v
         i = bisect_left(edges, pair)
@@ -198,13 +208,16 @@ def apply_flips(g: LabeledGraph, flips: Sequence[EdgeFlip]) -> LabeledGraph:
                 raise InapplicableFlip(f"add on existing edge {pair}")
             if not (0 <= u and v < g.n):
                 raise ValueError(f"edge {pair} endpoint out of range for n={g.n}")
-            edges.insert(i, (u, v, float(flip.weight)))
+            w = float(flip.weight)
+            edges.insert(i, (u, v, w))
+            packed = packed[:24 * i] + _PACKED_EDGE.pack(u, v, w) + packed[24 * i:]
         else:
             if not present:
                 raise InapplicableFlip(f"remove on missing edge {pair}")
             del edges[i]
+            packed = packed[:24 * i] + packed[24 * i + 24:]
     out = LabeledGraph._trusted(g.graph_id, g.node_labels, g.node_tiers, tuple(edges))
-    out.__dict__["_node_memo"] = g._node_memo
+    out.__dict__.update(_node_memo=g._node_memo, _edge_bytes=packed)
     return out
 
 

@@ -56,9 +56,10 @@ class CentralityScores:
     @cached_property
     def ranking(self) -> tuple[tuple[int, int], ...]:
         """All unordered node pairs by score product X_u * X_v descending, ties
-        broken by (u, v) lexicographic order; computed once per scores."""
+        broken by (u, v) lexicographic order (the order _upper_pairs lists
+        them in, which a stable sort keeps); computed once per scores."""
         iu, iv = _upper_pairs(self.x.shape[0])
-        order = np.lexsort((iv, iu, -self.x[iu] * self.x[iv]))
+        order = np.argsort(-self.x[iu] * self.x[iv], kind="stable")
         return tuple(zip(iu[order].tolist(), iv[order].tolist()))
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -50,8 +50,7 @@ def _union_arcs(graphs: Sequence[LabeledGraph], starts: Sequence[int]) -> tuple[
     """(source, destination) node arrays of the disjoint union of graphs, with
     each undirected edge in both directions; graph i's nodes start at starts[i]."""
     n_edges = [len(g.edges) for g in graphs]
-    e = np.fromiter(chain.from_iterable(chain.from_iterable(g.edges for g in graphs)),
-                    dtype=np.float64, count=3 * sum(n_edges)).reshape(-1, 3)
+    e = np.frombuffer(b"".join([g._edge_bytes for g in graphs]), "<f8").reshape(-1, 3)
     shift = np.repeat(np.asarray(starts, dtype=np.intp), n_edges)
     u = e[:, 0].astype(np.intp) + shift
     v = e[:, 1].astype(np.intp) + shift

@@ -10,7 +10,8 @@ dict-keyed feature paths (dense matrix, projection, per-vector naive Bayes,
 the linear margin sum, unit normalisation) and the plain structural digest
 are the earlier implementations those paths must match bit for bit, and so
 are the edge-map apply_flips, the mutation loop that builds one flip per
-draw and the Platt fit that sums with one np.sum per sum.
+draw, the Platt fit that sums with one np.sum per sum and the WL union's
+arcs read from the edge tuples.
 """
 
 from __future__ import annotations
@@ -550,6 +551,18 @@ def structural_digest(g) -> str:
     for u, v, w in g.edges:
         h.update(struct.pack("<ddd", u, v, w))
     return h.hexdigest()
+
+
+def union_arcs(graphs, starts):
+    """wl_features._union_arcs reading each graph's edge tuples rather than
+    its packed edge bytes."""
+    n_edges = [len(g.edges) for g in graphs]
+    e = np.fromiter(itertools.chain.from_iterable(itertools.chain.from_iterable(
+        g.edges for g in graphs)), dtype=np.float64, count=3 * sum(n_edges)).reshape(-1, 3)
+    shift = np.repeat(np.asarray(starts, dtype=np.intp), n_edges)
+    u = e[:, 0].astype(np.intp) + shift
+    v = e[:, 1].astype(np.intp) + shift
+    return np.concatenate((u, v)), np.concatenate((v, u))
 
 
 def draw_by_draw_graph(cfg, weights, p_obj, p_feat, graph_id, index):

@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 import pickle
+import struct
 
 import numpy as np
 import pytest
@@ -170,6 +172,7 @@ def test_graph_pickles_without_its_memos(rng):
     g = random_graph(7, 0.4, rng, graph_id="memo")
     flip = EdgeFlip(0, 1, "remove") if g.has_edge(0, 1) else EdgeFlip(0, 1, "add", 1.0)
     candidate = apply_flips(g, [flip])
+    assert "_edge_bytes" in vars(candidate)  # spliced by apply_flips, before any read
     for h in (g, candidate):
         digest = graph_hash(h)
         vec = wl_feature_vector(h, 3)
@@ -178,6 +181,7 @@ def test_graph_pickles_without_its_memos(rng):
         back = pickle.loads(pickle.dumps(h))
         assert sorted(vars(back)) == ["edges", "graph_id", "node_labels", "node_tiers"]
         assert back == h and graph_hash(back) == digest
+        assert back._edge_bytes == h._edge_bytes
         assert wl_feature_vector(back, 3).counts == vec.counts
         assert "_wl" in vars(h)  # the original keeps its memos
         assert set(h._node_memo) == {"sha256", "wl0"}  # a hash state and an array
@@ -253,6 +257,63 @@ def test_candidates_share_label_memos_with_their_base(g, data):
         assert graph_hash(h) == structural_digest(h)
         vec = wl_feature_vector(h, wl_iters)
         assert list(vec.counts.items()) == list(wl_histogram(h, wl_iters).items())
+
+
+@st.composite
+def splice_plans(draw, g):
+    """A plan valid against the running edge set, drawn toward the splice's
+    edge cases: pairs at the first and the last index (the least and the
+    greatest pair, present or not), the pair the plan flipped last (an add
+    and a remove of one pair), weights 0.0 and -0.0, which pack to different
+    bytes, and numpy-integer endpoints."""
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    if not pairs:
+        return []
+    present = set(g.edge_pairs)
+    flips = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        ends = [pairs[0], pairs[-1]] + ([min(present), max(present)] if present else [])
+        again = [(flips[-1].u, flips[-1].v)] if flips else []
+        u, v = pair = draw(st.sampled_from(ends + again) | st.sampled_from(pairs))
+        if draw(st.booleans()):
+            u, v = np.int64(u), np.int64(v)
+        if pair in present:
+            present.discard(pair)
+            flips.append(EdgeFlip(u, v, "remove"))
+        else:
+            present.add(pair)
+            weight = draw(st.sampled_from([0.0, -0.0]) | st.floats(min_value=0.0, max_value=10.0))
+            flips.append(EdgeFlip(u, v, "add", weight=weight))
+    return flips
+
+
+def _packed(g):
+    return struct.pack(f"<{3 * len(g.edges)}d", *itertools.chain.from_iterable(g.edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_strategy(), st.booleans(), st.data())
+def test_candidates_splice_the_packed_edges_of_their_base(g, edgeless, data):
+    if edgeless:
+        g = LabeledGraph(g.graph_id, g.node_labels, g.node_tiers, ())
+    base = g
+    for _ in range(4):  # candidates of candidates, as the attack's mutations are
+        flips = data.draw(splice_plans(base))
+        out = apply_flips(base, flips)
+        assert "_edge_bytes" in vars(out)  # spliced, not packed on first read
+        assert out._edge_bytes == _packed(out)
+        assert graph_hash(out) == structural_digest(out)
+        # a flip that cannot apply partway through a plan still aborts it
+        k = data.draw(st.integers(min_value=0, max_value=len(flips)))
+        if base.n > 1:
+            u, v = data.draw(st.sampled_from(
+                [(u, v) for u in range(base.n) for v in range(u + 1, base.n)]))
+            conflict = (EdgeFlip(u, v, "add", weight=1.0)
+                        if apply_flips(base, flips[:k]).has_edge(u, v) else EdgeFlip(u, v, "remove"))
+            with pytest.raises(InapplicableFlip):
+                apply_flips(base, flips[:k] + [conflict] + flips[k:])
+        base = out
+    assert g._edge_bytes == _packed(g)
 
 
 def test_apply_flips_rejects_out_of_range_add():

@@ -484,6 +484,18 @@ def test_ranking_ties_on_equal_scores():
         (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(min_value=1e-3, max_value=4.0),
+                min_size=2, max_size=26).filter(any))
+def test_ranking_orders_pairs_as_a_three_key_lexsort(raw):
+    # exact ties (repeated values, zeros, and a zero times anything) must
+    # break by (u, v) as in a sort on (-x_u * x_v, u, v)
+    x = np.asarray(raw) / np.linalg.norm(raw)
+    iu, iv = np.triu_indices(len(x), 1)
+    order = np.lexsort((iv, iu, -x[iu] * x[iv]))
+    assert CentralityScores(x).ranking == tuple(zip(iu[order].tolist(), iv[order].tolist()))
+
+
 @pytest.mark.parametrize("edges", [[(0, 1), (1, 2)], [(0, 1, 2.0), (1, 2, 9.0), (2, 3, 3.0), (0, 3, 4.0)],
                                    [(0, 1), (2, 3)]])
 def test_spent_pairs_match_reference_planner(edges):

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphevade.wl_features as wl_module
+from graphevade.graph_core import EdgeFlip, LabeledGraph, apply_flips
 from graphevade.wl_features import sparse_dot, wl_feature_vector, wl_feature_vectors
-from oracles import are_isomorphic, jacobi_eigh, wl_histogram, wl_pair_kernel
+from oracles import are_isomorphic, jacobi_eigh, union_arcs, wl_histogram, wl_pair_kernel
 
 from conftest import graph_strategy, make_graph, random_graph
 
@@ -275,3 +277,27 @@ def test_repeated_graph_in_a_batch_is_refined_once(rng, monkeypatch):
     for a, b in ((vecs[0].levels, alone.levels), (vecs[0].ids, alone.ids),
                  (vecs[0].values, alone.values)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(graph_strategy(), st.sampled_from(
+    ["original", "candidate", "pickled", "edgeless"])), min_size=1, max_size=5), st.data())
+def test_union_arcs_match_the_edge_tuple_oracle(drawn, data):
+    graphs = []
+    for g, kind in drawn:
+        if kind in ("candidate", "pickled"):
+            pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+            toggled = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3)
+                                if pairs else st.just([]))
+            g = apply_flips(g, [EdgeFlip(u, v, "remove") if g.has_edge(u, v)
+                                else EdgeFlip(u, v, "add", weight=0.5) for u, v in toggled])
+        if kind == "pickled":
+            g = pickle.loads(pickle.dumps(g))
+            assert "_edge_bytes" not in vars(g)  # packed only when first read
+        elif kind == "edgeless":
+            g = LabeledGraph(g.graph_id, g.node_labels, g.node_tiers, ())
+        graphs.append(g)
+    batch = data.draw(st.lists(st.sampled_from(graphs), min_size=1, max_size=8))  # objects repeat
+    starts = np.cumsum([0] + [g.n for g in batch[:-1]]).tolist()
+    for got, want in zip(wl_module._union_arcs(batch, starts), union_arcs(batch, starts)):
+        assert got.dtype == want.dtype == np.intp and np.array_equal(got, want)
